@@ -81,6 +81,16 @@ def _parse_k(value: str):
     return k
 
 
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tmem", description=__doc__)
     parser.add_argument("--workspace", default=".", help="workspace directory (default: .)")
@@ -109,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--mode", choices=["fused", "cosine"], default="fused")
     p_q.add_argument("--alpha", type=float, default=None)
     p_q.add_argument("--half-life-days", type=float, default=None)
-    p_q.add_argument("--k", dest="top_k", type=int, default=None, help="hits to return (default 10)")
+    p_q.add_argument("--k", dest="top_k", type=_positive_int, default=None, help="hits to return (default 10)")
     p_q.add_argument("--now", default=None, help="pin the reference instant (ISO-8601)")
 
     p_ev = sub.add_parser("eval", help="run metric suite from eval config")

@@ -11,6 +11,7 @@ import hashlib
 import re
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,36 @@ class VectorStore:
         return len(self.ids)
 
     def float32(self) -> np.ndarray:
+        """A fresh, writable float32 copy of the vectors."""
         return self.vectors.astype(np.float32)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The vectors as float32, converted once and read-only."""
+        rows = self.vectors.astype(np.float32)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, norms, index): each distinct vector once, and which one each event has.
+
+        ``rows`` are read-only float32 and ``norms`` their read-only float32
+        L2 norms; event i's vector is ``rows[index[i]]``. Byte-identical
+        vectors share a row, so a query scores each distinct vector once and
+        identical vectors score exactly alike. A zero or non-finite norm
+        raises ValueError.
+        """
+        keys = np.ascontiguousarray(self.vectors).view(np.dtype((np.void, 2 * self.dim))).ravel()
+        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+        rows = self.vectors[first].astype(np.float32)
+        norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+        if bad.size:
+            raise ValueError(f"vector for {self.ids[first[bad[0]]]} has norm {norms[bad[0]]}; cosine is undefined")
+        for array in (rows, norms, index):
+            array.flags.writeable = False
+        return rows, norms, index
 
 
 def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:

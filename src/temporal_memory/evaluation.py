@@ -16,6 +16,8 @@ from datetime import datetime
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .embedding import HashEmbedder, VectorStore
 from .events import EventStore, coerce_timestamp
 from .retrieval import RankedHit, RetrievalParams, rank
@@ -137,18 +139,29 @@ def sensitivity_sweep(
     alphas: Sequence[float] = DEFAULT_ALPHAS,
     half_life_days: float = 14.0,
     top_k: int = 10,
+    query_vecs: Sequence[np.ndarray] | None = None,
 ) -> dict[float, float]:
-    """Mean latest-set accuracy of fused ranking at each semantic weight."""
-    embedder = HashEmbedder(dim=vecs.dim)
+    """Mean latest-set accuracy of fused ranking at each semantic weight.
+
+    ``query_vecs`` are the queries' embeddings, in order; when omitted each
+    query text is embedded once here.
+    """
+    if query_vecs is None:
+        query_vecs = _embed_texts(freshness_queries, vecs.dim)
     out: dict[float, float] = {}
     for alpha in alphas:
         params = RetrievalParams(alpha=alpha, half_life_days=half_life_days, top_k=top_k, now=now)
         scores = []
-        for query in freshness_queries:
-            hits = rank(embedder.embed(query["text"]), store, vecs, params, mode="fused")
+        for query, qvec in zip(freshness_queries, query_vecs):
+            hits = rank(qvec, store, vecs, params, mode="fused")
             scores.append(latest_set_at_k(hits, topic_event_ids[query["topic"]], store, top_k))
         out[alpha] = sum(scores) / len(scores) if scores else 0.0
     return out
+
+
+def _embed_texts(queries: Sequence[dict], dim: int) -> list[np.ndarray]:
+    embedder = HashEmbedder(dim=dim)
+    return [embedder.embed(query["text"]) for query in queries]
 
 
 def load_eval_config(path: Path | str) -> tuple[dict, dict]:
@@ -185,17 +198,17 @@ def run_eval(
     clusters, trends = track(store, vecs, trend_params, seed=seed, granularity=granularity)
     macro, per_class = trend_macro_f1(clusters, trends, truth, topic_ids)
 
-    embedder = HashEmbedder(dim=vecs.dim)
     params = RetrievalParams(alpha=alpha, half_life_days=half_life_days, top_k=top_k, now=now)
 
     freshness = [q for q in queries if q["type"] == "freshness"]
     asof = [q for q in queries if q["type"] == "as_of"]
+    freshness_vecs = _embed_texts(freshness, vecs.dim)
     query_results: list[dict] = []
 
     asof_scores = []
-    for query in asof:
+    for query, qvec in zip(asof, _embed_texts(asof, vecs.dim)):
         cutoff = coerce_timestamp(query["cutoff"])
-        hits = rank(embedder.embed(query["text"]), store, vecs, params, mode="fused", as_of=cutoff)
+        hits = rank(qvec, store, vecs, params, mode="fused", as_of=cutoff)
         score = asof_correctness(hits, cutoff)
         asof_scores.append(score)
         query_results.append(
@@ -205,8 +218,8 @@ def run_eval(
     latest: dict[str, float] = {}
     for mode in ("fused", "cosine_only"):
         scores = []
-        for query in freshness:
-            hits = rank(embedder.embed(query["text"]), store, vecs, params, mode=mode)
+        for query, qvec in zip(freshness, freshness_vecs):
+            hits = rank(qvec, store, vecs, params, mode=mode)
             success = latest_set_at_k(hits, topic_ids[query["topic"]], store, top_k)
             scores.append(success)
             query_results.append(
@@ -215,7 +228,7 @@ def run_eval(
         latest[mode] = sum(scores) / len(scores) if scores else 0.0
 
     sensitivity = sensitivity_sweep(
-        store, vecs, freshness, topic_ids, now, alphas, half_life_days, top_k
+        store, vecs, freshness, topic_ids, now, alphas, half_life_days, top_k, freshness_vecs
     )
 
     return EvalReport(

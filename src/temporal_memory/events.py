@@ -12,8 +12,11 @@ import json
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +40,9 @@ _LIST_FIELDS = ("tech", "attack", "risk_tag")
 # Epoch values at or above this magnitude are taken as milliseconds
 # (1e11 s is year 5138; 1e11 ms is 1973, so the ranges do not overlap).
 _EPOCH_MS_THRESHOLD = 1e11
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ONE_US = timedelta(microseconds=1)
 
 
 class RecordParseError(ValueError):
@@ -144,6 +150,11 @@ def _from_epoch(value: float) -> datetime:
     return datetime.fromtimestamp(value, tz=timezone.utc)
 
 
+def epoch_us(ts: datetime) -> int:
+    """Exact integer microseconds since the Unix epoch."""
+    return (ts - _EPOCH) // _ONE_US
+
+
 def coerce_timestamp(raw) -> datetime:
     """Coerce an ISO-8601 string or epoch seconds/milliseconds to a UTC instant.
 
@@ -221,11 +232,28 @@ class EventStore:
     def ids(self) -> list[str]:
         return [e.event_id for e in self.events]
 
+    @cached_property
+    def _by_id(self) -> dict[str, Event]:
+        # Built in reverse so the first event under a repeated id wins.
+        return {e.event_id: e for e in reversed(self.events)}
+
     def by_id(self, event_id: str) -> Event:
-        for e in self.events:
-            if e.event_id == event_id:
-                return e
-        raise KeyError(event_id)
+        return self._by_id[event_id]
+
+    @cached_property
+    def ts_us(self) -> np.ndarray:
+        """Read-only int64 epoch-microsecond timestamps, in store order.
+
+        Raises ValueError if they decrease: the as-of cut in retrieval takes
+        a prefix of the store and relies on the (ts, event_id) order.
+        """
+        ts = np.fromiter((epoch_us(e.ts) for e in self.events), dtype=np.int64, count=len(self.events))
+        decreases = np.flatnonzero(np.diff(ts) < 0)
+        if decreases.size:
+            event = self.events[decreases[0] + 1]
+            raise ValueError(f"event store is not sorted by ts: {event.event_id} is older than the event before it")
+        ts.flags.writeable = False
+        return ts
 
     def week_range(self) -> tuple[WeekKey, WeekKey] | None:
         if not self.events:

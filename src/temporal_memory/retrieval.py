@@ -1,12 +1,21 @@
 """Time-aware retrieval: as-of snapshot filtering and recency-fused ranking.
 
-Every surviving document is scored exhaustively; there is no candidate
-pruning, so ranking equals brute-force score-then-sort by construction.
+Scoring is exhaustive and exact: every event on or before the cutoff is
+scored, with no candidate pruning or approximation. The as-of cut is a
+binary search over the store's sorted timestamps, and selection partitions
+the scores around the k-th best, then sorts only the events that reach it,
+so the result equals a brute-force score-then-sort of the whole snapshot.
+Cosines are computed once per distinct vector and gathered per event, so
+byte-identical vectors score exactly alike and tie-break by (ts, event_id).
+The distinct float32 rows, their norms and the timestamp array are built
+once per store and cached on it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -14,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .embedding import VectorStore
-from .events import Event, EventStore
+from .events import Event, EventStore, epoch_us
 
 SECONDS_PER_DAY = 86400.0
 
@@ -31,8 +40,10 @@ class RetrievalParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.half_life_days <= 0:
-            raise ValueError(f"half_life_days must be positive, got {self.half_life_days}")
+        if not (math.isfinite(self.half_life_days) and self.half_life_days > 0):
+            raise ValueError(f"half_life_days must be positive and finite, got {self.half_life_days}")
+        if isinstance(self.top_k, bool) or not isinstance(self.top_k, numbers.Integral) or self.top_k < 1:
+            raise ValueError(f"top_k must be a positive integer, got {self.top_k!r}")
 
     def resolved_now(self) -> datetime:
         return self.now if self.now is not None else datetime.now(timezone.utc)
@@ -61,27 +72,44 @@ class RankedHit:
         )
 
 
+def _days(delta_us):
+    """Microseconds to fractional days; a float, or an array for an array of deltas."""
+    return delta_us / 1e6 / SECONDS_PER_DAY
+
+
 def age_days(now: datetime, t: datetime) -> float:
     """Age of t relative to now in fractional days; future timestamps clamp to 0."""
-    delta = (now - t).total_seconds() / SECONDS_PER_DAY
+    delta = _days(epoch_us(now) - epoch_us(t))
     if delta < 0:
         warnings.warn(f"future-dated timestamp {t.isoformat()} clamped to age 0", stacklevel=2)
         return 0.0
     return delta
 
 
-def recency_weight(age: float, half_life_days: float) -> float:
+def recency_weight(age, half_life_days: float):
+    """0.5 ** (age / half_life_days) for a float age or an array of ages."""
     return 0.5 ** (age / half_life_days)
 
 
-def fused_score(cos_sim: float, age: float, params: RetrievalParams) -> float:
-    """Convex blend of semantic similarity and the half-life recency weight."""
-    return params.alpha * cos_sim + (1.0 - params.alpha) * recency_weight(age, params.half_life_days)
+def _blend(cos_sim, weight, alpha: float):
+    return alpha * cos_sim + (1.0 - alpha) * weight
+
+
+def fused_score(cos_sim, age, params: RetrievalParams):
+    """Convex blend of semantic similarity and the half-life recency weight (floats or arrays)."""
+    return _blend(cos_sim, recency_weight(age, params.half_life_days), params.alpha)
+
+
+def _as_of_count(store: EventStore, cutoff: datetime | None) -> int:
+    """Length of the store prefix with ts <= cutoff (the store is sorted by ts)."""
+    if cutoff is None:
+        return len(store)
+    return int(np.searchsorted(store.ts_us, epoch_us(cutoff), side="right"))
 
 
 def as_of_filter(store: EventStore, cutoff: datetime) -> list[Event]:
     """Exactly the events with ts <= cutoff, order preserved."""
-    return [e for e in store if e.ts <= cutoff]
+    return list(store.events[: _as_of_count(store, cutoff)])
 
 
 def rank(
@@ -104,41 +132,40 @@ def rank(
     if query.shape != (vecs.dim,):
         raise ValueError(f"query dim {query.shape} does not match store dim {vecs.dim}")
     qnorm = float(np.linalg.norm(query))
-    if qnorm == 0.0:
-        raise ValueError("query vector has zero norm")
+    if qnorm == 0.0 or not np.isfinite(qnorm):
+        raise ValueError(f"query vector has norm {qnorm}")
 
-    events = list(store)
-    indices = [i for i, e in enumerate(events) if as_of is None or e.ts <= as_of]
-    if not indices:
+    n = _as_of_count(store, as_of)
+    if n == 0:
         return []
 
-    now = params.resolved_now()
-    matrix = vecs.float32()[indices]
-    norms = np.linalg.norm(matrix, axis=1)
-    cos = (matrix @ query) / (norms * qnorm)
-
-    ages = np.array(
-        [(now - events[i].ts).total_seconds() / SECONDS_PER_DAY for i in indices], dtype=np.float64
-    )
+    ts_us = store.ts_us[:n]
+    rows, norms, index = vecs.distinct  # raises on a bad row before numpy would warn
+    cos = ((rows @ query) / (norms * qnorm))[index[:n]]
+    ages = _days(epoch_us(params.resolved_now()) - ts_us)
     future = int((ages < 0).sum())
     if future:
         warnings.warn(f"{future} future-dated events clamped to age 0", stacklevel=2)
         np.maximum(ages, 0.0, out=ages)
-    weights = 0.5 ** (ages / params.half_life_days)
-    fused = params.alpha * cos.astype(np.float64) + (1.0 - params.alpha) * weights
+    weights = recency_weight(ages, params.half_life_days)
+    fused = _blend(cos.astype(np.float64), weights, params.alpha)
 
-    hits = []
-    for pos, idx in enumerate(indices):
-        event = events[idx]
-        hit = RankedHit(
-            event_id=event.event_id,
-            ts=event.ts,
-            cosine_sim=float(cos[pos]),
-            age_days=float(ages[pos]),
-            recency_weight=float(weights[pos]),
-            fused=float(fused[pos]),
+    # Only scores at or above the k-th best can make the top k; those go
+    # through the exact (score desc, ts desc, position asc) sort, and store
+    # position orders equal-ts events by event_id.
+    score = fused if mode == "fused" else cos
+    k = min(params.top_k, n)
+    kth = np.partition(score, n - k)[n - k]
+    cand = np.flatnonzero(score >= kth)
+    top = cand[np.lexsort((cand, -ts_us[cand], -score[cand]))][:k]
+    return [
+        RankedHit(
+            event_id=store.events[i].event_id,
+            ts=store.events[i].ts,
+            cosine_sim=float(cos[i]),
+            age_days=float(ages[i]),
+            recency_weight=float(weights[i]),
+            fused=float(fused[i]),
         )
-        score = hit.fused if mode == "fused" else hit.cosine_sim
-        hits.append((-score, -event.ts.timestamp(), event.event_id, hit))
-    hits.sort(key=lambda item: item[:3])
-    return [hit for *_, hit in hits[: params.top_k]]
+        for i in top
+    ]

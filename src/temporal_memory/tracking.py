@@ -337,7 +337,7 @@ def track(
     if not buckets:
         return [], []
 
-    all_vectors = vecs.float32()
+    all_vectors = vecs.rows
     events = list(store)
     clusters: list[WeekCluster] = []
     trends: list[TrendRecord] = []

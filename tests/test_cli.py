@@ -25,6 +25,12 @@ class TestExitCodes:
             run("--workspace", str(tmp_path), "trends", "--k", "zero")
         assert exc.value.code == 64
 
+    @pytest.mark.parametrize("k", ["0", "-1", "two"])
+    def test_query_k_must_be_positive_exit_64(self, tmp_path, k):
+        with pytest.raises(SystemExit) as exc:
+            run("--workspace", str(tmp_path), "query", "--text", "okta", "--k", k)
+        assert exc.value.code == 64
+
     def test_k_accepts_fixed_keyword(self):
         from temporal_memory.cli import _parse_k
 

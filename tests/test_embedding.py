@@ -156,6 +156,45 @@ def _sample_store(dim=16, count=5) -> VectorStore:
     return VectorStore(dim=dim, ids=tuple(f"ev-{i}" for i in range(count)), vectors=vectors.astype(np.float16))
 
 
+class TestVectorStore:
+    def test_cached_rows_are_read_only_float32(self):
+        vs = _sample_store()
+        assert vs.rows is vs.rows
+        assert vs.rows.dtype == np.float32
+        assert np.array_equal(vs.rows, vs.vectors.astype(np.float32))
+        with pytest.raises(ValueError):
+            vs.rows[0, 0] = 1.0
+
+    def test_float32_is_a_fresh_writable_copy(self):
+        vs = _sample_store()
+        copy = vs.float32()
+        copy[0, 0] = 42.0
+        assert copy is not vs.float32()
+        assert vs.rows[0, 0] != 42.0
+
+    def test_distinct_rows_rebuild_every_vector(self):
+        vs = _sample_store()
+        vectors = np.concatenate([vs.vectors, vs.vectors[[3, 0, 3]]])
+        vs = VectorStore(dim=vs.dim, ids=tuple(f"ev-{i}" for i in range(len(vectors))), vectors=vectors)
+        rows, norms, index = vs.distinct
+        assert vs.distinct is vs.distinct
+        assert rows.dtype == norms.dtype == np.float32
+        assert len(rows) == 5
+        assert np.array_equal(rows[index], vs.rows)
+        assert index[5] == index[3] == index[7] and index[6] == index[0]
+        assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
+        for array in (rows, norms, index):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_zero_row_has_no_norm(self):
+        vs = _sample_store()
+        vectors = vs.vectors.copy()
+        vectors[2] = 0
+        with pytest.raises(ValueError, match="ev-2"):
+            VectorStore(dim=vs.dim, ids=vs.ids, vectors=vectors).distinct
+
+
 class TestVectorFile:
     def test_round_trip(self, tmp_path):
         vs = _sample_store()

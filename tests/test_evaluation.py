@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
-from temporal_memory.embedding import HashEmbedder, encode_store
+from temporal_memory.embedding import HashEmbedder, encode_store, read_vector_file
 from temporal_memory.evaluation import (
     asof_correctness,
     latest_set_at_k,
+    load_eval_config,
+    run_eval,
     sensitivity_sweep,
     trend_macro_f1,
 )
-from temporal_memory.events import WeekKey
+from temporal_memory.events import WeekKey, load_events_jsonl
 from temporal_memory.retrieval import RankedHit, RetrievalParams, rank
 from temporal_memory.tracking import TrendRecord, WeekCluster
 
@@ -177,6 +180,23 @@ class TestSensitivitySweep:
         out = sensitivity_sweep(store, vecs, queries, ids, NOW, alphas=(0.7,), top_k=10)
         assert set(out) == {0.7}
         assert out[0.7] == 1.0
+
+
+class TestRunEval:
+    def test_each_query_text_is_embedded_once(self, pipeline_ws, monkeypatch):
+        store = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
+        vecs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
+        config, ground_truth = load_eval_config(pipeline_ws / "logs" / "eval.json")
+        embedded = Counter()
+        embed = HashEmbedder.embed
+
+        def counting_embed(self, text):
+            embedded[text] += 1
+            return embed(self, text)
+
+        monkeypatch.setattr(HashEmbedder, "embed", counting_embed)
+        run_eval(store, vecs, config, ground_truth)
+        assert embedded == Counter(q["text"] for q in config["queries"])
 
 
 @pytest.fixture(scope="module")

@@ -6,11 +6,13 @@ import json
 import random
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from temporal_memory.events import (
     Event,
+    EventStore,
     IngestError,
     RecordParseError,
     WeekKey,
@@ -319,6 +321,25 @@ class TestEventStore:
         store = store_of([build_event("2025-04-01T00:00:00Z", msg="only")])
         with pytest.raises(KeyError):
             store.by_id("nope")
+
+    def test_lookup_finds_every_event(self, corpus_store):
+        assert all(corpus_store.by_id(e.event_id) is e for e in corpus_store)
+
+    def test_ts_us_is_exact_epoch_microseconds(self):
+        store = store_of([
+            build_event("1969-12-31T23:59:59.999999Z", msg="before epoch"),
+            build_event("2025-04-01T10:00:00.000001Z", msg="after"),
+        ])
+        assert store.ts_us.dtype == np.int64
+        assert store.ts_us.tolist() == [-1, 1743501600000001]
+        with pytest.raises(ValueError):
+            store.ts_us[0] = 0
+
+    def test_ts_us_rejects_out_of_order_store(self):
+        older = build_event("2025-04-01T00:00:00Z", msg="older")
+        newer = build_event("2025-04-02T00:00:00Z", msg="newer")
+        with pytest.raises(ValueError, match="not sorted"):
+            EventStore(events=(newer, older)).ts_us
 
     def test_event_is_immutable(self):
         event = build_event("2025-04-01T00:00:00Z", msg="frozen")

@@ -7,10 +7,12 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from temporal_memory.embedding import HashEmbedder, encode_store
+from temporal_memory.embedding import HashEmbedder, VectorStore, encode_store
+from temporal_memory.events import Event, EventStore
 from temporal_memory.retrieval import (
+    MODES,
     RetrievalParams,
     age_days,
     as_of_filter,
@@ -19,7 +21,7 @@ from temporal_memory.retrieval import (
     recency_weight,
 )
 
-from conftest import corpus_events, store_of
+from conftest import build_event, corpus_events, store_of
 
 UTC = timezone.utc
 NOW = datetime(2025, 6, 30, tzinfo=UTC)
@@ -86,6 +88,29 @@ class TestFusedScore:
             RetrievalParams(alpha=1.2)
         with pytest.raises(ValueError):
             RetrievalParams(half_life_days=0)
+
+    @pytest.mark.parametrize("top_k", [0, -1, 2.5, True, "10"])
+    def test_top_k_must_be_a_positive_int(self, top_k):
+        with pytest.raises(ValueError, match="top_k"):
+            RetrievalParams(top_k=top_k)
+
+    def test_numpy_integer_top_k_accepted(self):
+        assert RetrievalParams(top_k=np.int64(3)).top_k == 3
+
+    @pytest.mark.parametrize("half_life", [math.nan, math.inf, -1.0])
+    def test_half_life_must_be_positive_and_finite(self, half_life):
+        with pytest.raises(ValueError, match="half_life_days"):
+            RetrievalParams(half_life_days=half_life)
+
+    # numpy's vectorized power may differ from libm's pow in the last bit.
+    def test_array_forms_match_scalar_forms(self):
+        params = RetrievalParams(alpha=0.6, half_life_days=10)
+        cos = np.array([0.9, -0.2, 0.5, 0.0])
+        ages = np.array([0.0, 1.5, 14.0, 37.25])
+        scalar = [fused_score(float(c), float(a), params) for c, a in zip(cos, ages)]
+        assert fused_score(cos, ages, params).tolist() == pytest.approx(scalar, rel=1e-15)
+        weights = [recency_weight(float(a), 10) for a in ages]
+        assert recency_weight(ages, 10).tolist() == pytest.approx(weights, rel=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +273,131 @@ class TestRank:
         store, vecs = indexed_corpus
         q = HashEmbedder(dim=384).embed("okta auth_fail")
         assert len(rank(q, store, vecs, RetrievalParams(top_k=3, now=NOW))) == 3
+
+    def test_top_k_at_or_above_candidates_returns_all_in_order(self, indexed_corpus):
+        store, vecs = indexed_corpus
+        cutoff = store.events[20].ts
+        n = len(as_of_filter(store, cutoff))
+        q = HashEmbedder(dim=384).embed("okta auth_fail mfa challenge denied")
+        for k in (n, n + 1, 10 * n):
+            params = RetrievalParams(now=NOW, top_k=k)
+            for mode in MODES:
+                hits = rank(q, store, vecs, params, mode=mode, as_of=cutoff)
+                oracle = brute_force_rank(q, store, vecs, params, mode, as_of=cutoff)
+                assert len(hits) == n
+                assert [h.event_id for h in hits] == [o[0] for o in oracle]
+
+    def test_identical_vectors_score_bit_identically(self):
+        # One message at 303 instants: every event has the same vector, so
+        # every score must be the same float wherever the event sits in the
+        # store (a BLAS matrix-vector product may sum its last few rows in
+        # another order than the rest, so 303 is deliberately not a multiple of 4).
+        start = datetime(2025, 1, 1, tzinfo=UTC)
+        store = store_of(
+            build_event((start + timedelta(hours=h)).isoformat(), "okta", "auth_fail", msg="mfa push denied for admin")
+            for h in range(303)
+        )
+        vecs = encode_store(store, HashEmbedder(dim=384))
+        rng = np.random.default_rng(5)
+        params = RetrievalParams(now=NOW, top_k=len(store))
+        for _ in range(20):
+            q = rng.standard_normal(384).astype(np.float32)
+            hits = rank(q, store, vecs, params, mode="cosine_only")
+            assert len({h.cosine_sim for h in hits}) == 1
+            assert [h.event_id for h in hits] == [e.event_id for e in reversed(store.events)]
+
+    def test_as_of_equal_to_an_event_ts_is_inclusive(self, indexed_corpus):
+        store, vecs = indexed_corpus
+        target = store.events[17]
+        q = HashEmbedder(dim=384).embed("anything")
+        params = RetrievalParams(now=NOW, top_k=len(store))
+        hits = rank(q, store, vecs, params, as_of=target.ts)
+        assert target.event_id in {h.event_id for h in hits}
+        assert len(hits) == sum(1 for e in store if e.ts <= target.ts)
+        earlier = rank(q, store, vecs, params, as_of=target.ts - timedelta(microseconds=1))
+        assert target.event_id not in {h.event_id for h in earlier}
+
+    def test_out_of_order_store_rejected(self):
+        older = build_event("2025-05-01T00:00:00Z", "okta", "auth_fail", msg="first")
+        newer = build_event("2025-05-02T00:00:00Z", "okta", "auth_fail", msg="second")
+        store = EventStore(events=(newer, older))
+        vecs = encode_store(store, HashEmbedder(dim=64))
+        with pytest.raises(ValueError, match="not sorted"):
+            rank(HashEmbedder(dim=64).embed("okta"), store, vecs, RetrievalParams(now=NOW))
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_zero_or_non_finite_vector_row_rejected(self, indexed_corpus, bad):
+        store, vecs = indexed_corpus
+        rows = vecs.vectors.copy()
+        rows[3] = 0.0
+        rows[3, 0] = bad
+        broken = VectorStore(dim=vecs.dim, ids=vecs.ids, vectors=rows)
+        with pytest.raises(ValueError, match="norm"):
+            rank(HashEmbedder(dim=384).embed("okta"), store, broken, RetrievalParams(now=NOW))
+
+    def test_non_finite_query_rejected(self, indexed_corpus):
+        store, vecs = indexed_corpus
+        q = np.ones(384, dtype=np.float32)
+        q[5] = np.nan
+        with pytest.raises(ValueError, match="norm"):
+            rank(q, store, vecs, RetrievalParams(now=NOW))
+
+
+# Small integer-valued vectors: float32 dot products and squared norms are
+# exact, so rows with equal (dot, squared norm) score bit-identically in
+# rank and in the oracle, and exact ties are ties in both.
+_int_vecs = st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any)
+
+
+@st.composite
+def tie_stores(draw):
+    """A store of tie groups: one vector at one instant under 1-3 distinct ids."""
+    pool = draw(st.lists(_int_vecs, min_size=1, max_size=3))
+    minutes_before_now = draw(st.lists(st.integers(0, 60 * 24 * 30), min_size=1, max_size=4, unique=True))
+    groups = draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(minutes_before_now), st.integers(1, 3)),
+        min_size=1, max_size=6,
+    ))
+    ids = iter(draw(st.permutations([f"e{i:02d}" for i in range(sum(g[2] for g in groups))])))
+    events, row_of = [], {}
+    for vec, minutes, copies in groups:
+        for _ in range(copies):
+            event_id = next(ids)
+            events.append(Event(event_id=event_id, ts=NOW - timedelta(minutes=minutes)))
+            row_of[event_id] = pool[vec]
+    store = store_of(events)
+    rows = np.array([row_of[e.event_id] for e in store], dtype=np.float16)
+    return store, VectorStore(dim=4, ids=tuple(store.ids()), vectors=rows)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_rank_matches_oracle_under_exact_ties(mode, data):
+    store, vecs = data.draw(tie_stores())
+    query = np.array(data.draw(_int_vecs), dtype=np.float32)
+    as_of = data.draw(st.sampled_from([None] + sorted({e.ts for e in store})))
+
+    full = brute_force_rank(query, store, vecs, RetrievalParams(now=NOW, top_k=len(store)), mode, as_of)
+    row_of = {event_id: row for event_id, row in zip(vecs.ids, vecs.vectors.astype(int).tolist())}
+
+    def tie_key(entry):
+        row = row_of[entry[0]]
+        exact = (int(np.dot(row, query.astype(int))), sum(x * x for x in row))
+        return exact + ((entry[1],) if mode == "fused" else ())
+
+    def score(entry):
+        return entry[3] if mode == "fused" else entry[2]
+
+    # Rows that tie only approximately may order differently under float32.
+    for i, a in enumerate(full):
+        for b in full[i + 1:]:
+            assume(tie_key(a) == tie_key(b) or abs(score(a) - score(b)) >= 1e-6)
+
+    # top_k just below, at and just above every tie-group boundary.
+    ends = [i + 1 for i in range(len(full)) if i + 1 == len(full) or tie_key(full[i]) != tie_key(full[i + 1])]
+    top_k = data.draw(st.sampled_from(sorted({k for end in ends for k in (end - 1, end, end + 1) if k >= 1})))
+
+    params = RetrievalParams(now=NOW, top_k=top_k)
+    hits = rank(query, store, vecs, params, mode=mode, as_of=as_of)
+    assert [h.event_id for h in hits] == [o[0] for o in full[:top_k]]
