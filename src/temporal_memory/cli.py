@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import asdict, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from .embedding import (
     write_vector_file,
 )
 from .events import (
+    DEFAULT_GRANULARITY,
+    GRANULARITIES,
     IngestError,
     coerce_timestamp,
     ingest,
@@ -42,7 +45,6 @@ from .synth import generate_stream
 from .tracking import (
     DEFAULT_SEED,
     FIXED_K_FALLBACK,
-    GRANULARITIES,
     TrendParams,
     track,
     write_clusters_csv,
@@ -65,6 +67,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def add_subparsers(self, **kwargs):
+        self.subcommands = super().add_subparsers(**kwargs)  # kept for the --config defaults
+        return self.subcommands
 
 
 def _parse_k(value: str):
@@ -92,62 +98,113 @@ def _positive_int(value: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The tmem parser. A flag left unset (None) takes its parameter dataclass's default."""
     parser = _Parser(prog="tmem", description=__doc__)
     parser.add_argument("--workspace", default=".", help="workspace directory (default: .)")
     parser.add_argument("--config", default=None, help="JSON config file; explicit flags win")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_gen = sub.add_parser("gen", help="generate the synthetic stream")
-    p_gen.add_argument("--seed", type=int, default=None)
+    seed = _Parser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    dim = _Parser(add_help=False)
+    dim.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    recency = _Parser(add_help=False)
+    recency.add_argument("--alpha", type=float)
+    recency.add_argument("--half-life-days", type=float)
+    trend = _Parser(add_help=False)
+    trend.add_argument("--k", type=_parse_k,
+                       help=f"clusters per period: integer, 'auto' (elbow), or 'fixed' ({FIXED_K_FALLBACK})")
+    trend.add_argument("--match-threshold", type=float)
+    trend.add_argument("--growth-factor", type=float)
+    trend.add_argument("--growth-min-events", type=int)
+    trend.add_argument("--decay-factor", type=float)
+    trend.add_argument("--drift-threshold", type=float)
+    trend.add_argument("--cluster-seed", type=int, default=DEFAULT_SEED, help="k-means seed (default %(default)s)")
+    trend.add_argument("--granularity", choices=GRANULARITIES, default=DEFAULT_GRANULARITY)
+
+    p_gen = sub.add_parser("gen", parents=[seed], help="generate the synthetic stream")
     p_gen.add_argument("--out", default=None, help="output dir (default: <workspace>/logs)")
 
     p_ing = sub.add_parser("ingest", help="normalize raw logs")
     p_ing.add_argument("--input", nargs="*", default=None, help="files (default: <workspace>/logs/*)")
     p_ing.add_argument("--mapping", default=None, help="CSV column mapping file (field=column lines)")
 
-    p_emb = sub.add_parser("embed", help="embed the event store")
-    p_emb.add_argument("--dim", type=int, default=None)
-    p_emb.add_argument("--embedder", default=None, help="hash (default) or external:<path>")
+    p_emb = sub.add_parser("embed", parents=[dim], help="embed the event store")
+    p_emb.add_argument("--embedder", default="hash", help="hash (default) or external:<path>")
 
-    p_tr = sub.add_parser("trends", help="weekly clustering and trend labels")
-    _add_trend_flags(p_tr)
+    sub.add_parser("trends", parents=[trend], help="weekly clustering and trend labels")
 
-    p_q = sub.add_parser("query", help="rank events for a query")
+    p_q = sub.add_parser("query", parents=[recency], help="rank events for a query")
     p_q.add_argument("--text", required=True)
     p_q.add_argument("--as-of", default=None, help="cutoff date or instant (dates are inclusive)")
     p_q.add_argument("--mode", choices=["fused", "cosine"], default="fused")
-    p_q.add_argument("--alpha", type=float, default=None)
-    p_q.add_argument("--half-life-days", type=float, default=None)
-    p_q.add_argument("--k", dest="top_k", type=_positive_int, default=None, help="hits to return (default 10)")
+    p_q.add_argument("--k", dest="top_k", type=_positive_int,
+                     help=f"hits to return (default {RetrievalParams.top_k})")
     p_q.add_argument("--now", default=None, help="pin the reference instant (ISO-8601)")
 
-    p_ev = sub.add_parser("eval", help="run metric suite from eval config")
+    p_ev = sub.add_parser("eval", parents=[recency, trend], help="run metric suite from eval config")
     p_ev.add_argument("--config", "--eval-config", dest="eval_config", default=None,
                       help="query-suite config (default: <workspace>/logs/eval.json)")
-    p_ev.add_argument("--alpha", type=float, default=None)
-    p_ev.add_argument("--half-life-days", type=float, default=None)
-    _add_trend_flags(p_ev)
 
-    p_all = sub.add_parser("all", help="gen -> ingest -> embed -> trends -> eval")
-    p_all.add_argument("--seed", type=int, default=None)
-    p_all.add_argument("--dim", type=int, default=None)
-    p_all.add_argument("--alpha", type=float, default=None)
-    p_all.add_argument("--half-life-days", type=float, default=None)
-    _add_trend_flags(p_all)
+    p_all = sub.add_parser("all", parents=[seed, dim, recency, trend],
+                           help="gen -> ingest -> embed -> trends -> eval")
+    # `all` runs the step handlers; the step flags it does not take keep their defaults.
+    p_all.set_defaults(out=None, input=None, mapping=None, eval_config=None,
+                       embedder=p_emb.get_default("embedder"))
     return parser
 
 
-def _add_trend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=_parse_k, default=None,
-                        help=f"clusters per week: integer, 'auto' (elbow), or 'fixed' ({FIXED_K_FALLBACK})")
-    parser.add_argument("--match-threshold", type=float, default=None)
-    parser.add_argument("--growth-factor", type=float, default=None)
-    parser.add_argument("--growth-min-events", type=int, default=None)
-    parser.add_argument("--decay-factor", type=float, default=None)
-    parser.add_argument("--drift-threshold", type=float, default=None)
-    parser.add_argument("--cluster-seed", type=int, default=None, help=f"k-means seed (default {DEFAULT_SEED})")
-    parser.add_argument("--granularity", choices=list(GRANULARITIES), default=None)
+# Settings a --config file may supply, by flag destination: the fields of
+# TrendParams and RetrievalParams (but the query clock), the stream and k-means
+# seeds, the vector size, the embedder and the granularity.
+_CONFIG_KEYS = frozenset(
+    {"seed", "dim", "embedder", "cluster_seed", "granularity", "alpha", "half_life_days", "top_k"}
+    | {f.name for f in fields(TrendParams)}
+)
+
+_NUMERIC_TYPES = (int, float, _positive_int)
+
+
+def _apply_config(parser: _Parser, text: str) -> None:
+    """Make each config value the default of its flag on every subcommand, so flags still win.
+
+    A value is checked like the flag's own text: the same converter and
+    choices; a flag that takes a number needs a JSON number. Any bad key or
+    value is a usage error.
+    """
+    try:
+        config = json.loads(text)
+    except ValueError as exc:
+        parser.error(f"config file is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        parser.error("config file must hold a JSON object")
+    subcommands = parser.subcommands.choices.values()
+    flags = {action.dest: action for p in subcommands for action in p._actions}
+    values = {}
+    for key, value in config.items():
+        if key not in _CONFIG_KEYS:
+            parser.error(f"unknown config key {key!r} (known: {', '.join(sorted(_CONFIG_KEYS))})")
+        action = flags[key]
+        try:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"expected a string or a number, got {value!r}")
+            if isinstance(value, str) and action.type in _NUMERIC_TYPES:
+                raise ValueError(f"expected a number, got the string {value!r}")
+            values[key] = action.type(str(value)) if action.type else str(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"config {key!r}: {exc}")
+        if action.choices is not None and values[key] not in action.choices:
+            parser.error(f"config {key!r}: invalid choice {values[key]!r} "
+                         f"(choose from {', '.join(action.choices)})")
+    for p in subcommands:
+        p.set_defaults(**values)
+
+
+def _params(cls, args: argparse.Namespace, **extra):
+    """A ``cls`` from the fields a flag or the config set; the others keep the dataclass defaults."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return cls(**{**{name: value for name, value in given.items() if value is not None}, **extra})
 
 
 class Workspace:
@@ -204,32 +261,6 @@ def _write_run_manifest(ws: Workspace, command: str, params: dict, outputs: list
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-class _Settings:
-    """Flag resolution: explicit CLI flag > config file > built-in default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = args
-        self._config = config
-
-    def get(self, name: str, default):
-        value = getattr(self._args, name, None)
-        if value is not None:
-            return value
-        if name in self._config:
-            return self._config[name]
-        return default
-
-    def trend_params(self) -> TrendParams:
-        return TrendParams(
-            match_threshold=self.get("match_threshold", 0.5),
-            growth_factor=self.get("growth_factor", 1.5),
-            growth_min_events=self.get("growth_min_events", 30),
-            decay_factor=self.get("decay_factor", 0.5),
-            drift_threshold=self.get("drift_threshold", 0.2),
-            k=self.get("k", None),
-        )
-
-
 def _parse_asof(text: str) -> datetime:
     # A bare date means the inclusive end of that UTC day.
     try:
@@ -243,19 +274,18 @@ def _parse_asof(text: str) -> datetime:
 # Subcommand implementations
 
 
-def _cmd_gen(ws: Workspace, settings: _Settings, args) -> int:
+def _cmd_gen(ws: Workspace, args) -> int:
     out_dir = Path(args.out) if args.out else ws.logs
-    seed = settings.get("seed", 0)
-    result = generate_stream(seed, out_dir)
+    result = generate_stream(args.seed, out_dir)
     print(f"generated {result.total_events} events across {len(result.log_files)} weekly files in {out_dir}")
     _write_run_manifest(
-        ws, "gen", {"seed": seed, "out": str(out_dir)},
+        ws, "gen", {"seed": args.seed, "out": str(out_dir)},
         [*result.log_files, result.ground_truth_path, result.eval_config_path],
     )
     return EXIT_OK
 
 
-def _cmd_ingest(ws: Workspace, settings: _Settings, args) -> int:
+def _cmd_ingest(ws: Workspace, args) -> int:
     if args.input:
         paths = [Path(p) for p in args.input]
     else:
@@ -279,13 +309,12 @@ def _cmd_ingest(ws: Workspace, settings: _Settings, args) -> int:
     return EXIT_OK
 
 
-def _cmd_embed(ws: Workspace, settings: _Settings, args) -> int:
+def _cmd_embed(ws: Workspace, args) -> int:
     ws.require(ws.events, "ingest")
     store = load_events_jsonl(ws.events)
-    dim = settings.get("dim", DEFAULT_DIM)
-    choice = settings.get("embedder", "hash")
+    choice = args.embedder
     if choice == "hash":
-        vs = encode_store(store, HashEmbedder(dim=dim))
+        vs = encode_store(store, HashEmbedder(dim=args.dim))
     elif choice.startswith("external:"):
         source = Path(choice.split(":", 1)[1])
         ws.require(source, "an external embedding step")
@@ -309,35 +338,25 @@ def _load_store_and_vectors(ws: Workspace):
     return store, vs
 
 
-def _cmd_trends(ws: Workspace, settings: _Settings, args) -> int:
+def _cmd_trends(ws: Workspace, args) -> int:
     store, vs = _load_store_and_vectors(ws)
-    params = settings.trend_params()
-    seed = settings.get("cluster_seed", DEFAULT_SEED)
-    granularity = settings.get("granularity", "week")
-    clusters, trends = track(store, vs, params, seed=seed, granularity=granularity)
+    params = _params(TrendParams, args)
+    clusters, trends = track(store, vs, params, seed=args.cluster_seed, granularity=args.granularity)
     ws.results.mkdir(parents=True, exist_ok=True)
     write_clusters_csv(clusters, trends, ws.clusters_csv)
     write_trends_summary_csv(trends, ws.trends_csv)
     print(f"tracked {len(clusters)} clusters over {len({str(c.week) for c in clusters})} periods")
     _write_run_manifest(
         ws, "trends",
-        {"seed": seed, "granularity": granularity, "k": params.k,
-         "match_threshold": params.match_threshold, "growth_factor": params.growth_factor,
-         "growth_min_events": params.growth_min_events, "decay_factor": params.decay_factor,
-         "drift_threshold": params.drift_threshold},
+        {"seed": args.cluster_seed, "granularity": args.granularity, **asdict(params)},
         [ws.clusters_csv, ws.trends_csv],
     )
     return EXIT_OK
 
 
-def _cmd_query(ws: Workspace, settings: _Settings, args) -> int:
+def _cmd_query(ws: Workspace, args) -> int:
     store, vs = _load_store_and_vectors(ws)
-    params = RetrievalParams(
-        alpha=settings.get("alpha", 0.7),
-        half_life_days=settings.get("half_life_days", 14.0),
-        top_k=settings.get("top_k", 10),
-        now=coerce_timestamp(args.now) if args.now else None,
-    )
+    params = _params(RetrievalParams, args, now=coerce_timestamp(args.now) if args.now else None)
     mode = "cosine_only" if args.mode == "cosine" else "fused"
     cutoff = _parse_asof(args.as_of) if args.as_of else None
     query_vec = HashEmbedder(dim=vs.dim).embed(args.text)
@@ -358,18 +377,19 @@ def _cmd_query(ws: Workspace, settings: _Settings, args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(ws: Workspace, settings: _Settings, args) -> int:
+def _cmd_eval(ws: Workspace, args) -> int:
     store, vs = _load_store_and_vectors(ws)
-    config_path = Path(args.eval_config) if getattr(args, "eval_config", None) else ws.logs / "eval.json"
+    config_path = Path(args.eval_config) if args.eval_config else ws.logs / "eval.json"
     ws.require(config_path, "gen")
     config, ground_truth = load_eval_config(config_path)
+    recency = _params(RetrievalParams, args)
     report = run_eval(
         store, vs, config, ground_truth,
-        trend_params=settings.trend_params(),
-        seed=settings.get("cluster_seed", DEFAULT_SEED),
-        alpha=settings.get("alpha", 0.7),
-        half_life_days=settings.get("half_life_days", 14.0),
-        granularity=settings.get("granularity", "week"),
+        trend_params=_params(TrendParams, args),
+        seed=args.cluster_seed,
+        alpha=recency.alpha,
+        half_life_days=recency.half_life_days,
+        granularity=args.granularity,
     )
     ws.results.mkdir(parents=True, exist_ok=True)
     write_report_json(report, ws.report_json)
@@ -377,17 +397,16 @@ def _cmd_eval(ws: Workspace, settings: _Settings, args) -> int:
     print(ws.report_md.read_text(encoding="utf-8"))
     _write_run_manifest(
         ws, "eval",
-        {"eval_config": str(config_path), "alpha": settings.get("alpha", 0.7),
-         "half_life_days": settings.get("half_life_days", 14.0),
-         "cluster_seed": settings.get("cluster_seed", DEFAULT_SEED)},
+        {"eval_config": str(config_path), "alpha": recency.alpha,
+         "half_life_days": recency.half_life_days, "cluster_seed": args.cluster_seed},
         [ws.report_json, ws.report_md],
     )
     return EXIT_OK
 
 
-def _cmd_all(ws: Workspace, settings: _Settings, args) -> int:
+def _cmd_all(ws: Workspace, args) -> int:
     for step in (_cmd_gen, _cmd_ingest, _cmd_embed, _cmd_trends, _cmd_eval):
-        code = step(ws, settings, args)
+        code = step(ws, args)
         if code != EXIT_OK:
             return code
     return EXIT_OK
@@ -405,24 +424,20 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    # `all` reuses the per-step handlers; give them the flags they expect.
-    for attr in ("input", "mapping", "out", "embedder", "eval_config", "now", "as_of"):
-        if not hasattr(args, attr):
-            setattr(args, attr, None)
-
-    config = {}
     if args.config:
         try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            text = Path(args.config).read_text(encoding="utf-8")
         except FileNotFoundError:
             print(f"config file not found: {args.config}", file=sys.stderr)
             return EXIT_MISSING_ARTIFACT
-    settings = _Settings(args, config)
+        _apply_config(parser, text)
+        args = parser.parse_args(argv)
 
     ws = Workspace(Path(args.workspace))
     ws.root.mkdir(parents=True, exist_ok=True)
@@ -434,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             print(f"another run holds the workspace lock {lock_path}", file=sys.stderr)
             return EXIT_ERROR
-        return _COMMANDS[args.command](ws, settings, args)
+        return _COMMANDS[args.command](ws, args)
     except MissingArtifact as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING_ARTIFACT

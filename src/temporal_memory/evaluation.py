@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embedding import HashEmbedder, VectorStore
-from .events import EventStore, coerce_timestamp
+from .events import DEFAULT_GRANULARITY, EventStore, coerce_timestamp
 from .retrieval import RankedHit, RetrievalParams, rank
-from .tracking import TrendParams, TrendRecord, WeekCluster, per_week_k, track
+from .tracking import DEFAULT_SEED, TrendParams, TrendRecord, WeekCluster, per_week_k, track
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +117,7 @@ def latest_set_at_k(
     hits: Sequence[RankedHit],
     relevant_ids: set[str] | Sequence[str],
     store: EventStore,
-    k: int = 10,
+    k: int = RetrievalParams.top_k,
 ) -> int:
     """1 if the top-k contains any relevant event carrying the newest relevant timestamp."""
     relevant = set(relevant_ids)
@@ -137,8 +137,8 @@ def sensitivity_sweep(
     topic_event_ids: Mapping[str, Sequence[str]],
     now: datetime,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    half_life_days: float = 14.0,
-    top_k: int = 10,
+    half_life_days: float = RetrievalParams.half_life_days,
+    top_k: int = RetrievalParams.top_k,
     query_vecs: Sequence[np.ndarray] | None = None,
 ) -> dict[float, float]:
     """Mean latest-set accuracy of fused ranking at each semantic weight.
@@ -181,14 +181,14 @@ def run_eval(
     config: dict,
     ground_truth: dict,
     trend_params: TrendParams | None = None,
-    seed: int = 42,
-    alpha: float = 0.7,
-    half_life_days: float = 14.0,
-    granularity: str = "week",
+    seed: int = DEFAULT_SEED,
+    alpha: float = RetrievalParams.alpha,
+    half_life_days: float = RetrievalParams.half_life_days,
+    granularity: str = DEFAULT_GRANULARITY,
 ) -> EvalReport:
     """Run the full metric suite over an embedded store and its query config."""
     now = coerce_timestamp(config["now"])
-    top_k = int(config.get("top_k", 10))
+    top_k = int(config.get("top_k", RetrievalParams.top_k))
     alphas = tuple(config.get("alphas", DEFAULT_ALPHAS))
     queries = config["queries"]
     topics = ground_truth["topics"]

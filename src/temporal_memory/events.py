@@ -11,7 +11,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -208,6 +208,50 @@ def iso_week_of(ts: datetime) -> WeekKey:
     """ISO week-date bucket (weeks start Monday; week 1 holds the first Thursday)."""
     year, week, _ = ts.isocalendar()
     return WeekKey(year, week)
+
+
+@dataclass(frozen=True, order=True)
+class DayKey:
+    """UTC calendar-day bucket."""
+
+    day: date
+
+    def __str__(self) -> str:
+        return self.day.isoformat()
+
+    def next(self) -> "DayKey":
+        return DayKey(self.day + timedelta(days=1))
+
+
+@dataclass(frozen=True, order=True)
+class MonthKey:
+    """UTC calendar-month bucket."""
+
+    year: int
+    month: int
+
+    def __str__(self) -> str:
+        return f"{self.year}-{self.month:02d}"
+
+    def next(self) -> "MonthKey":
+        if self.month == 12:
+            return MonthKey(self.year + 1, 1)
+        return MonthKey(self.year, self.month + 1)
+
+
+GRANULARITIES = ("day", "week", "month")
+DEFAULT_GRANULARITY = "week"
+
+
+def period_of(ts: datetime, granularity: str = DEFAULT_GRANULARITY) -> WeekKey | DayKey | MonthKey:
+    if granularity == "week":
+        return iso_week_of(ts)
+    if granularity == "day":
+        return DayKey(ts.astimezone(timezone.utc).date())
+    if granularity == "month":
+        utc = ts.astimezone(timezone.utc)
+        return MonthKey(utc.year, utc.month)
+    raise ValueError(f"unknown granularity: {granularity!r}")
 
 
 @dataclass(frozen=True)

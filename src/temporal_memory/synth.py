@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+from .evaluation import DEFAULT_ALPHAS
 from .events import WeekKey, build_text_repr, derive_event_id
-from .tracking import TrendParams
+from .retrieval import RetrievalParams
+from .tracking import TrendParams, size_trend
 
 STREAM_WEEKS = tuple(WeekKey(2025, w) for w in range(14, 27))
 STREAM_NOW = datetime(2025, 6, 30, 0, 0, 0, tzinfo=timezone.utc)
@@ -74,9 +76,9 @@ class ScriptedTopic:
     def truth_labels(self) -> dict[int, str]:
         """Expected trend label per populated week, from the scripted volumes.
 
-        Labels follow the same size-ratio rules the tracker applies, so they
-        are what a tracker with perfect per-week clusters would output; the
-        scripted vocabulary switch week is a drift.
+        Labels follow the tracker's size-ratio rule at its default thresholds,
+        so they are what a tracker with perfect per-week clusters would
+        output; the scripted vocabulary switch week is a drift.
         """
         rules = TrendParams()
         out: dict[int, str] = {}
@@ -84,16 +86,10 @@ class ScriptedTopic:
             if count == 0:
                 continue
             prev = self.weekly_counts[wi - 2] if wi >= 2 else 0
-            if wi == 1 or prev == 0:
+            if prev == 0:
                 out[wi] = "emergence"
-            elif count >= rules.growth_factor * prev and count >= rules.growth_min_events:
-                out[wi] = "growth"
-            elif count < rules.decay_factor * prev:
-                out[wi] = "decay"
-            elif self.drift_week == wi:
-                out[wi] = "drift"
             else:
-                out[wi] = "stable"
+                out[wi] = size_trend(count, prev, rules) or ("drift" if self.drift_week == wi else "stable")
         return out
 
 
@@ -348,8 +344,8 @@ def generate_stream(seed: int, out_dir: Path | str) -> GenResult:
     eval_config = {
         "ground_truth": GROUND_TRUTH_FILE,
         "now": STREAM_NOW.isoformat(),
-        "top_k": 10,
-        "alphas": [0.4, 0.5, 0.7, 0.9, 0.95],
+        "top_k": RetrievalParams.top_k,
+        "alphas": list(DEFAULT_ALPHAS),
         "queries": _query_suite(),
     }
     eval_path = out / EVAL_CONFIG_FILE

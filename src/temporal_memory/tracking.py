@@ -11,21 +11,19 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embedding import VectorStore, tokenize
-from .events import Event, EventStore, WeekKey, iso_week_of
+from .events import DEFAULT_GRANULARITY, DayKey, Event, EventStore, MonthKey, WeekKey, period_of
 
 logger = logging.getLogger(__name__)
 
 LABELS = ("emergence", "growth", "decay", "drift", "stable")
-
-GRANULARITIES = ("day", "week", "month")
 
 # Fixed stopword list for cluster term summaries (30 words).
 STOPWORDS = frozenset(
@@ -50,19 +48,21 @@ class TrendParams:
     k: int | None = None  # None = auto (elbow); fixed value otherwise
 
     def __post_init__(self) -> None:
-        if min(self.match_threshold, self.growth_factor, self.decay_factor, self.drift_threshold) <= 0:
-            raise ValueError("thresholds must be positive")
+        thresholds = (self.match_threshold, self.growth_factor, self.decay_factor, self.drift_threshold)
+        if not all(math.isfinite(t) and t > 0 for t in thresholds):
+            raise ValueError(f"thresholds must be positive and finite, got {thresholds}")
         if not self.growth_factor > 1 > self.decay_factor:
             raise ValueError("need growth_factor > 1 > decay_factor")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"fixed k must be >= 1, got {self.k}")
+        k = self.k
+        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1):
+            raise ValueError(f"fixed k must be an integer >= 1, got {k!r}")
 
 
 @dataclass(frozen=True)
 class WeekCluster:
     """One topic cluster within a single period."""
 
-    week: WeekKey | "DayKey" | "MonthKey"
+    week: WeekKey | DayKey | MonthKey
     cluster_id: int
     member_ids: tuple[str, ...]
     centroid: np.ndarray  # unit norm, float32
@@ -77,7 +77,7 @@ class WeekCluster:
 class TrendRecord:
     """Label assigned to one cluster, with its link to the prior period if any."""
 
-    week: WeekKey | "DayKey" | "MonthKey"
+    week: WeekKey | DayKey | MonthKey
     cluster_id: int
     label: str
     size: int
@@ -85,46 +85,6 @@ class TrendRecord:
     match_sim: float | None = None
     drift_value: float | None = None
     prev_size: int | None = None
-
-
-# ---------------------------------------------------------------------------
-# Period keys for day/month granularity (week is the primary path)
-
-
-@dataclass(frozen=True, order=True)
-class DayKey:
-    day: date
-
-    def __str__(self) -> str:
-        return self.day.isoformat()
-
-    def next(self) -> "DayKey":
-        return DayKey(self.day + timedelta(days=1))
-
-
-@dataclass(frozen=True, order=True)
-class MonthKey:
-    year: int
-    month: int
-
-    def __str__(self) -> str:
-        return f"{self.year}-{self.month:02d}"
-
-    def next(self) -> "MonthKey":
-        if self.month == 12:
-            return MonthKey(self.year + 1, 1)
-        return MonthKey(self.year, self.month + 1)
-
-
-def period_of(ts: datetime, granularity: str = "week"):
-    if granularity == "week":
-        return iso_week_of(ts)
-    if granularity == "day":
-        return DayKey(ts.astimezone(timezone.utc).date())
-    if granularity == "month":
-        utc = ts.astimezone(timezone.utc)
-        return MonthKey(utc.year, utc.month)
-    raise ValueError(f"unknown granularity: {granularity!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +168,13 @@ def kmeans(
     out_centers = np.empty_like(centers)
     for c in range(k):
         members = points[assign == c]
-        if len(members):
-            out_centers[c] = _unit(members.mean(axis=0), fallback=members[0])
-        else:
-            out_centers[c] = _unit(centers[c], fallback=points[0])
+        out_centers[c] = _unit(members.mean(axis=0), fallback=members[0])
     return assign, out_centers, inertia
 
 
-def _unit(vec: np.ndarray, fallback: np.ndarray | None = None) -> np.ndarray:
+def _unit(vec: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:
-        if fallback is None:
-            raise ValueError("cannot normalize zero centroid")
         return np.asarray(fallback, dtype=np.float32)
     return (vec / norm).astype(np.float32)
 
@@ -299,6 +254,15 @@ def match_weeks(
     return mapping
 
 
+def size_trend(size: int, prev_size: int, params: TrendParams) -> str | None:
+    """The size-ratio rule for a linked cluster: "growth", "decay", or None (neither)."""
+    if size >= params.growth_factor * prev_size and size >= params.growth_min_events:
+        return "growth"
+    if size < params.decay_factor * prev_size:
+        return "decay"
+    return None
+
+
 def label_trend(
     curr: WeekCluster, match: tuple[WeekCluster, float] | None, params: TrendParams
 ) -> str:
@@ -306,13 +270,10 @@ def label_trend(
     if match is None:
         return "emergence"
     prev, _ = match
-    if curr.size >= params.growth_factor * prev.size and curr.size >= params.growth_min_events:
-        return "growth"
-    if curr.size < params.decay_factor * prev.size:
-        return "decay"
-    if drift_of(prev.centroid, curr.centroid) >= params.drift_threshold:
-        return "drift"
-    return "stable"
+    label = size_trend(curr.size, prev.size, params)
+    if label is None:
+        label = "drift" if drift_of(prev.centroid, curr.centroid) >= params.drift_threshold else "stable"
+    return label
 
 
 def track(
@@ -320,7 +281,7 @@ def track(
     vecs: VectorStore,
     params: TrendParams | None = None,
     seed: int = DEFAULT_SEED,
-    granularity: str = "week",
+    granularity: str = DEFAULT_GRANULARITY,
 ) -> tuple[list[WeekCluster], list[TrendRecord]]:
     """Cluster each period and label every cluster against the prior period.
 
@@ -328,9 +289,6 @@ def track(
     the next populated period is all-emergence.
     """
     params = params or TrendParams()
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity: {granularity!r}")
-
     buckets: dict[object, list[int]] = {}
     for idx, event in enumerate(store):
         buckets.setdefault(period_of(event.ts, granularity), []).append(idx)
@@ -390,20 +348,18 @@ def _cluster_period(
     n = len(indices)
     k = params.k if params.k is not None else select_k(points, seed=seed)
     k = max(1, min(k, n))
-    assign, _, _ = kmeans(points, k, seed)
+    assign, centroids, _ = kmeans(points, k, seed)
     logger.info("%s: n=%d k=%d", period, n, k)
 
     out: list[WeekCluster] = []
     for c in range(k):
-        member_pos = [indices[i] for i in np.flatnonzero(assign == c)]
-        member_events = [events[i] for i in member_pos]
-        centroid = _unit(all_vectors[member_pos].mean(axis=0), fallback=all_vectors[member_pos[0]])
+        member_events = [events[indices[i]] for i in np.flatnonzero(assign == c)]
         out.append(
             WeekCluster(
                 week=period,
                 cluster_id=c,
                 member_ids=tuple(e.event_id for e in member_events),
-                centroid=centroid,
+                centroid=centroids[c],
                 top_terms=top_terms_for([e.text_repr for e in member_events]),
             )
         )

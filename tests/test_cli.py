@@ -14,6 +14,14 @@ def run(*argv: str) -> int:
     return cli.main(list(argv))
 
 
+def exit_code(*argv: str) -> int:
+    """run(), with an argparse usage exit turned into its code."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestExitCodes:
     def test_bad_flags_exit_64(self):
         with pytest.raises(SystemExit) as exc:
@@ -168,25 +176,84 @@ class TestEmbedOptions:
         assert run("--workspace", str(ws), "embed", "--embedder", "bert") == 1
 
 
+def _copy_store(pipeline_ws, ws):
+    (ws / "data").mkdir(parents=True)
+    for name in ("events.jsonl", "vectors.tmv"):
+        (ws / "data" / name).write_bytes((pipeline_ws / "data" / name).read_bytes())
+
+
+def _per_week_k(ws) -> dict[str, int]:
+    per_week: dict[str, int] = {}
+    for row in (ws / "results" / "clusters_weekly.csv").read_text().splitlines()[1:]:
+        week, cid = row.split(",")[:2]
+        per_week[week] = max(per_week.get(week, 0), int(cid) + 1)
+    return per_week
+
+
+class TestTrendParamChecks:
+    @pytest.mark.parametrize("flag", ["--match-threshold", "--drift-threshold"])
+    def test_nan_threshold_exits_1(self, tmp_path, pipeline_ws, capsys, flag):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        assert run("--workspace", str(ws), "trends", flag, "nan") == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (ws / "results" / "clusters_weekly.csv").exists()
+
+
 class TestConfigPrecedence:
+    def _run_with(self, tmp_path, config: dict, *argv: str) -> int:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        return exit_code("--workspace", str(tmp_path / "ws"), "--config", str(path), *argv)
+
+    def test_config_k_auto_means_auto(self, tmp_path, pipeline_ws):
+        _copy_store(pipeline_ws, tmp_path / "ws")
+        assert self._run_with(tmp_path, {"k": "auto"}, "trends") == 0
+        assert len(set(_per_week_k(tmp_path / "ws").values())) > 1  # the elbow picks k per week
+
+    def test_explicit_k_auto_beats_config_k(self, tmp_path, pipeline_ws):
+        _copy_store(pipeline_ws, tmp_path / "ws")
+        assert self._run_with(tmp_path, {"k": 2}, "trends", "--k", "auto") == 0
+        assert len(set(_per_week_k(tmp_path / "ws").values())) > 1
+        manifest = json.loads((tmp_path / "ws" / "results" / "run_trends.json").read_text())
+        assert manifest["params"]["k"] is None
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"granularity": "fortnight"}, ("trends",)),
+            ({"top_k": 0}, ("query", "--text", "okta")),
+            ({"alpha": "0.5"}, ("query", "--text", "okta")),
+            ({"k": 2.5}, ("trends",)),
+            ({"k": True}, ("trends",)),
+            ({"growth_min_events": 2.5}, ("trends",)),
+            ({"half_lif_days": 3}, ("query", "--text", "okta")),
+        ],
+    )
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, config, argv):
+        assert self._run_with(tmp_path, config, *argv) == 64
+        err = capsys.readouterr().err
+        assert next(iter(config)) in err and "Traceback" not in err
+
+    def test_config_that_is_not_an_object_is_a_usage_error(self, tmp_path):
+        assert self._run_with(tmp_path, [1, 2], "trends") == 64
+
+    def test_config_number_is_parsed_like_the_flag(self, tmp_path, pipeline_ws, capsys):
+        _copy_store(pipeline_ws, tmp_path / "ws")
+        argv = ("query", "--text", "okta auth_fail", "--now", "2025-06-30T00:00:00Z")
+        assert self._run_with(tmp_path, {"alpha": 0.5, "half_life_days": 3, "top_k": 4}, *argv) == 0
+        from_config = capsys.readouterr().out
+        assert run("--workspace", str(tmp_path / "ws"), *argv,
+                   "--alpha", "0.5", "--half-life-days", "3", "--k", "4") == 0
+        assert capsys.readouterr().out == from_config
+        assert len(from_config.split()) == 4
+
     def test_config_supplies_defaults_but_flags_win(self, tmp_path, pipeline_ws):
         ws = tmp_path / "ws"
-        (ws / "data").mkdir(parents=True)
-        for name in ("events.jsonl", "vectors.tmv"):
-            (ws / "data" / name).write_bytes((pipeline_ws / "data" / name).read_bytes())
+        _copy_store(pipeline_ws, ws)
         config = tmp_path / "conf.json"
         config.write_text(json.dumps({"k": 2, "cluster_seed": 42}))
         assert run("--workspace", str(ws), "--config", str(config), "trends") == 0
-        rows = (ws / "results" / "clusters_weekly.csv").read_text().splitlines()[1:]
-        per_week = {}
-        for row in rows:
-            week, cid = row.split(",")[:2]
-            per_week[week] = max(per_week.get(week, 0), int(cid) + 1)
-        assert set(per_week.values()) == {2}  # config value applied
+        assert set(_per_week_k(ws).values()) == {2}  # config value applied
         assert run("--workspace", str(ws), "--config", str(config), "trends", "--k", "3") == 0
-        rows = (ws / "results" / "clusters_weekly.csv").read_text().splitlines()[1:]
-        per_week = {}
-        for row in rows:
-            week, cid = row.split(",")[:2]
-            per_week[week] = max(per_week.get(week, 0), int(cid) + 1)
-        assert set(per_week.values()) == {3}  # explicit flag beat the config
+        assert set(_per_week_k(ws).values()) == {3}  # explicit flag beat the config

@@ -233,6 +233,22 @@ class TestLabelTrend:
         assert label_trend(curr, (prev, 0.75), TrendParams()) == "growth"
 
 
+class TestTrendParams:
+    @pytest.mark.parametrize("name", ["match_threshold", "growth_factor", "decay_factor", "drift_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            TrendParams(**{name: value})
+
+    @pytest.mark.parametrize("k", [True, 2.5, "3", 0])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            TrendParams(k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert TrendParams(k=np.int64(3)).k == 3
+
+
 class TestDrift:
     def test_identical_centroids(self):
         assert drift_of(E1, E1) == pytest.approx(0.0)
