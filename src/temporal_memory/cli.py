@@ -23,6 +23,7 @@ from . import __version__
 from .embedding import (
     DEFAULT_DIM,
     HashEmbedder,
+    VectorFileError,
     check_alignment,
     encode_store,
     read_vector_file,
@@ -37,9 +38,9 @@ from .events import (
     load_events_jsonl,
     read_mapping,
     write_events_jsonl,
-    write_manifest,
+    write_json,
 )
-from .evaluation import load_eval_config, run_eval, write_report_json, write_report_md
+from .evaluation import load_eval_config, run_eval, write_report_md
 from .retrieval import RetrievalParams, rank
 from .synth import generate_stream
 from .tracking import (
@@ -257,8 +258,7 @@ def _write_run_manifest(ws: Workspace, command: str, params: dict, outputs: list
         "params": {key: _portable(ws, value) for key, value in params.items()},
         "artifacts": {_portable(ws, p): _sha256(p) for p in outputs if p.exists()},
     }
-    path = ws.results / f"run_{command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(manifest, ws.results / f"run_{command}.json")
 
 
 def _parse_asof(text: str) -> datetime:
@@ -301,8 +301,8 @@ def _cmd_ingest(ws: Workspace, args) -> int:
     store = ingest(paths, mapping)
     ws.data.mkdir(parents=True, exist_ok=True)
     write_events_jsonl(store, ws.events)
-    write_manifest(store, ws.manifest)
     m = store.manifest()
+    write_json(m, ws.manifest)
     print(f"ingested {m['events']} events ({m['skipped']} skipped, "
           f"{m['duplicates_dropped']} duplicates) weeks {m['week_range']}")
     _write_run_manifest(ws, "ingest", {"inputs": [str(p) for p in paths]}, [ws.events, ws.manifest])
@@ -392,9 +392,8 @@ def _cmd_eval(ws: Workspace, args) -> int:
         granularity=args.granularity,
     )
     ws.results.mkdir(parents=True, exist_ok=True)
-    write_report_json(report, ws.report_json)
-    write_report_md(report, ws.report_md)
-    print(ws.report_md.read_text(encoding="utf-8"))
+    write_json(report.to_dict(), ws.report_json)
+    print(write_report_md(report, ws.report_md))
     _write_run_manifest(
         ws, "eval",
         {"eval_config": str(config_path), "alpha": recency.alpha,
@@ -453,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifact as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
-    except (IngestError, ValueError) as exc:
+    except (IngestError, ValueError, VectorFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStore
+from .events import EventStore, atomic_write
 
 DEFAULT_DIM = 384
 
@@ -45,6 +45,10 @@ class VectorCountError(VectorFileError):
 
 class VectorTruncatedError(VectorFileError):
     pass
+
+
+class VectorValueError(VectorFileError):
+    """A stored vector is non-finite (float16 overflow included) or all zero, so has no cosine."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -163,7 +167,7 @@ def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
 
 
 def write_vector_file(vs: VectorStore, path: Path | str) -> None:
-    with Path(path).open("wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_HEADER.pack(MAGIC, vs.dim, len(vs.ids)))
         for event_id in vs.ids:
             fh.write(event_id.encode("utf-8"))
@@ -172,7 +176,7 @@ def write_vector_file(vs: VectorStore, path: Path | str) -> None:
 
 
 def read_vector_file(path: Path | str, expect_dim: int | None = None) -> VectorStore:
-    """Read a TMV1 file, failing distinctly on magic, dim, count, or truncation problems."""
+    """Read a TMV1 file, failing distinctly on magic, dim, count, truncation, or bad-value problems."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise VectorTruncatedError(f"{path}: shorter than header")
@@ -195,7 +199,7 @@ def read_vector_file(path: Path | str, expect_dim: int | None = None) -> VectorS
         ids.append(data[offset:end].decode("utf-8"))
         offset = end + 1
 
-    payload = data[offset:]
+    payload = memoryview(data)[offset:]
     expected_bytes = count * dim * 2
     if len(payload) < expected_bytes:
         raise VectorTruncatedError(
@@ -206,6 +210,13 @@ def read_vector_file(path: Path | str, expect_dim: int | None = None) -> VectorS
             f"{path}: {len(payload) - expected_bytes} trailing bytes beyond declared count"
         )
     vectors = np.frombuffer(payload, dtype="<f2").reshape(count, dim).astype(np.float16)
+    # A binary16 value is NaN or inf exactly when its magnitude bits are >= 0x7C00
+    # (exponent all ones), so each row's largest magnitude finds both bad cases.
+    magnitude = (vectors.view(np.uint16) & 0x7FFF).max(axis=1)
+    bad = np.flatnonzero((magnitude == 0) | (magnitude >= 0x7C00))
+    if bad.size:
+        problem = "only zeros" if magnitude[bad[0]] == 0 else "a non-finite value"
+        raise VectorValueError(f"{path}: vector for {ids[bad[0]]} has {problem}; cosine is undefined")
     return VectorStore(dim=dim, ids=tuple(ids), vectors=vectors)
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embedding import HashEmbedder, VectorStore
-from .events import DEFAULT_GRANULARITY, EventStore, coerce_timestamp
+from .events import DEFAULT_GRANULARITY, EventStore, atomic_write, coerce_timestamp
 from .retrieval import RankedHit, RetrievalParams, rank
 from .tracking import DEFAULT_SEED, TrendParams, TrendRecord, WeekCluster, per_week_k, track
 
@@ -41,15 +41,7 @@ class EvalReport:
     query_results: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "trend_macro_f1": self.trend_macro_f1,
-            "per_class": self.per_class,
-            "asof_correctness": self.asof_correctness,
-            "latest_set_at_10": self.latest_set_at_10,
-            "sensitivity": {f"{a:g}": v for a, v in self.sensitivity.items()},
-            "per_week_k": self.per_week_k,
-            "query_results": self.query_results,
-        }
+        return {**vars(self), "sensitivity": {f"{a:g}": v for a, v in self.sensitivity.items()}}
 
 
 def trend_macro_f1(
@@ -242,13 +234,8 @@ def run_eval(
     )
 
 
-def write_report_json(report: EvalReport, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def write_report_md(report: EvalReport, path: Path | str) -> None:
+def write_report_md(report: EvalReport, path: Path | str) -> str:
+    """Render the markdown report, write it to ``path`` and return it."""
     lines = [
         "# Evaluation report",
         "",
@@ -281,4 +268,7 @@ def write_report_md(report: EvalReport, path: Path | str) -> None:
     for week in sorted(report.per_week_k):
         lines.append(f"| {week} | {report.per_week_k[week]} |")
     lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    text = "\n".join(lines)
+    with atomic_write(path) as fh:
+        fh.write(text)
+    return text

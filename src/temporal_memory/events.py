@@ -10,32 +10,17 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+import os
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-# Canonical field order for events.jsonl lines.
-EVENT_FIELDS = (
-    "event_id",
-    "ts",
-    "product",
-    "event_type",
-    "asset_id",
-    "msg",
-    "context",
-    "tech",
-    "attack",
-    "risk_tag",
-    "text_repr",
-)
-
-_LIST_FIELDS = ("tech", "attack", "risk_tag")
 
 # Epoch values at or above this magnitude are taken as milliseconds
 # (1e11 s is year 5138; 1e11 ms is 1973, so the ranges do not overlap).
@@ -102,20 +87,12 @@ class Event:
         return (self.ts, self.event_id)
 
     def to_json(self) -> str:
-        obj = {
-            "event_id": self.event_id,
-            "ts": self.ts.isoformat(),
-            "product": self.product,
-            "event_type": self.event_type,
-            "asset_id": self.asset_id,
-            "msg": self.msg,
-            "context": dict(self.context),
-            "tech": list(self.tech),
-            "attack": list(self.attack),
-            "risk_tag": list(self.risk_tag),
-            "text_repr": self.text_repr,
-        }
+        obj = {**vars(self), "ts": self.ts.isoformat(), "context": dict(self.context)}
         return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
+# Canonical field order for events.jsonl lines.
+EVENT_FIELDS = tuple(f.name for f in fields(Event))
 
 
 def _parse_timestamp(raw) -> tuple[datetime, bool]:
@@ -502,17 +479,37 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
     )
 
 
+@contextmanager
+def atomic_write(path: Path | str, binary: bool = False) -> Iterator[IO]:
+    """Open a temp file beside ``path``; on success move it onto ``path``, on any exception delete it.
+
+    Every artifact is written through here, so a reader sees either the old
+    file or the whole new one, and no temp file is left behind. Text is UTF-8
+    with no newline translation. Nothing is fsynced: this covers a crashed
+    process or a raised error, not a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(obj, path: Path | str, sort_keys: bool = True) -> None:
+    """Write a JSON artifact: two-space indent, sorted keys unless asked otherwise, a final newline."""
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
+
+
 def write_events_jsonl(store: EventStore, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for event in store:
             fh.write(event.to_json())
             fh.write("\n")
-
-
-def write_manifest(store: EventStore, path: Path | str) -> None:
-    Path(path).write_text(
-        json.dumps(store.manifest(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def load_events_jsonl(path: Path | str) -> EventStore:

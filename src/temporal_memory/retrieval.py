@@ -59,17 +59,7 @@ class RankedHit:
     fused: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "event_id": self.event_id,
-                "ts": self.ts.isoformat(),
-                "cosine_sim": self.cosine_sim,
-                "age_days": self.age_days,
-                "recency_weight": self.recency_weight,
-                "fused": self.fused,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps({**vars(self), "ts": self.ts.isoformat()}, separators=(",", ":"))
 
 
 def _days(delta_us):

@@ -23,7 +23,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .evaluation import DEFAULT_ALPHAS
-from .events import WeekKey, build_text_repr, derive_event_id
+from .events import WeekKey, atomic_write, build_text_repr, derive_event_id, write_json
 from .retrieval import RetrievalParams
 from .tracking import TrendParams, size_trend
 
@@ -313,7 +313,7 @@ def generate_stream(seed: int, out_dir: Path | str) -> GenResult:
             week_records[week], key=lambda pair: (pair[0], pair[1]["asset_id"], pair[1]["msg"])
         )
         path = out / f"events-{week}.jsonl"
-        with path.open("w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for _, record in records:
                 fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
                 fh.write("\n")
@@ -339,7 +339,7 @@ def generate_stream(seed: int, out_dir: Path | str) -> GenResult:
         },
     }
     gt_path = out / GROUND_TRUTH_FILE
-    gt_path.write_text(json.dumps(ground_truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(ground_truth, gt_path)
 
     eval_config = {
         "ground_truth": GROUND_TRUTH_FILE,
@@ -349,7 +349,7 @@ def generate_stream(seed: int, out_dir: Path | str) -> GenResult:
         "queries": _query_suite(),
     }
     eval_path = out / EVAL_CONFIG_FILE
-    eval_path.write_text(json.dumps(eval_config, indent=2) + "\n", encoding="utf-8")
+    write_json(eval_config, eval_path, sort_keys=False)
 
     return GenResult(
         log_files=tuple(log_files),

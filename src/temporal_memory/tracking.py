@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import VectorStore, tokenize
-from .events import DEFAULT_GRANULARITY, DayKey, Event, EventStore, MonthKey, WeekKey, period_of
+from .events import DEFAULT_GRANULARITY, DayKey, Event, EventStore, MonthKey, WeekKey, atomic_write, period_of
 
 logger = logging.getLogger(__name__)
 
@@ -53,9 +53,14 @@ class TrendParams:
             raise ValueError(f"thresholds must be positive and finite, got {thresholds}")
         if not self.growth_factor > 1 > self.decay_factor:
             raise ValueError("need growth_factor > 1 > decay_factor")
-        k = self.k
-        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1):
-            raise ValueError(f"fixed k must be an integer >= 1, got {k!r}")
+        if not _is_int_at_least(self.growth_min_events, 0):
+            raise ValueError(f"growth_min_events must be an integer >= 0, got {self.growth_min_events!r}")
+        if self.k is not None and not _is_int_at_least(self.k, 1):
+            raise ValueError(f"fixed k must be an integer >= 1, got {self.k!r}")
+
+
+def _is_int_at_least(value, low: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
 
 
 @dataclass(frozen=True)
@@ -374,7 +379,7 @@ def write_clusters_csv(
     clusters: Sequence[WeekCluster], trends: Sequence[TrendRecord], path: Path | str
 ) -> None:
     by_key = {(str(t.week), t.cluster_id): t for t in trends}
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["week", "cluster_id", "size", "top_terms", "matched_prev_id", "match_sim", "drift", "label"]
@@ -401,7 +406,7 @@ def write_trends_summary_csv(trends: Sequence[TrendRecord], path: Path | str) ->
     for t in trends:
         key = (str(t.week), t.label)
         counts[key] = counts.get(key, 0) + 1
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["week", "label", "count"])
         for week in weeks:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import fcntl
 import json
 
+import numpy as np
 import pytest
 
 from temporal_memory import cli
+from temporal_memory.embedding import VectorStore, read_vector_file, write_vector_file
 
 
 def run(*argv: str) -> int:
@@ -91,6 +93,10 @@ class TestPipelineArtifacts:
         ):
             assert (pipeline_ws / rel).exists(), rel
 
+    def test_eval_prints_the_report_it_wrote(self, pipeline_ws, capsys):
+        assert run("--workspace", str(pipeline_ws), "eval") == 0
+        assert capsys.readouterr().out == (pipeline_ws / "results" / "eval_report.md").read_text() + "\n"
+
     def test_eval_markdown_has_the_four_metric_rows(self, pipeline_ws):
         text = (pipeline_ws / "results" / "eval_report.md").read_text()
         for row in ("Trend F1", "As-of Correctness", "Latest@10 Accuracy", "Latest-Set@10"):
@@ -169,6 +175,26 @@ class TestEmbedOptions:
         assert code == 0
         assert (ws / "data" / "vectors.tmv").read_bytes() == external.read_bytes()
 
+    @pytest.mark.parametrize("corrupt", ["nan_row", "bad_magic"])
+    def test_bad_external_vectors_exit_1_and_leave_no_vectors(self, pipeline_ws, tmp_path, capsys, corrupt):
+        ws = tmp_path / "ws"
+        (ws / "data").mkdir(parents=True)
+        (ws / "data" / "events.jsonl").write_bytes((pipeline_ws / "data" / "events.jsonl").read_bytes())
+        vs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
+        vectors = vs.vectors.copy()
+        if corrupt == "nan_row":
+            vectors[-1, 0] = np.nan
+        external = tmp_path / "external.tmv"
+        write_vector_file(VectorStore(dim=vs.dim, ids=vs.ids, vectors=vectors), external)
+        if corrupt == "bad_magic":
+            external.write_bytes(b"NOPE" + external.read_bytes()[4:])
+        assert run("--workspace", str(ws), "embed", "--embedder", f"external:{external}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if corrupt == "nan_row":
+            assert f"vector for {vs.ids[-1]} has a non-finite value" in err
+        assert not (ws / "data" / "vectors.tmv").exists()
+
     def test_unknown_embedder_is_an_error(self, pipeline_ws, tmp_path):
         ws = tmp_path / "ws"
         (ws / "data").mkdir(parents=True)
@@ -197,6 +223,16 @@ class TestTrendParamChecks:
         _copy_store(pipeline_ws, ws)
         assert run("--workspace", str(ws), "trends", flag, "nan") == 1
         assert "finite" in capsys.readouterr().err
+        assert not (ws / "results" / "clusters_weekly.csv").exists()
+
+    def test_negative_growth_min_events_exits_1(self, tmp_path, pipeline_ws, capsys):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        assert run("--workspace", str(ws), "trends", "--growth-min-events", "-5") == 1
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"growth_min_events": -5}))
+        assert run("--workspace", str(ws), "--config", str(config), "trends") == 1
+        assert capsys.readouterr().err.count("growth_min_events must be") == 2
         assert not (ws / "results" / "clusters_weekly.csv").exists()
 
 

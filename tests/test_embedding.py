@@ -16,6 +16,7 @@ from temporal_memory.embedding import (
     VectorMagicError,
     VectorStore,
     VectorTruncatedError,
+    VectorValueError,
     check_alignment,
     cosine,
     encode_store,
@@ -259,6 +260,30 @@ class TestVectorFile:
         path.write_bytes(b"TM")
         with pytest.raises(VectorTruncatedError):
             read_vector_file(path)
+
+    @pytest.mark.parametrize(
+        "bad, problem", [(np.nan, "a non-finite value"), (-np.inf, "a non-finite value"), (-0.0, "only zeros")]
+    )
+    def test_first_bad_row_is_named(self, tmp_path, bad, problem):
+        vs = _sample_store()
+        vectors = vs.vectors.copy()
+        vectors[3:] = bad
+        path = tmp_path / "v.tmv"
+        write_vector_file(VectorStore(dim=vs.dim, ids=vs.ids, vectors=vectors), path)
+        with pytest.raises(VectorValueError, match=f"vector for ev-3 has {problem}"):
+            read_vector_file(path)
+
+    @given(bits=st.integers(0, 0xFFFF), other=st.sampled_from([0.0, 1.0]))
+    def test_row_rejected_exactly_when_it_has_no_cosine(self, tmp_path_factory, bits, other):
+        value = np.array([bits], dtype=np.uint16).view(np.float16)[0]
+        vectors = np.array([[1.0, 1.0], [value, other]], dtype=np.float16)
+        path = tmp_path_factory.mktemp("v") / "v.tmv"
+        write_vector_file(VectorStore(dim=2, ids=("ok", "probe"), vectors=vectors), path)
+        if np.isfinite(value) and (value != 0 or other != 0):
+            assert np.array_equal(read_vector_file(path).vectors, vectors)
+        else:
+            with pytest.raises(VectorValueError, match="probe"):
+                read_vector_file(path)
 
 
 class TestExternalInjection:

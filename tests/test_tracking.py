@@ -248,6 +248,15 @@ class TestTrendParams:
     def test_numpy_integer_k_accepted(self):
         assert TrendParams(k=np.int64(3)).k == 3
 
+    @pytest.mark.parametrize("value", [True, 2.5, float("nan"), "30", -1])
+    def test_growth_min_events_must_be_a_non_negative_integer(self, value):
+        with pytest.raises(ValueError, match="growth_min_events must be"):
+            TrendParams(growth_min_events=value)
+
+    @pytest.mark.parametrize("value", [0, np.int64(5)])
+    def test_growth_min_events_zero_and_numpy_integers_accepted(self, value):
+        assert TrendParams(growth_min_events=value).growth_min_events == value
+
 
 class TestDrift:
     def test_identical_centroids(self):
