@@ -339,8 +339,8 @@ def _load_store_and_vectors(ws: Workspace):
 
 
 def _cmd_trends(ws: Workspace, args) -> int:
-    store, vs = _load_store_and_vectors(ws)
     params = _params(TrendParams, args)
+    store, vs = _load_store_and_vectors(ws)
     clusters, trends = track(store, vs, params, seed=args.cluster_seed, granularity=args.granularity)
     ws.results.mkdir(parents=True, exist_ok=True)
     write_clusters_csv(clusters, trends, ws.clusters_csv)
@@ -355,10 +355,10 @@ def _cmd_trends(ws: Workspace, args) -> int:
 
 
 def _cmd_query(ws: Workspace, args) -> int:
-    store, vs = _load_store_and_vectors(ws)
     params = _params(RetrievalParams, args, now=coerce_timestamp(args.now) if args.now else None)
     mode = "cosine_only" if args.mode == "cosine" else "fused"
     cutoff = _parse_asof(args.as_of) if args.as_of else None
+    store, vs = _load_store_and_vectors(ws)
     query_vec = HashEmbedder(dim=vs.dim).embed(args.text)
     hits = rank(query_vec, store, vs, params, mode=mode, as_of=cutoff)
     for hit in hits:
@@ -378,14 +378,15 @@ def _cmd_query(ws: Workspace, args) -> int:
 
 
 def _cmd_eval(ws: Workspace, args) -> int:
+    recency = _params(RetrievalParams, args)
+    trend_params = _params(TrendParams, args)
     store, vs = _load_store_and_vectors(ws)
     config_path = Path(args.eval_config) if args.eval_config else ws.logs / "eval.json"
     ws.require(config_path, "gen")
     config, ground_truth = load_eval_config(config_path)
-    recency = _params(RetrievalParams, args)
     report = run_eval(
         store, vs, config, ground_truth,
-        trend_params=_params(TrendParams, args),
+        trend_params=trend_params,
         seed=args.cluster_seed,
         alpha=recency.alpha,
         half_life_days=recency.half_life_days,

@@ -7,9 +7,11 @@ representation for embedding, and bucketed by ISO week.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import logging
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -35,7 +37,7 @@ class RecordParseError(ValueError):
 
 
 class IngestError(RuntimeError):
-    """Ingestion produced zero usable events."""
+    """Ingestion produced zero usable events, or a canonical events.jsonl breaks its format."""
 
 
 @dataclass(frozen=True, order=True)
@@ -93,6 +95,7 @@ class Event:
 
 # Canonical field order for events.jsonl lines.
 EVENT_FIELDS = tuple(f.name for f in fields(Event))
+_EVENT_FIELD_SET = frozenset(EVENT_FIELDS)
 
 
 def _parse_timestamp(raw) -> tuple[datetime, bool]:
@@ -100,15 +103,17 @@ def _parse_timestamp(raw) -> tuple[datetime, bool]:
     if isinstance(raw, bool):
         raise RecordParseError(f"not a timestamp: {raw!r}")
     if isinstance(raw, (int, float)):
-        return _from_epoch(float(raw)), False
+        return _from_epoch(raw), False
     if isinstance(raw, str):
         text = raw.strip()
         if not text:
             raise RecordParseError("empty timestamp")
         try:
-            return _from_epoch(float(text)), False
+            seconds = float(text)
         except ValueError:
             pass
+        else:
+            return _from_epoch(seconds), False
         iso = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
         try:
             dt = datetime.fromisoformat(iso)
@@ -121,10 +126,14 @@ def _parse_timestamp(raw) -> tuple[datetime, bool]:
     raise RecordParseError(f"not a timestamp: {raw!r}")
 
 
-def _from_epoch(value: float) -> datetime:
-    if abs(value) >= _EPOCH_MS_THRESHOLD:
-        value /= 1000.0
-    return datetime.fromtimestamp(value, tz=timezone.utc)
+def _from_epoch(value: int | float) -> datetime:
+    try:
+        seconds = float(value)
+        if abs(seconds) >= _EPOCH_MS_THRESHOLD:
+            seconds /= 1000.0
+        return datetime.fromtimestamp(seconds, tz=timezone.utc)
+    except (OverflowError, OSError, ValueError) as exc:  # NaN, infinity, or outside years 1-9999
+        raise RecordParseError(f"epoch timestamp out of range: {value!r}") from exc
 
 
 def epoch_us(ts: datetime) -> int:
@@ -512,6 +521,126 @@ def write_events_jsonl(store: EventStore, path: Path | str) -> None:
             fh.write("\n")
 
 
+# Bytes of whole lines parsed per json.loads call while loading a store: as
+# fast as 1 MiB, and the chunk's transient copies stay small beside the store.
+_LOAD_CHUNK_BYTES = 1 << 16
+_STRING_FIELDS = ("event_id", "ts", "product", "event_type", "asset_id", "msg", "text_repr")
+_LIST_FIELDS = ("tech", "attack", "risk_tag")
+_event_field_values = operator.itemgetter(*EVENT_FIELDS)
+_ZERO = timedelta(0)
+
+
+def _parse_lines(path: Path, first_line_no: int, lines: list[bytes]) -> list:
+    """Parse lines that should each hold one JSON value, with one json.loads call when they do.
+
+    Each line keeps its newline, so a string left open at a line's end is a
+    syntax error. When every line starts with "{" and the values number as
+    many as the lines, a value that spans a line boundary has the next line's
+    "{" right after a comma inside it: a syntax error inside an object, and an
+    object item inside a list, which :func:`_canonical_event` rejects. So each
+    value it accepts is exactly one line. Otherwise the lines are parsed one by
+    one, and the first that fails raises IngestError naming it.
+    """
+    data = b",".join(lines)
+    if data[:1] == b"{" and data.count(b"\n,{") == len(lines) - 1 and lines[-1].endswith(b"\n"):
+        try:
+            values = json.loads((b"[" + data + b"]").decode("utf-8"))
+        except ValueError:
+            pass
+        else:
+            if len(values) == len(lines):
+                return values
+    values = []
+    for line_no, line in enumerate(lines, start=first_line_no):
+        if not line.endswith(b"\n"):
+            raise IngestError(f"{path}:{line_no}: the line has no newline: the file is cut short")
+        try:
+            values.append(json.loads(line.decode("utf-8")))
+        except ValueError as exc:
+            raise IngestError(f"{path}:{line_no}: not one JSON value: {exc}") from None
+    return values
+
+
+def _holds_non_str(items) -> bool:
+    """True when any item is not a str (``str.join`` checks each item's type in C)."""
+    try:
+        "".join(items)
+    except TypeError:
+        return True
+    return False
+
+
+def _canonical_event(value) -> Event:
+    """The Event one events.jsonl line holds; ValueError says how the line breaks the format."""
+    if type(value) is not dict:
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    if value.keys() != _EVENT_FIELD_SET:
+        missing = sorted(_EVENT_FIELD_SET - value.keys())
+        extra = sorted(value.keys() - _EVENT_FIELD_SET)
+        raise ValueError(f"fields differ from Event's: missing {missing}, unexpected {extra}")
+    event_id, ts, product, event_type, asset_id, msg, context, tech, attack, risk_tag, text_repr = (
+        _event_field_values(value)
+    )
+    if _holds_non_str((event_id, ts, product, event_type, asset_id, msg, text_repr)):
+        name = next(name for name in _STRING_FIELDS if type(value[name]) is not str)
+        raise ValueError(f"{name} is not a string: {value[name]!r}")
+    if not event_id or not text_repr:
+        raise ValueError("event_id and text_repr must not be empty")
+    if not type(tech) is type(attack) is type(risk_tag) is list or _holds_non_str(tech + attack + risk_tag):
+        name = next(name for name in _LIST_FIELDS if type(value[name]) is not list or _holds_non_str(value[name]))
+        raise ValueError(f"{name} is not a list of strings: {value[name]!r}")
+    if type(context) is not dict or _holds_non_str(context.values()):
+        raise ValueError(f"context is not an object of strings: {context!r}")
+    instant = datetime.fromisoformat(ts)
+    if instant.utcoffset() != _ZERO:
+        offset = "no UTC offset" if instant.tzinfo is None else "an offset other than UTC"
+        raise ValueError(f"ts has {offset}: {ts!r}")
+    # Positional, in field order: keyword arguments cost twice as much here.
+    return Event(
+        event_id, instant, product, event_type, asset_id, msg, context,
+        tuple(tech), tuple(attack), tuple(risk_tag), text_repr,
+    )
+
+
 def load_events_jsonl(path: Path | str) -> EventStore:
-    """Load a canonical events.jsonl written by :func:`write_events_jsonl`."""
-    return ingest([path])
+    """Load a canonical events.jsonl written by :func:`write_events_jsonl`, strictly.
+
+    Every line must be one JSON object with exactly the Event fields and their
+    types, a UTC ``ts`` and a newline at its end; ``(ts, event_id)`` must
+    strictly increase from line to line and no event_id may repeat. The first
+    line that breaks a rule raises ``IngestError("<path>:<line>: ...")``, as
+    does a file with no events. Nothing is re-normalized, re-sorted or dropped:
+    the store is the file. Its ``source_manifest`` is empty.
+    """
+    path = Path(path)
+    events: list[Event] = []
+    seen: set[str] = set()
+    previous: tuple[datetime, str] | None = None
+    line_no = 0
+    # Parsing allocates many containers and no cycles, so a cyclic collection
+    # during the loop would only rescan them; the caller's setting comes back after.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with path.open("rb") as fh:
+            while lines := fh.readlines(_LOAD_CHUNK_BYTES):
+                for value in _parse_lines(path, line_no + 1, lines):
+                    line_no += 1
+                    try:
+                        event = _canonical_event(value)
+                    except ValueError as exc:
+                        raise IngestError(f"{path}:{line_no}: {exc}") from None
+                    key = (event.ts, event.event_id)
+                    if previous is not None and key <= previous:
+                        raise IngestError(f"{path}:{line_no}: (ts, event_id) is not after the previous line's")
+                    if event.event_id in seen:
+                        raise IngestError(f"{path}:{line_no}: event_id {event.event_id!r} repeats an earlier line's")
+                    seen.add(event.event_id)
+                    previous = key
+                    events.append(event)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    if not events:
+        raise IngestError(f"{path}:1: no events")
+    return EventStore(events=tuple(events))

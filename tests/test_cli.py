@@ -67,6 +67,47 @@ class TestExitCodes:
         assert code == 2
         assert "eval.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--text", "x", "--alpha", "7"],
+            ["query", "--text", "x", "--as-of", "not a date"],
+            ["query", "--text", "x", "--now", "not a time"],
+            ["trends", "--growth-min-events", "-5"],
+            ["eval", "--half-life-days", "nan"],
+            ["eval", "--match-threshold", "nan"],
+        ],
+    )
+    def test_bad_parameter_exits_1_before_any_artifact_is_read(self, tmp_path, capsys, argv):
+        assert run("--workspace", str(tmp_path / "empty"), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing artifact" not in err
+
+    def test_embed_on_a_cut_store_exits_1_naming_the_line(self, tmp_path, pipeline_ws, capsys):
+        ws = tmp_path / "ws"
+        (ws / "data").mkdir(parents=True)
+        text = (pipeline_ws / "data" / "events.jsonl").read_text(encoding="utf-8")
+        cut = text[: len(text) // 2]
+        (ws / "data" / "events.jsonl").write_text(cut, encoding="utf-8")
+        assert run("--workspace", str(ws), "embed") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ws / 'data' / 'events.jsonl'}:{cut.count(chr(10)) + 1}: ")
+        assert not (ws / "data" / "vectors.tmv").exists()
+
+    def test_ingest_skips_out_of_range_epoch_timestamps(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        src.write_text(
+            '{"ts": 1e20, "msg": "past year 9999"}\n'
+            '{"ts": "inf", "msg": "infinite"}\n'
+            '{"ts": NaN, "msg": "not a number"}\n'
+            '{"ts": "2025-04-01T10:00:00Z", "msg": "good"}\n',
+            encoding="utf-8",
+        )
+        ws = tmp_path / "ws"
+        assert run("--workspace", str(ws), "ingest", "--input", str(src)) == 0
+        manifest = json.loads((ws / "data" / "manifest.json").read_text())
+        assert (manifest["events"], manifest["skipped"], manifest["records"]) == (1, 3, 4)
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("--workspace", str(tmp_path), "--config", "nope.json", "gen") == 2
 

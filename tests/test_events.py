@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import re
+import tempfile
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from temporal_memory.events import (
     Event,
@@ -51,7 +55,11 @@ class TestCoerceTimestamp:
     def test_trailing_z(self):
         assert coerce_timestamp("2025-04-01T10:00:00Z") == datetime(2025, 4, 1, 10, tzinfo=UTC)
 
-    @pytest.mark.parametrize("bad", ["not a time", "", "2025-13-45T99:00:00", None, [1, 2]])
+    @pytest.mark.parametrize(
+        "bad",
+        ["not a time", "", "2025-13-45T99:00:00", None, [1, 2], 1e20, -1e20, "inf", float("nan"),
+         pytest.param(10**400, id="int-1e400")],
+    )
     def test_garbage_rejected(self, bad):
         with pytest.raises(RecordParseError):
             coerce_timestamp(bad)
@@ -304,6 +312,136 @@ class TestIngest:
         lo, hi = store.week_range()
         assert all(lo <= iso_week_of(e.ts) <= hi for e in store)
         assert store.manifest()["week_range"] == [str(lo), str(hi)]
+
+
+def _edit_line(line_no: int, edit):
+    """A mutation of a canonical file's text that applies ``edit`` to the record on one line."""
+
+    def mutate(text: str) -> str:
+        lines = text.split("\n")
+        record = json.loads(lines[line_no - 1])
+        edit(record)
+        lines[line_no - 1] = json.dumps(record)
+        return "\n".join(lines)
+
+    return mutate
+
+
+def _swap_lines(a: int, b: int):
+    def mutate(text: str) -> str:
+        lines = text.split("\n")
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+        return "\n".join(lines)
+
+    return mutate
+
+
+def _split_first_join_others(text: str) -> str:
+    """Line 1 split before its "context" member, lines 2 and 3 joined: as many values as lines."""
+    first, second, third, _ = text.split("\n")
+    at = first.index(',"context":')
+    return f"{first[:at]}\n{first[at + 1:]}\n{second},{third}\n"
+
+
+def _first_id(text: str) -> str:
+    return json.loads(text.split("\n")[0])["event_id"]
+
+
+# Each rejection: how a canonical three-line file is broken, and the line named.
+REJECTIONS = {
+    "truncated last line": (lambda text: text[:-20], 3),
+    "missing newline at the end": (lambda text: text[:-1], 3),
+    "missing field": (_edit_line(2, lambda r: r.pop("msg")), 2),
+    "extra field": (_edit_line(2, lambda r: r.update(extra="x")), 2),
+    "non-string list item": (_edit_line(2, lambda r: r.update(tech=["t1046", 7])), 2),
+    "non-string context value": (_edit_line(1, lambda r: r.update(context={"user": None})), 1),
+    "non-string field": (_edit_line(3, lambda r: r.update(msg=5)), 3),
+    "empty event_id": (_edit_line(2, lambda r: r.update(event_id="")), 2),
+    "naive ts": (_edit_line(2, lambda r: r.update(ts=r["ts"].replace("+00:00", ""))), 2),
+    "non-UTC ts": (_edit_line(2, lambda r: r.update(ts=r["ts"].replace("+00:00", "+01:00"))), 2),
+    "unparseable ts": (_edit_line(2, lambda r: r.update(ts="yesterday")), 2),
+    "lines out of (ts, event_id) order": (_swap_lines(2, 3), 3),
+    "repeated event_id": (lambda text: _edit_line(3, lambda r: r.update(event_id=_first_id(text)))(text), 3),
+    "repeated line": (lambda text: text + text.split("\n")[2] + "\n", 4),
+    "blank line": (lambda text: text.replace("\n", "\n\n", 1), 2),
+    "not an object": (lambda text: "[1]\n" + text, 1),
+    "two objects on one line": (lambda text: text.replace("}\n", "},", 1), 1),
+    "an object over two lines and two on one": (_split_first_join_others, 1),
+    "empty file": (lambda text: "", 1),
+}
+
+# Characters that JSON escapes or that other line splitters break on, then any other.
+_AWKWARD = '"\\\u2028\u2029\n\r\x00{}[],:é€😀'
+_TEXT = st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters(exclude_categories=("Cs",))), max_size=10)
+_NON_EMPTY = _TEXT.filter(bool)
+_STRINGS = st.lists(_TEXT, max_size=3).map(tuple)
+
+
+@st.composite
+def _stores(draw) -> EventStore:
+    """Stores as ingest would build them: any text, contexts and list fields, shared timestamps."""
+    instants = draw(st.lists(
+        st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30), timezones=st.just(UTC)),
+        min_size=1, max_size=3,
+    ))
+    events = draw(st.lists(
+        st.builds(
+            Event, event_id=_NON_EMPTY, ts=st.sampled_from(instants), product=_TEXT, event_type=_TEXT,
+            asset_id=_TEXT, msg=_TEXT, context=st.dictionaries(_TEXT, _TEXT, max_size=3),
+            tech=_STRINGS, attack=_STRINGS, risk_tag=_STRINGS, text_repr=_NON_EMPTY,
+        ),
+        min_size=1, max_size=8, unique_by=lambda e: e.event_id,
+    ))
+    return EventStore(events=tuple(sorted(events, key=Event.sort_key)))
+
+
+class TestLoadCanonicalStore:
+    @settings(max_examples=50)  # each example draws up to 88 strings
+    @given(_stores())
+    def test_round_trip_is_exact(self, store):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "events.jsonl", Path(tmp) / "again.jsonl"
+            write_events_jsonl(store, path)
+            loaded = load_events_jsonl(path)
+            assert loaded.events == store.events
+            assert loaded.events == ingest([path]).events
+            write_events_jsonl(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_pipeline_store_loads_as_ingest_reads_it(self, pipeline_ws):
+        path = pipeline_ws / "data" / "events.jsonl"
+        assert load_events_jsonl(path).events == ingest([path]).events
+
+    @pytest.mark.parametrize("case", REJECTIONS)
+    def test_rejects_a_broken_line_naming_it(self, tmp_path, case):
+        mutate, line_no = REJECTIONS[case]
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(self._fixture_store(tmp_path), path)
+        path.write_text(mutate(path.read_text(encoding="utf-8")), encoding="utf-8")
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}:{line_no}: "):
+            load_events_jsonl(path)
+
+    def test_leaves_the_callers_gc_setting(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(self._fixture_store(tmp_path), path)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_bytes(path.read_bytes()[:-5])
+        try:
+            for enabled in (False, True):
+                gc.enable() if enabled else gc.disable()
+                load_events_jsonl(path)
+                assert gc.isenabled() is enabled
+                with pytest.raises(IngestError):
+                    load_events_jsonl(broken)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _fixture_store(tmp_path) -> EventStore:
+        src = tmp_path / "in.jsonl"
+        _write_jsonl(src, JSONL_FIXTURE)
+        return ingest([src])
 
 
 class TestEventStore:
