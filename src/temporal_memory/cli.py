@@ -88,14 +88,21 @@ def _parse_k(value: str):
     return k
 
 
-def _positive_int(value: str) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(low: int, what: str):
+    def convert(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    return convert
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_seed = _int_at_least(0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = _Parser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     dim = _Parser(add_help=False)
-    dim.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    dim.add_argument("--dim", type=int, default=DEFAULT_DIM, help="hash embedding size, >= 2 (default %(default)s)")
     recency = _Parser(add_help=False)
     recency.add_argument("--alpha", type=float)
     recency.add_argument("--half-life-days", type=float)
@@ -121,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     trend.add_argument("--growth-min-events", type=int)
     trend.add_argument("--decay-factor", type=float)
     trend.add_argument("--drift-threshold", type=float)
-    trend.add_argument("--cluster-seed", type=int, default=DEFAULT_SEED, help="k-means seed (default %(default)s)")
+    trend.add_argument("--cluster-seed", type=_seed, default=DEFAULT_SEED,
+                       help="k-means seed, an integer >= 0 (default %(default)s)")
     trend.add_argument("--granularity", choices=GRANULARITIES, default=DEFAULT_GRANULARITY)
 
     p_gen = sub.add_parser("gen", parents=[seed], help="generate the synthetic stream")
@@ -145,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--now", default=None, help="pin the reference instant (ISO-8601)")
 
     p_ev = sub.add_parser("eval", parents=[recency, trend], help="run metric suite from eval config")
-    p_ev.add_argument("--config", "--eval-config", dest="eval_config", default=None,
+    p_ev.add_argument("--eval-config", default=None,
                       help="query-suite config (default: <workspace>/logs/eval.json)")
 
     p_all = sub.add_parser("all", parents=[seed, dim, recency, trend],
@@ -164,7 +172,7 @@ _CONFIG_KEYS = frozenset(
     | {f.name for f in fields(TrendParams)}
 )
 
-_NUMERIC_TYPES = (int, float, _positive_int)
+_NUMERIC_TYPES = (int, float, _positive_int, _seed)
 
 
 def _apply_config(parser: _Parser, text: str) -> None:
@@ -310,18 +318,20 @@ def _cmd_ingest(ws: Workspace, args) -> int:
 
 
 def _cmd_embed(ws: Workspace, args) -> int:
-    ws.require(ws.events, "ingest")
-    store = load_events_jsonl(ws.events)
     choice = args.embedder
     if choice == "hash":
-        vs = encode_store(store, HashEmbedder(dim=args.dim))
-    elif choice.startswith("external:"):
+        embedder = HashEmbedder(dim=args.dim)
+    elif not choice.startswith("external:"):
+        raise ValueError(f"unknown embedder {choice!r} (use 'hash' or 'external:<path>')")
+    ws.require(ws.events, "ingest")
+    store = load_events_jsonl(ws.events)
+    if choice == "hash":
+        vs = encode_store(store, embedder)
+    else:
         source = Path(choice.split(":", 1)[1])
         ws.require(source, "an external embedding step")
         vs = read_vector_file(source, expect_dim=None)
         check_alignment(store, vs)
-    else:
-        raise ValueError(f"unknown embedder {choice!r} (use 'hash' or 'external:<path>')")
     ws.data.mkdir(parents=True, exist_ok=True)
     write_vector_file(vs, ws.vectors)
     print(f"embedded {len(vs)} events at dim {vs.dim} -> {ws.vectors}")
@@ -388,8 +398,7 @@ def _cmd_eval(ws: Workspace, args) -> int:
         store, vs, config, ground_truth,
         trend_params=trend_params,
         seed=args.cluster_seed,
-        alpha=recency.alpha,
-        half_life_days=recency.half_life_days,
+        retrieval_params=recency,
         granularity=args.granularity,
     )
     ws.results.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,7 @@ file format instead.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import re
 import struct
 from dataclasses import dataclass
@@ -60,34 +61,32 @@ def _hash64(feature: str) -> int:
     return int.from_bytes(hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-def hash_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Embed text as a unit-norm signed-bucket hash of unigrams and bigrams."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    tokens = tokenize(text)
-    if not tokens:
-        raise ValueError(f"no tokens in text: {text!r}")
-    vec = np.zeros(dim, dtype=np.float32)
-    features = list(tokens)
-    features.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-    for feature in features:
-        h = _hash64(feature)
-        sign = 1.0 if (h >> 63) & 1 else -1.0
-        vec[h % dim] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        # Possible only if colliding features cancel exactly.
-        raise ValueError(f"degenerate zero embedding for text: {text!r}")
-    return vec / norm
-
-
 @dataclass(frozen=True)
 class HashEmbedder:
-    name: str = "hash"
+    """Unit-norm signed-bucket hashes of a text's unigrams and adjacent bigrams."""
+
     dim: int = DEFAULT_DIM
 
+    def __post_init__(self) -> None:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 2:
+            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+
     def embed(self, text: str) -> np.ndarray:
-        return hash_embed(text, self.dim)
+        tokens = tokenize(text)
+        if not tokens:
+            raise ValueError(f"no tokens in text: {text!r}")
+        vec = np.zeros(self.dim, dtype=np.float32)
+        features = list(tokens)
+        features.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
+        for feature in features:
+            h = _hash64(feature)
+            sign = 1.0 if (h >> 63) & 1 else -1.0
+            vec[h % self.dim] += sign
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            # Possible only if colliding features cancel exactly.
+            raise ValueError(f"degenerate zero embedding for text: {text!r}")
+        return vec / norm
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -125,13 +124,6 @@ class VectorStore:
     def float32(self) -> np.ndarray:
         """A fresh, writable float32 copy of the vectors."""
         return self.vectors.astype(np.float32)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The vectors as float32, converted once and read-only."""
-        rows = self.vectors.astype(np.float32)
-        rows.flags.writeable = False
-        return rows
 
     @cached_property
     def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

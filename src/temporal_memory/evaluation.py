@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -143,12 +143,20 @@ def sensitivity_sweep(
     out: dict[float, float] = {}
     for alpha in alphas:
         params = RetrievalParams(alpha=alpha, half_life_days=half_life_days, top_k=top_k, now=now)
-        scores = []
-        for query, qvec in zip(freshness_queries, query_vecs):
-            hits = rank(qvec, store, vecs, params, mode="fused")
-            scores.append(latest_set_at_k(hits, topic_event_ids[query["topic"]], store, top_k))
+        scores = _latest_set(store, vecs, freshness_queries, query_vecs, topic_event_ids, params, "fused")
         out[alpha] = sum(scores) / len(scores) if scores else 0.0
     return out
+
+
+def _latest_set(
+    store: EventStore, vecs: VectorStore, queries: Sequence[dict], query_vecs: Sequence[np.ndarray],
+    topic_event_ids: Mapping[str, Sequence[str]], params: RetrievalParams, mode: str,
+) -> list[int]:
+    """Latest-set@top_k success (0 or 1) of each freshness query, ranked in ``mode``."""
+    return [
+        latest_set_at_k(rank(qvec, store, vecs, params, mode=mode), topic_event_ids[q["topic"]], store, params.top_k)
+        for q, qvec in zip(queries, query_vecs)
+    ]
 
 
 def _embed_texts(queries: Sequence[dict], dim: int) -> list[np.ndarray]:
@@ -157,9 +165,21 @@ def _embed_texts(queries: Sequence[dict], dim: int) -> list[np.ndarray]:
 
 
 def load_eval_config(path: Path | str) -> tuple[dict, dict]:
-    """Load the query-suite config and the ground truth it points to."""
+    """Load the query-suite config and the ground truth it points to.
+
+    A file that is not a JSON object holding ``ground_truth``, ``now`` and
+    ``queries`` raises ValueError naming it.
+    """
     path = Path(path)
-    config = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        config = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [key for key in ("ground_truth", "now", "queries") if key not in config]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
     gt_path = Path(config["ground_truth"])
     if not gt_path.is_absolute():
         gt_path = path.parent / gt_path
@@ -174,13 +194,19 @@ def run_eval(
     ground_truth: dict,
     trend_params: TrendParams | None = None,
     seed: int = DEFAULT_SEED,
-    alpha: float = RetrievalParams.alpha,
-    half_life_days: float = RetrievalParams.half_life_days,
+    retrieval_params: RetrievalParams | None = None,
     granularity: str = DEFAULT_GRANULARITY,
 ) -> EvalReport:
-    """Run the full metric suite over an embedded store and its query config."""
-    now = coerce_timestamp(config["now"])
-    top_k = int(config.get("top_k", RetrievalParams.top_k))
+    """Run the full metric suite over an embedded store and its query config.
+
+    Ranking uses ``alpha`` and ``half_life_days`` from ``retrieval_params``;
+    ``top_k`` and ``now`` come from the config.
+    """
+    params = replace(
+        retrieval_params or RetrievalParams(),
+        top_k=config.get("top_k", RetrievalParams.top_k),
+        now=coerce_timestamp(config["now"]),
+    )
     alphas = tuple(config.get("alphas", DEFAULT_ALPHAS))
     queries = config["queries"]
     topics = ground_truth["topics"]
@@ -189,8 +215,6 @@ def run_eval(
 
     clusters, trends = track(store, vecs, trend_params, seed=seed, granularity=granularity)
     macro, per_class = trend_macro_f1(clusters, trends, truth, topic_ids)
-
-    params = RetrievalParams(alpha=alpha, half_life_days=half_life_days, top_k=top_k, now=now)
 
     freshness = [q for q in queries if q["type"] == "freshness"]
     asof = [q for q in queries if q["type"] == "as_of"]
@@ -209,18 +233,15 @@ def run_eval(
 
     latest: dict[str, float] = {}
     for mode in ("fused", "cosine_only"):
-        scores = []
-        for query, qvec in zip(freshness, freshness_vecs):
-            hits = rank(qvec, store, vecs, params, mode=mode)
-            success = latest_set_at_k(hits, topic_ids[query["topic"]], store, top_k)
-            scores.append(success)
-            query_results.append(
-                {"query": query["text"], "type": "freshness", "mode": mode, "latest_set": success}
-            )
+        scores = _latest_set(store, vecs, freshness, freshness_vecs, topic_ids, params, mode)
+        query_results.extend(
+            {"query": query["text"], "type": "freshness", "mode": mode, "latest_set": success}
+            for query, success in zip(freshness, scores)
+        )
         latest[mode] = sum(scores) / len(scores) if scores else 0.0
 
     sensitivity = sensitivity_sweep(
-        store, vecs, freshness, topic_ids, now, alphas, half_life_days, top_k, freshness_vecs
+        store, vecs, freshness, topic_ids, params.now, alphas, params.half_life_days, params.top_k, freshness_vecs
     )
 
     return EvalReport(

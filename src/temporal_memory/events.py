@@ -359,10 +359,14 @@ def _build_event(fields: dict) -> tuple[Event, bool]:
     text_repr = str(fields.get("text_repr") or "")
     if not text_repr:
         text_repr = build_text_repr(product, event_type, asset_id, msg, tech, attack, risk_tag)
+    explicit_id = str(fields.get("event_id") or "")
+    try:
+        "".join([explicit_id, product, event_type, asset_id, msg, text_repr,
+                 *tech, *attack, *risk_tag, *context, *context.values()]).encode()
+    except UnicodeEncodeError:
+        raise RecordParseError("text holds an invalid UTF-8 byte or a lone surrogate") from None
 
-    event_id = derive_event_id(
-        ts, product, event_type, asset_id, msg, explicit_id=str(fields.get("event_id") or "")
-    )
+    event_id = derive_event_id(ts, product, event_type, asset_id, msg, explicit_id=explicit_id)
     event = Event(
         event_id=event_id,
         ts=ts,
@@ -393,25 +397,28 @@ def read_mapping(path: Path | str) -> dict[str, str]:
     return mapping
 
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict | RecordParseError]]:
-    with path.open(encoding="utf-8") as fh:
+# Raw inputs are decoded with surrogateescape, so an invalid UTF-8 byte becomes
+# a lone surrogate in its record, which _build_event then rejects.
+def _iter_jsonl(path: Path) -> Iterator[tuple[int, str]]:
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield line_no, RecordParseError(f"bad JSON: {exc}")
-                continue
-            if not isinstance(obj, dict):
-                yield line_no, RecordParseError(f"expected object, got {type(obj).__name__}")
-                continue
-            yield line_no, obj
+            if line:
+                yield line_no, line
+
+
+def _json_object(line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordParseError(f"bad JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise RecordParseError(f"expected object, got {type(obj).__name__}")
+    return obj
 
 
 def _iter_csv(path: Path, mapping: dict[str, str]) -> Iterator[tuple[int, dict]]:
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         for line_no, row in enumerate(reader, start=2):  # header is line 1
             fields = {}
@@ -424,8 +431,9 @@ def _iter_csv(path: Path, mapping: dict[str, str]) -> Iterator[tuple[int, dict]]
 def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -> EventStore:
     """Parse, normalize, order, and deduplicate raw JSONL/CSV files.
 
-    Per-record failures are logged and counted; zero usable events is fatal.
-    CSV inputs require a column mapping.
+    Per-record failures (undecodable bytes and bad JSON included) are logged
+    as ``path:line`` warnings and counted; zero usable events is fatal. CSV
+    inputs require a column mapping.
     """
     parsed: list[Event] = []
     manifest: list[dict] = []
@@ -436,18 +444,14 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
         if path.suffix.lower() == ".csv":
             if not mapping:
                 raise IngestError(f"CSV input {path.name} requires a column mapping")
-            record_iter = _iter_csv(path, mapping)
+            record_iter, to_fields = _iter_csv(path, mapping), dict
         else:
-            record_iter = _iter_jsonl(path)
+            record_iter, to_fields = _iter_jsonl(path), _json_object
 
-        for line_no, payload in record_iter:
+        for line_no, raw in record_iter:
             records += 1
-            if isinstance(payload, RecordParseError):
-                skipped += 1
-                logger.warning("%s:%d: skipping malformed line: %s", path.name, line_no, payload)
-                continue
             try:
-                event, was_naive = _build_event(payload)
+                event, was_naive = _build_event(to_fields(raw))
             except RecordParseError as exc:
                 skipped += 1
                 logger.warning("%s:%d: skipping record: %s", path.name, line_no, exc)

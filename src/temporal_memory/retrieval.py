@@ -62,20 +62,6 @@ class RankedHit:
         return json.dumps({**vars(self), "ts": self.ts.isoformat()}, separators=(",", ":"))
 
 
-def _days(delta_us):
-    """Microseconds to fractional days; a float, or an array for an array of deltas."""
-    return delta_us / 1e6 / SECONDS_PER_DAY
-
-
-def age_days(now: datetime, t: datetime) -> float:
-    """Age of t relative to now in fractional days; future timestamps clamp to 0."""
-    delta = _days(epoch_us(now) - epoch_us(t))
-    if delta < 0:
-        warnings.warn(f"future-dated timestamp {t.isoformat()} clamped to age 0", stacklevel=2)
-        return 0.0
-    return delta
-
-
 def recency_weight(age, half_life_days: float):
     """0.5 ** (age / half_life_days) for a float age or an array of ages."""
     return 0.5 ** (age / half_life_days)
@@ -132,7 +118,7 @@ def rank(
     ts_us = store.ts_us[:n]
     rows, norms, index = vecs.distinct  # raises on a bad row before numpy would warn
     cos = ((rows @ query) / (norms * qnorm))[index[:n]]
-    ages = _days(epoch_us(params.resolved_now()) - ts_us)
+    ages = (epoch_us(params.resolved_now()) - ts_us) / 1e6 / SECONDS_PER_DAY
     future = int((ages < 0).sum())
     if future:
         warnings.warn(f"{future} future-dated events clamped to age 0", stacklevel=2)

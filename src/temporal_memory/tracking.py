@@ -34,6 +34,7 @@ STOPWORDS = frozenset(
 MAX_KMEANS_ITER = 100
 DEFAULT_SEED = 42
 FIXED_K_FALLBACK = 6
+TOP_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -184,19 +185,19 @@ def _unit(vec: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return (vec / norm).astype(np.float32)
 
 
-def select_k(vectors: np.ndarray, k_max: int | None = None, seed: int = DEFAULT_SEED) -> int:
+def select_k(vectors: np.ndarray, seed: int = DEFAULT_SEED) -> int:
     """Pick k by the elbow of the within-cluster sum of squares.
 
-    Formalized as the k in 2..k_max-1 maximizing the second difference
-    WCSS(k-1) - 2*WCSS(k) + WCSS(k+1), ties toward smaller k. Degenerate
-    inputs (fewer than 4 points, or no interior candidate) fall back to 1.
+    Formalized as the k in 2..k_max-1, k_max = min(9, isqrt(n), n - 1),
+    maximizing the second difference WCSS(k-1) - 2*WCSS(k) + WCSS(k+1), ties
+    toward smaller k. Degenerate inputs (fewer than 4 points, or no interior
+    candidate) fall back to 1.
     """
     points = np.asarray(vectors, dtype=np.float32)
     n = points.shape[0]
     if n < 4:
         return 1
-    if k_max is None:
-        k_max = min(9, math.isqrt(n), n - 1)
+    k_max = min(9, math.isqrt(n), n - 1)
     if k_max < 3:
         return 1
     wcss = {1: kmeans(points, 1, seed)[2]}
@@ -212,8 +213,8 @@ def select_k(vectors: np.ndarray, k_max: int | None = None, seed: int = DEFAULT_
     return best_k
 
 
-def top_terms_for(texts: Sequence[str], limit: int = 8) -> tuple[str, ...]:
-    """Rank terms by document frequency within the cluster, ties lexicographic."""
+def top_terms_for(texts: Sequence[str]) -> tuple[str, ...]:
+    """The TOP_TERMS terms of highest document frequency within the cluster, ties lexicographic."""
     df: dict[str, int] = {}
     for text in texts:
         for token in set(tokenize(text)):
@@ -221,7 +222,7 @@ def top_terms_for(texts: Sequence[str], limit: int = 8) -> tuple[str, ...]:
                 continue
             df[token] = df.get(token, 0) + 1
     ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(term for term, _ in ranked[:limit])
+    return tuple(term for term, _ in ranked[:TOP_TERMS])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,6 @@ def track(
     if not buckets:
         return [], []
 
-    all_vectors = vecs.rows
     events = list(store)
     clusters: list[WeekCluster] = []
     trends: list[TrendRecord] = []
@@ -313,7 +313,7 @@ def track(
         if indices is None:
             prev_clusters = []  # a silent period severs the chain
         else:
-            week_clusters = _cluster_period(period, indices, events, all_vectors, params, seed)
+            week_clusters = _cluster_period(period, indices, events, vecs.vectors, params, seed)
             matches = match_weeks(prev_clusters, week_clusters, params)
             by_id = {c.cluster_id: c for c in prev_clusters}
             for cluster in week_clusters:
@@ -345,11 +345,11 @@ def _cluster_period(
     period,
     indices: list[int],
     events: list[Event],
-    all_vectors: np.ndarray,
+    vectors: np.ndarray,  # the store's float16 vectors
     params: TrendParams,
     seed: int,
 ) -> list[WeekCluster]:
-    points = all_vectors[indices]
+    points = vectors[indices].astype(np.float32)
     n = len(indices)
     k = params.k if params.k is not None else select_k(points, seed=seed)
     k = max(1, min(k, n))

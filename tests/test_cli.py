@@ -108,6 +108,76 @@ class TestExitCodes:
         manifest = json.loads((ws / "data" / "manifest.json").read_text())
         assert (manifest["events"], manifest["skipped"], manifest["records"]) == (1, 3, 4)
 
+    @pytest.mark.parametrize(
+        "name, bad_line",
+        [
+            ("in.jsonl", b'{"ts": "2025-04-02T10:00:00Z", "msg": "bad \xff byte"}\n'),
+            ("in.jsonl", b'{"ts": "2025-04-02T10:00:00Z", "msg": "lone \\ud800 surrogate"}\n'),
+            ("in.csv", b"2025-04-02T10:00:00Z,bad \xff byte\n"),
+        ],
+        ids=["jsonl-invalid-byte", "jsonl-escaped-lone-surrogate", "csv-invalid-byte"],
+    )
+    def test_ingest_skips_undecodable_records(self, tmp_path, caplog, name, bad_line):
+        src = tmp_path / name
+        if name.endswith(".csv"):
+            (tmp_path / "map.cfg").write_text("ts=when\nmsg=text\n", encoding="utf-8")
+            good = b"when,text\n2025-04-01T10:00:00Z,good\n"
+            mapping = ("--mapping", str(tmp_path / "map.cfg"))
+        else:
+            good = b'{"ts": "2025-04-01T10:00:00Z", "msg": "good"}\n'
+            mapping = ()
+        src.write_bytes(good + bad_line)
+        ws = tmp_path / "ws"
+        assert run("--workspace", str(ws), "ingest", "--input", str(src), *mapping) == 0
+        manifest = json.loads((ws / "data" / "manifest.json").read_text())
+        assert (manifest["events"], manifest["skipped"]) == (1, 1)
+        assert f"{name}:{len(good.splitlines()) + 1}: skipping record: " in caplog.text
+        assert b"\xed" not in (ws / "data" / "events.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("top_k", [2.7, True, "10"])
+    def test_eval_config_top_k_must_be_a_positive_integer(self, tmp_path, pipeline_ws, capsys, top_k):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        config = json.loads((pipeline_ws / "logs" / "eval.json").read_text())
+        config["ground_truth"] = str(pipeline_ws / "logs" / "ground_truth.json")
+        config["top_k"] = top_k
+        (tmp_path / "eval.json").write_text(json.dumps(config))
+        assert run("--workspace", str(ws), "eval", "--eval-config", str(tmp_path / "eval.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "top_k" in err
+        assert not (ws / "results" / "eval_report.json").exists()
+
+    @pytest.mark.parametrize("key", ["ground_truth", "now", "queries"])
+    def test_eval_config_missing_a_key_exits_1_naming_the_file(self, tmp_path, pipeline_ws, capsys, key):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        config = json.loads((pipeline_ws / "logs" / "eval.json").read_text())
+        config["ground_truth"] = str(pipeline_ws / "logs" / "ground_truth.json")
+        del config[key]
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps(config))
+        assert run("--workspace", str(ws), "eval", "--eval-config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and key in err and "Traceback" not in err
+
+    def test_eval_takes_no_config_spelling_of_eval_config(self, tmp_path, pipeline_ws):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"alpha": 0.5}))
+        config = pipeline_ws / "logs" / "eval.json"
+        assert exit_code("--workspace", str(tmp_path / "ws"), "eval", "--config", str(settings)) == 64
+        assert exit_code("--workspace", str(tmp_path / "ws"), "eval", "--config", str(config)) == 64
+
+    @pytest.mark.parametrize("dim", ["1", "0", "-4"])
+    def test_embed_dim_below_2_exits_1_before_any_load(self, tmp_path, capsys, dim):
+        assert run("--workspace", str(tmp_path / "empty"), "embed", "--dim", dim) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dim must be") and "missing artifact" not in err
+
+    @pytest.mark.parametrize("command", ["trends", "eval", "all"])
+    def test_negative_cluster_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        assert exit_code("--workspace", str(tmp_path / "empty"), command, "--cluster-seed", "-1") == 64
+        assert "--cluster-seed" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("--workspace", str(tmp_path), "--config", "nope.json", "gen") == 2
 
@@ -305,6 +375,8 @@ class TestConfigPrecedence:
             ({"k": True}, ("trends",)),
             ({"growth_min_events": 2.5}, ("trends",)),
             ({"half_lif_days": 3}, ("query", "--text", "okta")),
+            ({"cluster_seed": -1}, ("trends",)),
+            ({"cluster_seed": "5"}, ("trends",)),
         ],
     )
     def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, config, argv):

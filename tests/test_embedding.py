@@ -20,7 +20,6 @@ from temporal_memory.embedding import (
     check_alignment,
     cosine,
     encode_store,
-    hash_embed,
     read_vector_file,
     tokenize,
     write_vector_file,
@@ -45,42 +44,43 @@ class TestTokenize:
 
 class TestHashEmbed:
     def test_unit_norm(self):
-        vec = hash_embed("okta auth_fail mfa denied")
+        vec = HashEmbedder().embed("okta auth_fail mfa denied")
         assert abs(float(np.linalg.norm(vec)) - 1.0) < 1e-6
 
     @given(texts)
     def test_unit_norm_everywhere(self, text):
-        assert abs(float(np.linalg.norm(hash_embed(text))) - 1.0) < 1e-6
+        assert abs(float(np.linalg.norm(HashEmbedder().embed(text))) - 1.0) < 1e-6
 
     def test_deterministic(self):
-        a = hash_embed("okta auth_fail")
-        b = hash_embed("okta auth_fail")
+        a = HashEmbedder().embed("okta auth_fail")
+        b = HashEmbedder().embed("okta auth_fail")
         assert np.array_equal(a, b)
 
     def test_related_texts_score_above_unrelated(self):
-        query = hash_embed("okta auth fail mfa")
-        near = hash_embed("okta auth failure mfa")
-        far = hash_embed("s3 bucket read")
+        query = HashEmbedder().embed("okta auth fail mfa")
+        near = HashEmbedder().embed("okta auth failure mfa")
+        far = HashEmbedder().embed("s3 bucket read")
         assert cosine(query, near) > cosine(query, far)
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            hash_embed("| | |")
+            HashEmbedder().embed("| | |")
 
     def test_small_dim_rejected(self):
-        with pytest.raises(ValueError):
-            hash_embed("ok", dim=1)
+        for dim in (1, 0, -3, 384.0, True):
+            with pytest.raises(ValueError, match="dim"):
+                HashEmbedder(dim=dim)
 
     def test_no_bucket_dominates_the_corpus(self):
         mass = np.zeros(384, dtype=np.float64)
         for event in corpus_events():
-            mass += np.abs(hash_embed(event.text_repr))
+            mass += np.abs(HashEmbedder().embed(event.text_repr))
         assert mass.max() / mass.sum() <= 0.10
 
 
 class TestCosine:
     def test_identity(self):
-        v = hash_embed("any text at all")
+        v = HashEmbedder().embed("any text at all")
         assert cosine(v, v) == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal_basis(self):
@@ -158,20 +158,14 @@ def _sample_store(dim=16, count=5) -> VectorStore:
 
 
 class TestVectorStore:
-    def test_cached_rows_are_read_only_float32(self):
-        vs = _sample_store()
-        assert vs.rows is vs.rows
-        assert vs.rows.dtype == np.float32
-        assert np.array_equal(vs.rows, vs.vectors.astype(np.float32))
-        with pytest.raises(ValueError):
-            vs.rows[0, 0] = 1.0
-
     def test_float32_is_a_fresh_writable_copy(self):
         vs = _sample_store()
         copy = vs.float32()
+        assert copy.dtype == np.float32
+        assert np.array_equal(copy, vs.vectors.astype(np.float32))
         copy[0, 0] = 42.0
         assert copy is not vs.float32()
-        assert vs.rows[0, 0] != 42.0
+        assert vs.float32()[0, 0] != 42.0
 
     def test_distinct_rows_rebuild_every_vector(self):
         vs = _sample_store()
@@ -181,7 +175,7 @@ class TestVectorStore:
         assert vs.distinct is vs.distinct
         assert rows.dtype == norms.dtype == np.float32
         assert len(rows) == 5
-        assert np.array_equal(rows[index], vs.rows)
+        assert np.array_equal(rows[index], vs.vectors.astype(np.float32))
         assert index[5] == index[3] == index[7] and index[6] == index[0]
         assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
         for array in (rows, norms, index):

@@ -291,6 +291,26 @@ class TestIngest:
         assert manifest["skipped"] == 3
         assert manifest["records"] == 4
 
+    def test_every_bad_record_is_logged_in_one_format(self, tmp_path, caplog):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(
+            json.dumps(JSONL_FIXTURE[0]).encode() + b"\n"
+            + b"{not valid json\n"
+            + b"[1, 2]\n"
+            + json.dumps({"msg": "no timestamp"}).encode() + b"\n"
+            + b'{"ts": "2025-04-01T10:00:00Z", "msg": "bad \xff byte"}\n'
+            + b'{"ts": "2025-04-01T10:00:00Z", "context": {"k": "lone \\udc80"}}\n'
+        )
+        store = ingest([src])
+        assert (len(store), store.manifest()["skipped"]) == (1, 5)
+        assert [r.getMessage().split(": ")[0] for r in caplog.records] == [f"in.jsonl:{n}" for n in range(2, 7)]
+        assert all(": skipping record: " in r.getMessage() for r in caplog.records)
+
+    def test_a_bare_carriage_return_ends_a_jsonl_line(self, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(json.dumps(JSONL_FIXTURE[0]).encode() + b"\r" + json.dumps(JSONL_FIXTURE[1]).encode())
+        assert len(ingest([src])) == 2
+
     def test_zero_usable_records_is_fatal(self, tmp_path):
         src = tmp_path / "in.jsonl"
         src.write_text(json.dumps({"msg": "no ts"}) + "\n", encoding="utf-8")

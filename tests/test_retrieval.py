@@ -14,7 +14,6 @@ from temporal_memory.events import Event, EventStore
 from temporal_memory.retrieval import (
     MODES,
     RetrievalParams,
-    age_days,
     as_of_filter,
     fused_score,
     rank,
@@ -27,16 +26,24 @@ UTC = timezone.utc
 NOW = datetime(2025, 6, 30, tzinfo=UTC)
 
 
+def _age_of_hit(ts: datetime) -> float:
+    """``age_days`` of the one hit a one-event store gives at NOW."""
+    store = store_of([build_event(ts.isoformat(), "okta", "auth_fail")])
+    vecs = encode_store(store, HashEmbedder(dim=64))
+    (hit,) = rank(HashEmbedder(dim=64).embed("okta"), store, vecs, RetrievalParams(now=NOW))
+    return hit.age_days
+
+
 class TestAgeDays:
     def test_zero_age(self):
-        assert age_days(NOW, NOW) == 0.0
+        assert _age_of_hit(NOW) == 0.0
 
     def test_thirty_six_hours(self):
-        assert age_days(NOW, NOW - timedelta(hours=36)) == pytest.approx(1.5)
+        assert _age_of_hit(NOW - timedelta(hours=36)) == pytest.approx(1.5)
 
     def test_future_clamps_with_warning(self):
         with pytest.warns(UserWarning, match="clamped"):
-            assert age_days(NOW, NOW + timedelta(hours=1)) == 0.0
+            assert _age_of_hit(NOW + timedelta(hours=1)) == 0.0
 
 
 class TestFusedScore:
