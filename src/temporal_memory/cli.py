@@ -74,20 +74,6 @@ class _Parser(argparse.ArgumentParser):
         return self.subcommands
 
 
-def _parse_k(value: str):
-    if value == "auto":
-        return None
-    if value == "fixed":
-        return FIXED_K_FALLBACK
-    try:
-        k = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto', 'fixed', or an integer, got {value!r}")
-    if k < 1:
-        raise argparse.ArgumentTypeError("k must be >= 1")
-    return k
-
-
 def _int_at_least(low: int, what: str):
     def convert(value: str) -> int:
         try:
@@ -103,6 +89,14 @@ def _int_at_least(low: int, what: str):
 
 _positive_int = _int_at_least(1, "a positive integer")
 _seed = _int_at_least(0, "a non-negative integer")
+
+
+def _parse_k(value: str):
+    if value == "auto":
+        return None
+    if value == "fixed":
+        return FIXED_K_FALLBACK
+    return _positive_int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="k-means seed, an integer >= 0 (default %(default)s)")
     trend.add_argument("--granularity", choices=GRANULARITIES, default=DEFAULT_GRANULARITY)
 
-    p_gen = sub.add_parser("gen", parents=[seed], help="generate the synthetic stream")
-    p_gen.add_argument("--out", default=None, help="output dir (default: <workspace>/logs)")
+    sub.add_parser("gen", parents=[seed], help="generate the synthetic stream into <workspace>/logs")
 
     p_ing = sub.add_parser("ingest", help="normalize raw logs")
     p_ing.add_argument("--input", nargs="*", default=None, help="files (default: <workspace>/logs/*)")
@@ -159,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_all = sub.add_parser("all", parents=[seed, dim, recency, trend],
                            help="gen -> ingest -> embed -> trends -> eval")
     # `all` runs the step handlers; the step flags it does not take keep their defaults.
-    p_all.set_defaults(out=None, input=None, mapping=None, eval_config=None,
+    p_all.set_defaults(input=None, mapping=None, eval_config=None,
                        embedder=p_emb.get_default("embedder"))
     return parser
 
@@ -259,7 +252,6 @@ def _portable(ws: Workspace, value):
 
 
 def _write_run_manifest(ws: Workspace, command: str, params: dict, outputs: list[Path]) -> None:
-    ws.results.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "version": __version__,
@@ -282,18 +274,16 @@ def _parse_asof(text: str) -> datetime:
 # Subcommand implementations
 
 
-def _cmd_gen(ws: Workspace, args) -> int:
-    out_dir = Path(args.out) if args.out else ws.logs
-    result = generate_stream(args.seed, out_dir)
-    print(f"generated {result.total_events} events across {len(result.log_files)} weekly files in {out_dir}")
+def _cmd_gen(ws: Workspace, args) -> None:
+    result = generate_stream(args.seed, ws.logs)
+    print(f"generated {result.total_events} events across {len(result.log_files)} weekly files in {ws.logs}")
     _write_run_manifest(
-        ws, "gen", {"seed": args.seed, "out": str(out_dir)},
+        ws, "gen", {"seed": args.seed, "out": str(ws.logs)},
         [*result.log_files, result.ground_truth_path, result.eval_config_path],
     )
-    return EXIT_OK
 
 
-def _cmd_ingest(ws: Workspace, args) -> int:
+def _cmd_ingest(ws: Workspace, args) -> None:
     if args.input:
         paths = [Path(p) for p in args.input]
     else:
@@ -307,17 +297,15 @@ def _cmd_ingest(ws: Workspace, args) -> int:
         ws.require(p, "gen")
     mapping = read_mapping(args.mapping) if args.mapping else None
     store = ingest(paths, mapping)
-    ws.data.mkdir(parents=True, exist_ok=True)
     write_events_jsonl(store, ws.events)
     m = store.manifest()
     write_json(m, ws.manifest)
     print(f"ingested {m['events']} events ({m['skipped']} skipped, "
           f"{m['duplicates_dropped']} duplicates) weeks {m['week_range']}")
     _write_run_manifest(ws, "ingest", {"inputs": [str(p) for p in paths]}, [ws.events, ws.manifest])
-    return EXIT_OK
 
 
-def _cmd_embed(ws: Workspace, args) -> int:
+def _cmd_embed(ws: Workspace, args) -> None:
     choice = args.embedder
     if choice == "hash":
         embedder = HashEmbedder(dim=args.dim)
@@ -330,13 +318,11 @@ def _cmd_embed(ws: Workspace, args) -> int:
     else:
         source = Path(choice.split(":", 1)[1])
         ws.require(source, "an external embedding step")
-        vs = read_vector_file(source, expect_dim=None)
+        vs = read_vector_file(source)
         check_alignment(store, vs)
-    ws.data.mkdir(parents=True, exist_ok=True)
     write_vector_file(vs, ws.vectors)
     print(f"embedded {len(vs)} events at dim {vs.dim} -> {ws.vectors}")
     _write_run_manifest(ws, "embed", {"dim": vs.dim, "embedder": choice}, [ws.vectors])
-    return EXIT_OK
 
 
 def _load_store_and_vectors(ws: Workspace):
@@ -348,11 +334,10 @@ def _load_store_and_vectors(ws: Workspace):
     return store, vs
 
 
-def _cmd_trends(ws: Workspace, args) -> int:
+def _cmd_trends(ws: Workspace, args) -> None:
     params = _params(TrendParams, args)
     store, vs = _load_store_and_vectors(ws)
     clusters, trends = track(store, vs, params, seed=args.cluster_seed, granularity=args.granularity)
-    ws.results.mkdir(parents=True, exist_ok=True)
     write_clusters_csv(clusters, trends, ws.clusters_csv)
     write_trends_summary_csv(trends, ws.trends_csv)
     print(f"tracked {len(clusters)} clusters over {len({str(c.week) for c in clusters})} periods")
@@ -361,10 +346,9 @@ def _cmd_trends(ws: Workspace, args) -> int:
         {"seed": args.cluster_seed, "granularity": args.granularity, **asdict(params)},
         [ws.clusters_csv, ws.trends_csv],
     )
-    return EXIT_OK
 
 
-def _cmd_query(ws: Workspace, args) -> int:
+def _cmd_query(ws: Workspace, args) -> None:
     params = _params(RetrievalParams, args, now=coerce_timestamp(args.now) if args.now else None)
     mode = "cosine_only" if args.mode == "cosine" else "fused"
     cutoff = _parse_asof(args.as_of) if args.as_of else None
@@ -375,7 +359,7 @@ def _cmd_query(ws: Workspace, args) -> int:
         print(hit.to_json())
     if not hits:
         print("no evidence on or before the cutoff", file=sys.stderr)
-        return EXIT_OK
+        return
     print(f"\n{'rank':>4}  {'score':>8}  {'cosine':>8}  {'age_d':>8}  {'ts':<32}  event_id", file=sys.stderr)
     for i, hit in enumerate(hits, 1):
         score = hit.fused if mode == "fused" else hit.cosine_sim
@@ -384,10 +368,9 @@ def _cmd_query(ws: Workspace, args) -> int:
             f"{hit.ts.isoformat():<32}  {hit.event_id[:16]}",
             file=sys.stderr,
         )
-    return EXIT_OK
 
 
-def _cmd_eval(ws: Workspace, args) -> int:
+def _cmd_eval(ws: Workspace, args) -> None:
     recency = _params(RetrievalParams, args)
     trend_params = _params(TrendParams, args)
     store, vs = _load_store_and_vectors(ws)
@@ -401,24 +384,20 @@ def _cmd_eval(ws: Workspace, args) -> int:
         retrieval_params=recency,
         granularity=args.granularity,
     )
-    ws.results.mkdir(parents=True, exist_ok=True)
     write_json(report.to_dict(), ws.report_json)
     print(write_report_md(report, ws.report_md))
     _write_run_manifest(
         ws, "eval",
         {"eval_config": str(config_path), "alpha": recency.alpha,
-         "half_life_days": recency.half_life_days, "cluster_seed": args.cluster_seed},
+         "half_life_days": recency.half_life_days, "cluster_seed": args.cluster_seed,
+         "granularity": args.granularity, **asdict(trend_params)},
         [ws.report_json, ws.report_md],
     )
-    return EXIT_OK
 
 
-def _cmd_all(ws: Workspace, args) -> int:
+def _cmd_all(ws: Workspace, args) -> None:
     for step in (_cmd_gen, _cmd_ingest, _cmd_embed, _cmd_trends, _cmd_eval):
-        code = step(ws, args)
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+        step(ws, args)
 
 
 _COMMANDS = {
@@ -458,7 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             print(f"another run holds the workspace lock {lock_path}", file=sys.stderr)
             return EXIT_ERROR
-        return _COMMANDS[args.command](ws, args)
+        _COMMANDS[args.command](ws, args)
+        return EXIT_OK
     except MissingArtifact as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_MISSING_ARTIFACT

@@ -167,7 +167,7 @@ def write_vector_file(vs: VectorStore, path: Path | str) -> None:
         fh.write(np.ascontiguousarray(vs.vectors, dtype="<f2").tobytes())
 
 
-def read_vector_file(path: Path | str, expect_dim: int | None = None) -> VectorStore:
+def read_vector_file(path: Path | str) -> VectorStore:
     """Read a TMV1 file, failing distinctly on magic, dim, count, truncation, or bad-value problems."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -177,8 +177,6 @@ def read_vector_file(path: Path | str, expect_dim: int | None = None) -> VectorS
         raise VectorMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if dim < 2:
         raise VectorDimError(f"{path}: declared dim {dim} is invalid")
-    if expect_dim is not None and dim != expect_dim:
-        raise VectorDimError(f"{path}: dim {dim} does not match expected {expect_dim}")
 
     offset = _HEADER.size
     ids: list[str] = []

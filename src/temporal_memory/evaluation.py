@@ -29,6 +29,8 @@ TRACKED_CLASSES = ("growth", "drift", "decay")
 
 DEFAULT_ALPHAS = (0.4, 0.5, 0.7, 0.9, 0.95)
 
+QUERY_TYPES = ("freshness", "as_of")
+
 
 @dataclass
 class EvalReport:
@@ -115,10 +117,10 @@ def latest_set_at_k(
     relevant = set(relevant_ids)
     if not relevant:
         raise ValueError("freshness query has no relevant events")
-    ts_by_id = {e.event_id: e.ts for e in store if e.event_id in relevant}
-    if not ts_by_id:
+    relevant_ts = {e.event_id: e.ts for e in store if e.event_id in relevant}
+    if not relevant_ts:
         raise ValueError("no relevant event ids present in the store")
-    t_star = max(ts_by_id.values())
+    t_star = max(relevant_ts.values())
     return int(any(h.event_id in relevant and h.ts == t_star for h in hits[:k]))
 
 
@@ -165,26 +167,81 @@ def _embed_texts(queries: Sequence[dict], dim: int) -> list[np.ndarray]:
 
 
 def load_eval_config(path: Path | str) -> tuple[dict, dict]:
-    """Load the query-suite config and the ground truth it points to.
+    """Load the query-suite config and the ground truth it points to, checking all ``run_eval`` reads.
 
-    A file that is not a JSON object holding ``ground_truth``, ``now`` and
-    ``queries`` raises ValueError naming it.
+    The suite is a JSON object with ``ground_truth`` (a path, relative to the
+    suite's directory unless absolute), ``now``, ``queries`` and optionally
+    ``top_k`` and ``alphas``. Each query is an object with a string ``text``
+    and a ``type``: ``freshness`` with a ``topic`` the ground truth holds, or
+    ``as_of`` with a ``cutoff``. The ground truth is a JSON object whose
+    ``topics`` give each topic's ``event_ids`` and ``truth``. Anything else
+    raises ValueError naming the file at fault.
     """
     path = Path(path)
+    config = _json_object(path, ("ground_truth", "now", "queries"))
+    _require(isinstance(config["ground_truth"], str), path, "ground_truth must be a path")
+    gt_path = path.parent / config["ground_truth"]  # an absolute path replaces the parent
+    ground_truth = _json_object(gt_path, ("topics",))
+    topics = ground_truth["topics"]
+    _require(
+        isinstance(topics, dict) and all(
+            isinstance(t, dict) and isinstance(t.get("truth"), dict)
+            and isinstance(t.get("event_ids"), list) and all(isinstance(i, str) for i in t["event_ids"])
+            for t in topics.values()
+        ),
+        gt_path, "topics must map each name to an object with event_ids (a list of ids) and truth",
+    )
+    _require(_is_timestamp(config["now"]), path, f"now is not a timestamp: {config['now']!r}")
+    _require(isinstance(config["queries"], list), path, "queries must be a list")
+    for i, query in enumerate(config["queries"]):
+        _require(isinstance(query, dict) and isinstance(query.get("text"), str),
+                 path, f"query {i}: expected an object with a string text")
+        kind = query.get("type")
+        _require(kind in QUERY_TYPES, path, f"query {i}: type must be one of {QUERY_TYPES}, got {kind!r}")
+        if kind == "freshness":
+            topic = query.get("topic")
+            _require(isinstance(topic, str) and topic in topics,
+                     path, f"query {i}: topic {topic!r} is not in {gt_path}")
+        else:
+            cutoff = query.get("cutoff")
+            _require(_is_timestamp(cutoff), path, f"query {i}: as_of needs a timestamp cutoff, got {cutoff!r}")
+    alphas = config.get("alphas", [])
+    _require(isinstance(alphas, list) and all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in alphas),
+             path, "alphas must be a list of numbers")
     try:
-        config = json.loads(path.read_text(encoding="utf-8"))
+        RetrievalParams(top_k=config.get("top_k", RetrievalParams.top_k))
+        for alpha in alphas:
+            RetrievalParams(alpha=alpha)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return config, ground_truth
+
+
+def _json_object(path: Path, keys: Sequence[str]) -> dict:
+    """The JSON object in ``path``, which must hold ``keys``; ValueError names the file otherwise."""
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    missing = [key for key in ("ground_truth", "now", "queries") if key not in config]
-    if missing:
-        raise ValueError(f"{path}: missing {', '.join(missing)}")
-    gt_path = Path(config["ground_truth"])
-    if not gt_path.is_absolute():
-        gt_path = path.parent / gt_path
-    ground_truth = json.loads(gt_path.read_text(encoding="utf-8"))
-    return config, ground_truth
+    _require(isinstance(value, dict), path, "expected a JSON object")
+    missing = [key for key in keys if key not in value]
+    _require(not missing, path, f"missing {', '.join(missing)}")
+    return value
+
+
+def _require(ok: bool, path: Path, problem: str) -> None:
+    if not ok:
+        raise ValueError(f"{path}: {problem}")
+
+
+def _is_timestamp(value) -> bool:
+    try:
+        coerce_timestamp(value)
+    except ValueError:
+        return False
+    return True
 
 
 def run_eval(

@@ -63,11 +63,6 @@ class WeekKey:
         y, w, _ = nxt.isocalendar()
         return WeekKey(y, w)
 
-    @classmethod
-    def parse(cls, text: str) -> "WeekKey":
-        year, _, week = text.partition("-W")
-        return cls(int(year), int(week))
-
 
 @dataclass(frozen=True)
 class Event:
@@ -261,14 +256,6 @@ class EventStore:
 
     def ids(self) -> list[str]:
         return [e.event_id for e in self.events]
-
-    @cached_property
-    def _by_id(self) -> dict[str, Event]:
-        # Built in reverse so the first event under a repeated id wins.
-        return {e.event_id: e for e in reversed(self.events)}
-
-    def by_id(self, event_id: str) -> Event:
-        return self._by_id[event_id]
 
     @cached_property
     def ts_us(self) -> np.ndarray:
@@ -497,11 +484,13 @@ def atomic_write(path: Path | str, binary: bool = False) -> Iterator[IO]:
     """Open a temp file beside ``path``; on success move it onto ``path``, on any exception delete it.
 
     Every artifact is written through here, so a reader sees either the old
-    file or the whole new one, and no temp file is left behind. Text is UTF-8
-    with no newline translation. Nothing is fsynced: this covers a crashed
-    process or a raised error, not a power loss.
+    file or the whole new one, and no temp file is left behind. The parent
+    directory is created if missing. Text is UTF-8 with no newline
+    translation. Nothing is fsynced: this covers a crashed process or a
+    raised error, not a power loss.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("wb") if binary else tmp.open("w", encoding="utf-8", newline="") as fh:

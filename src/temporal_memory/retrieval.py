@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .embedding import VectorStore
-from .events import Event, EventStore, epoch_us
+from .events import EventStore, epoch_us
 
 SECONDS_PER_DAY = 86400.0
 
@@ -81,11 +81,6 @@ def _as_of_count(store: EventStore, cutoff: datetime | None) -> int:
     if cutoff is None:
         return len(store)
     return int(np.searchsorted(store.ts_us, epoch_us(cutoff), side="right"))
-
-
-def as_of_filter(store: EventStore, cutoff: datetime) -> list[Event]:
-    """Exactly the events with ts <= cutoff, order preserved."""
-    return list(store.events[: _as_of_count(store, cutoff)])
 
 
 def rank(

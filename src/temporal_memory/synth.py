@@ -260,7 +260,6 @@ def _last_populated_week(counts: tuple[int, ...]) -> int:
 def generate_stream(seed: int, out_dir: Path | str) -> GenResult:
     """Write the scripted stream (one JSONL per week), ground truth, and query config."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
     micros = itertools.count(1)  # unique sub-second offset keeps every ts distinct
 

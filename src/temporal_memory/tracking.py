@@ -90,7 +90,6 @@ class TrendRecord:
     matched_prev_id: int | None = None
     match_sim: float | None = None
     drift_value: float | None = None
-    prev_size: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +194,6 @@ def select_k(vectors: np.ndarray, seed: int = DEFAULT_SEED) -> int:
     """
     points = np.asarray(vectors, dtype=np.float32)
     n = points.shape[0]
-    if n < 4:
-        return 1
     k_max = min(9, math.isqrt(n), n - 1)
     if k_max < 3:
         return 1
@@ -260,11 +257,11 @@ def match_weeks(
     return mapping
 
 
-def size_trend(size: int, prev_size: int, params: TrendParams) -> str | None:
-    """The size-ratio rule for a linked cluster: "growth", "decay", or None (neither)."""
-    if size >= params.growth_factor * prev_size and size >= params.growth_min_events:
+def size_trend(size: int, previous: int, params: TrendParams) -> str | None:
+    """The size-ratio rule for a cluster linked to one of size ``previous``: "growth", "decay", or None."""
+    if size >= params.growth_factor * previous and size >= params.growth_min_events:
         return "growth"
-    if size < params.decay_factor * prev_size:
+    if size < params.decay_factor * previous:
         return "decay"
     return None
 
@@ -315,10 +312,10 @@ def track(
         else:
             week_clusters = _cluster_period(period, indices, events, vecs.vectors, params, seed)
             matches = match_weeks(prev_clusters, week_clusters, params)
-            by_id = {c.cluster_id: c for c in prev_clusters}
+            prev_of = {c.cluster_id: c for c in prev_clusters}
             for cluster in week_clusters:
                 hit = matches.get(cluster.cluster_id)
-                match = (by_id[hit[0]], hit[1]) if hit else None
+                match = (prev_of[hit[0]], hit[1]) if hit else None
                 label = label_trend(cluster, match, params)
                 trends.append(
                     TrendRecord(
@@ -329,7 +326,6 @@ def track(
                         matched_prev_id=hit[0] if hit else None,
                         match_sim=hit[1] if hit else None,
                         drift_value=drift_of(match[0].centroid, cluster.centroid) if match else None,
-                        prev_size=match[0].size if match else None,
                     )
                 )
             clusters.extend(week_clusters)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import fcntl
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from temporal_memory import cli
 from temporal_memory.embedding import VectorStore, read_vector_file, write_vector_file
+from temporal_memory.tracking import TrendParams
 
 
 def run(*argv: str) -> int:
@@ -160,6 +162,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(("break_suite", "named"), [
+        pytest.param(lambda config, gt: config.update(ground_truth="absent.json"), "absent.json",
+                     id="no-ground-truth-file"),
+        pytest.param(lambda config, gt: gt.write_text("{nope"), "ground_truth.json", id="ground-truth-not-json"),
+        pytest.param(lambda config, gt: gt.write_text("{}"), "ground_truth.json", id="ground-truth-without-topics"),
+        pytest.param(lambda config, gt: _query(config, "freshness").update(topic="nope"), "eval.json",
+                     id="unknown-topic"),
+        pytest.param(lambda config, gt: _query(config, "as_of").pop("cutoff"), "eval.json", id="as-of-without-cutoff"),
+        pytest.param(lambda config, gt: _query(config, "as_of").update(cutoff="someday"), "eval.json", id="bad-cutoff"),
+        pytest.param(lambda config, gt: _query(config, "as_of").update(type="asof"), "eval.json", id="type-typo"),
+        pytest.param(lambda config, gt: _query(config, "freshness").update(text=7), "eval.json",
+                     id="text-not-a-string"),
+        pytest.param(lambda config, gt: config.update(alphas=[0.5, "0.7"]), "eval.json", id="alphas-not-numbers"),
+    ])
+    def test_bad_query_suite_exits_1_naming_the_file(self, tmp_path, pipeline_ws, capsys, break_suite, named):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        gt = tmp_path / "ground_truth.json"
+        gt.write_bytes((pipeline_ws / "logs" / "ground_truth.json").read_bytes())
+        config = json.loads((pipeline_ws / "logs" / "eval.json").read_text())
+        break_suite(config, gt)
+        path = tmp_path / "eval.json"
+        path.write_text(json.dumps(config))
+        assert run("--workspace", str(ws), "eval", "--eval-config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / named}: ") and "Traceback" not in err
+        assert not (ws / "results" / "eval_report.json").exists()
+
     def test_eval_takes_no_config_spelling_of_eval_config(self, tmp_path, pipeline_ws):
         settings = tmp_path / "settings.json"
         settings.write_text(json.dumps({"alpha": 0.5}))
@@ -220,6 +250,14 @@ class TestPipelineArtifacts:
             assert manifest["artifacts"], cmd
             for digest in manifest["artifacts"].values():
                 assert len(digest) == 64
+
+    def test_eval_manifest_records_every_parameter_of_the_report(self, tmp_path, pipeline_ws):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        config = str(pipeline_ws / "logs" / "eval.json")
+        assert run("--workspace", str(ws), "eval", "--eval-config", config, "--k", "3", "--granularity", "day") == 0
+        params = json.loads((ws / "results" / "run_eval.json").read_text())["params"]
+        assert params.items() >= {**asdict(TrendParams(k=3)), "granularity": "day", "cluster_seed": 42}.items()
 
     def test_ingest_manifest_covers_the_stream(self, pipeline_ws):
         manifest = json.loads((pipeline_ws / "data" / "manifest.json").read_text())
@@ -311,6 +349,11 @@ class TestEmbedOptions:
         (ws / "data").mkdir(parents=True)
         (ws / "data" / "events.jsonl").write_bytes((pipeline_ws / "data" / "events.jsonl").read_bytes())
         assert run("--workspace", str(ws), "embed", "--embedder", "bert") == 1
+
+
+def _query(config: dict, kind: str) -> dict:
+    """The first query of type ``kind`` in a query suite."""
+    return next(q for q in config["queries"] if q["type"] == kind)
 
 
 def _copy_store(pipeline_ws, ws):

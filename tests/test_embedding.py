@@ -216,12 +216,6 @@ class TestVectorFile:
         with pytest.raises(VectorMagicError):
             read_vector_file(path)
 
-    def test_dim_expectation_mismatch(self, tmp_path):
-        path = tmp_path / "v.tmv"
-        write_vector_file(_sample_store(dim=16), path)
-        with pytest.raises(VectorDimError):
-            read_vector_file(path, expect_dim=384)
-
     def test_declared_dim_zero(self, tmp_path):
         path = tmp_path / "v.tmv"
         path.write_bytes(struct.pack("<4sIQ", b"TMV1", 0, 0))
@@ -301,7 +295,8 @@ class TestExternalInjection:
     def test_externally_built_file_feeds_the_pipeline(self, corpus_store, tmp_path):
         path = tmp_path / "external.tmv"
         self._independent_writer(path, corpus_store.ids(), 384)
-        vs = read_vector_file(path, expect_dim=384)
+        vs = read_vector_file(path)
+        assert vs.dim == 384
         check_alignment(corpus_store, vs)
         assert len(vs) == len(corpus_store)
 

@@ -125,6 +125,10 @@ class TestAsofCorrectness:
             assert asof_correctness([], NOW) == 1.0
 
 
+def _ts(store, event_id: str) -> datetime:
+    return next(e.ts for e in store if e.event_id == event_id)
+
+
 class TestLatestSetAtK:
     def _store(self):
         events = [
@@ -137,23 +141,23 @@ class TestLatestSetAtK:
 
     def test_newest_at_rank_one(self):
         store, ids = self._store()
-        hits = [_hit(ids[1], store.by_id(ids[1]).ts)]
+        hits = [_hit(ids[1], _ts(store, ids[1]))]
         assert latest_set_at_k(hits, ids[:3], store, k=10) == 1
 
     def test_stale_top_k_misses(self):
         store, ids = self._store()
-        hits = [_hit(ids[0], store.by_id(ids[0]).ts)] * 10
+        hits = [_hit(ids[0], _ts(store, ids[0]))] * 10
         assert latest_set_at_k(hits, ids[:3], store, k=10) == 0
 
     def test_either_of_a_terminal_tie_counts(self):
         store, ids = self._store()
         for tied in (ids[1], ids[2]):
-            hits = [_hit(tied, store.by_id(tied).ts)]
+            hits = [_hit(tied, _ts(store, tied))]
             assert latest_set_at_k(hits, ids[:3], store, k=10) == 1
 
     def test_only_top_k_window_counts(self):
         store, ids = self._store()
-        hits = [_hit(ids[0], store.by_id(ids[0]).ts)] * 10 + [_hit(ids[1], store.by_id(ids[1]).ts)]
+        hits = [_hit(ids[0], _ts(store, ids[0]))] * 10 + [_hit(ids[1], _ts(store, ids[1]))]
         assert latest_set_at_k(hits, ids[:3], store, k=10) == 0
 
     def test_no_relevant_events_is_an_error(self):

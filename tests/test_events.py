@@ -161,7 +161,6 @@ class TestIsoWeek:
 
     def test_rendering_zero_pads(self):
         assert str(WeekKey(2025, 5)) == "2025-W05"
-        assert WeekKey.parse("2025-W05") == WeekKey(2025, 5)
 
     def test_next_crosses_year_boundary(self):
         assert WeekKey(2024, 52).next() == WeekKey(2025, 1)
@@ -473,15 +472,7 @@ class TestEventStore:
         ])
         store = ingest([src])
         assert len(store) == 1
-        assert store.by_id("dup-1").msg == "earlier"
-
-    def test_lookup_missing_id_raises(self):
-        store = store_of([build_event("2025-04-01T00:00:00Z", msg="only")])
-        with pytest.raises(KeyError):
-            store.by_id("nope")
-
-    def test_lookup_finds_every_event(self, corpus_store):
-        assert all(corpus_store.by_id(e.event_id) is e for e in corpus_store)
+        assert [(e.event_id, e.msg) for e in store] == [("dup-1", "earlier")]
 
     def test_ts_us_is_exact_epoch_microseconds(self):
         store = store_of([

@@ -14,7 +14,6 @@ from temporal_memory.events import Event, EventStore
 from temporal_memory.retrieval import (
     MODES,
     RetrievalParams,
-    as_of_filter,
     fused_score,
     rank,
     recency_weight,
@@ -127,28 +126,32 @@ def indexed_corpus():
     return store, vecs
 
 
+def _as_of(store, vecs, cutoff) -> list:
+    """The hits ``rank`` keeps at ``cutoff`` when top_k covers the whole store."""
+    q = HashEmbedder(dim=384).embed("okta auth_fail")
+    return rank(q, store, vecs, RetrievalParams(top_k=len(store), now=NOW), as_of=cutoff)
+
+
 class TestAsOfFilter:
     def test_cutoff_before_first_event_is_empty(self, indexed_corpus):
-        store, _ = indexed_corpus
-        assert as_of_filter(store, store.events[0].ts - timedelta(seconds=1)) == []
+        store, vecs = indexed_corpus
+        assert _as_of(store, vecs, store.events[0].ts - timedelta(seconds=1)) == []
 
     def test_cutoff_at_last_event_keeps_everything(self, indexed_corpus):
-        store, _ = indexed_corpus
-        assert len(as_of_filter(store, store.events[-1].ts)) == len(store)
+        store, vecs = indexed_corpus
+        assert len(_as_of(store, vecs, store.events[-1].ts)) == len(store)
 
     def test_mid_stream_cutoff_matches_brute_force(self, indexed_corpus):
-        store, _ = indexed_corpus
+        store, vecs = indexed_corpus
         cutoff = store.events[len(store) // 2].ts
-        expected = [e.event_id for e in store.events if e.ts <= cutoff]
-        got = [e.event_id for e in as_of_filter(store, cutoff)]
-        assert got == expected
+        expected = sorted(e.event_id for e in store.events if e.ts <= cutoff)
+        assert sorted(h.event_id for h in _as_of(store, vecs, cutoff)) == expected
 
     @given(st.integers(0, 49))
-    def test_every_survivor_is_on_or_before_cutoff(self, idx):
-        events = corpus_events()
-        store = store_of(events)
+    def test_every_survivor_is_on_or_before_cutoff(self, indexed_corpus, idx):
+        store, vecs = indexed_corpus
         cutoff = store.events[idx].ts
-        assert all(e.ts <= cutoff for e in as_of_filter(store, cutoff))
+        assert all(h.ts <= cutoff for h in _as_of(store, vecs, cutoff))
 
 
 def brute_force_rank(query_vec, store, vecs, params, mode, as_of=None):
@@ -284,7 +287,7 @@ class TestRank:
     def test_top_k_at_or_above_candidates_returns_all_in_order(self, indexed_corpus):
         store, vecs = indexed_corpus
         cutoff = store.events[20].ts
-        n = len(as_of_filter(store, cutoff))
+        n = sum(e.ts <= cutoff for e in store)
         q = HashEmbedder(dim=384).embed("okta auth_fail mfa challenge denied")
         for k in (n, n + 1, 10 * n):
             params = RetrievalParams(now=NOW, top_k=k)

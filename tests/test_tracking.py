@@ -98,8 +98,9 @@ class TestSelectK:
         points = blobs_on_sphere(centers, 20, 0.03, seed=4)
         assert select_k(points, seed=42) == 3
 
-    def test_two_points_degenerate(self):
-        assert select_k(np.eye(2, dtype=np.float32), seed=1) == 1
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fewer_than_four_points_degenerate(self, n):
+        assert select_k(np.eye(n, dtype=np.float32), seed=1) == 1
 
     def test_identical_vectors_collapse_to_one(self):
         points = np.tile(np.array([[0.6, 0.8]], dtype=np.float32), (100, 1))
