@@ -16,7 +16,6 @@ import json
 import logging
 import sys
 from dataclasses import asdict, fields
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import __version__
@@ -30,12 +29,11 @@ from .embedding import (
     write_vector_file,
 )
 from .events import (
-    DEFAULT_GRANULARITY,
-    GRANULARITIES,
     IngestError,
     coerce_timestamp,
     ingest,
     load_events_jsonl,
+    parse_cutoff,
     read_mapping,
     write_events_jsonl,
     write_json,
@@ -45,7 +43,6 @@ from .retrieval import RetrievalParams, rank
 from .synth import generate_stream
 from .tracking import (
     DEFAULT_SEED,
-    FIXED_K_FALLBACK,
     TrendParams,
     track,
     write_clusters_csv,
@@ -92,11 +89,7 @@ _seed = _int_at_least(0, "a non-negative integer")
 
 
 def _parse_k(value: str):
-    if value == "auto":
-        return None
-    if value == "fixed":
-        return FIXED_K_FALLBACK
-    return _positive_int(value)
+    return None if value == "auto" else _positive_int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     recency.add_argument("--half-life-days", type=float)
     trend = _Parser(add_help=False)
     trend.add_argument("--k", type=_parse_k,
-                       help=f"clusters per period: integer, 'auto' (elbow), or 'fixed' ({FIXED_K_FALLBACK})")
+                       help="clusters per ISO week: a positive integer, or 'auto' (elbow)")
     trend.add_argument("--match-threshold", type=float)
     trend.add_argument("--growth-factor", type=float)
     trend.add_argument("--growth-min-events", type=int)
@@ -124,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     trend.add_argument("--drift-threshold", type=float)
     trend.add_argument("--cluster-seed", type=_seed, default=DEFAULT_SEED,
                        help="k-means seed, an integer >= 0 (default %(default)s)")
-    trend.add_argument("--granularity", choices=GRANULARITIES, default=DEFAULT_GRANULARITY)
 
     sub.add_parser("gen", parents=[seed], help="generate the synthetic stream into <workspace>/logs")
 
@@ -159,9 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Settings a --config file may supply, by flag destination: the fields of
 # TrendParams and RetrievalParams (but the query clock), the stream and k-means
-# seeds, the vector size, the embedder and the granularity.
+# seeds, the vector size and the embedder.
 _CONFIG_KEYS = frozenset(
-    {"seed", "dim", "embedder", "cluster_seed", "granularity", "alpha", "half_life_days", "top_k"}
+    {"seed", "dim", "embedder", "cluster_seed", "alpha", "half_life_days", "top_k"}
     | {f.name for f in fields(TrendParams)}
 )
 
@@ -171,9 +163,9 @@ _NUMERIC_TYPES = (int, float, _positive_int, _seed)
 def _apply_config(parser: _Parser, text: str) -> None:
     """Make each config value the default of its flag on every subcommand, so flags still win.
 
-    A value is checked like the flag's own text: the same converter and
-    choices; a flag that takes a number needs a JSON number. Any bad key or
-    value is a usage error.
+    A value is checked like the flag's own text, by the same converter; a
+    flag that takes a number needs a JSON number. Any bad key or value is a
+    usage error.
     """
     try:
         config = json.loads(text)
@@ -196,9 +188,6 @@ def _apply_config(parser: _Parser, text: str) -> None:
             values[key] = action.type(str(value)) if action.type else str(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"config {key!r}: {exc}")
-        if action.choices is not None and values[key] not in action.choices:
-            parser.error(f"config {key!r}: invalid choice {values[key]!r} "
-                         f"(choose from {', '.join(action.choices)})")
     for p in subcommands:
         p.set_defaults(**values)
 
@@ -259,15 +248,6 @@ def _write_run_manifest(ws: Workspace, command: str, params: dict, outputs: list
         "artifacts": {_portable(ws, p): _sha256(p) for p in outputs if p.exists()},
     }
     write_json(manifest, ws.results / f"run_{command}.json")
-
-
-def _parse_asof(text: str) -> datetime:
-    # A bare date means the inclusive end of that UTC day.
-    try:
-        day = datetime.strptime(text, "%Y-%m-%d")
-    except ValueError:
-        return coerce_timestamp(text)
-    return day.replace(tzinfo=timezone.utc) + timedelta(days=1) - timedelta(microseconds=1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +317,13 @@ def _load_store_and_vectors(ws: Workspace):
 def _cmd_trends(ws: Workspace, args) -> None:
     params = _params(TrendParams, args)
     store, vs = _load_store_and_vectors(ws)
-    clusters, trends = track(store, vs, params, seed=args.cluster_seed, granularity=args.granularity)
+    clusters, trends = track(store, vs, params, seed=args.cluster_seed)
     write_clusters_csv(clusters, trends, ws.clusters_csv)
     write_trends_summary_csv(trends, ws.trends_csv)
-    print(f"tracked {len(clusters)} clusters over {len({str(c.week) for c in clusters})} periods")
+    print(f"tracked {len(clusters)} clusters over {len({str(c.week) for c in clusters})} weeks")
     _write_run_manifest(
         ws, "trends",
-        {"seed": args.cluster_seed, "granularity": args.granularity, **asdict(params)},
+        {"seed": args.cluster_seed, **asdict(params)},
         [ws.clusters_csv, ws.trends_csv],
     )
 
@@ -351,7 +331,7 @@ def _cmd_trends(ws: Workspace, args) -> None:
 def _cmd_query(ws: Workspace, args) -> None:
     params = _params(RetrievalParams, args, now=coerce_timestamp(args.now) if args.now else None)
     mode = "cosine_only" if args.mode == "cosine" else "fused"
-    cutoff = _parse_asof(args.as_of) if args.as_of else None
+    cutoff = parse_cutoff(args.as_of) if args.as_of else None
     store, vs = _load_store_and_vectors(ws)
     query_vec = HashEmbedder(dim=vs.dim).embed(args.text)
     hits = rank(query_vec, store, vs, params, mode=mode, as_of=cutoff)
@@ -373,16 +353,15 @@ def _cmd_query(ws: Workspace, args) -> None:
 def _cmd_eval(ws: Workspace, args) -> None:
     recency = _params(RetrievalParams, args)
     trend_params = _params(TrendParams, args)
-    store, vs = _load_store_and_vectors(ws)
     config_path = Path(args.eval_config) if args.eval_config else ws.logs / "eval.json"
     ws.require(config_path, "gen")
     config, ground_truth = load_eval_config(config_path)
+    store, vs = _load_store_and_vectors(ws)
     report = run_eval(
         store, vs, config, ground_truth,
         trend_params=trend_params,
         seed=args.cluster_seed,
         retrieval_params=recency,
-        granularity=args.granularity,
     )
     write_json(report.to_dict(), ws.report_json)
     print(write_report_md(report, ws.report_md))
@@ -390,7 +369,7 @@ def _cmd_eval(ws: Workspace, args) -> None:
         ws, "eval",
         {"eval_config": str(config_path), "alpha": recency.alpha,
          "half_life_days": recency.half_life_days, "cluster_seed": args.cluster_seed,
-         "granularity": args.granularity, **asdict(trend_params)},
+         **asdict(trend_params)},
         [ws.report_json, ws.report_md],
     )
 

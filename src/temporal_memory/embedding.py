@@ -8,7 +8,6 @@ file format instead.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import re
 import struct
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStore, atomic_write
+from .events import EventStore, atomic_write, is_int_at_least
 
 DEFAULT_DIM = 384
 
@@ -68,7 +67,7 @@ class HashEmbedder:
     dim: int = DEFAULT_DIM
 
     def __post_init__(self) -> None:
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 2:
+        if not is_int_at_least(self.dim, 2):
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
 
     def embed(self, text: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embedding import HashEmbedder, VectorStore
-from .events import DEFAULT_GRANULARITY, EventStore, atomic_write, coerce_timestamp
+from .events import EventStore, atomic_write, coerce_timestamp, parse_cutoff
 from .retrieval import RankedHit, RetrievalParams, rank
 from .tracking import DEFAULT_SEED, TrendParams, TrendRecord, WeekCluster, per_week_k, track
 
@@ -173,9 +173,9 @@ def load_eval_config(path: Path | str) -> tuple[dict, dict]:
     suite's directory unless absolute), ``now``, ``queries`` and optionally
     ``top_k`` and ``alphas``. Each query is an object with a string ``text``
     and a ``type``: ``freshness`` with a ``topic`` the ground truth holds, or
-    ``as_of`` with a ``cutoff``. The ground truth is a JSON object whose
-    ``topics`` give each topic's ``event_ids`` and ``truth``. Anything else
-    raises ValueError naming the file at fault.
+    ``as_of`` with a ``cutoff`` that :func:`parse_cutoff` reads. The ground
+    truth is a JSON object whose ``topics`` give each topic's ``event_ids``
+    and ``truth``. Anything else raises ValueError naming the file at fault.
     """
     path = Path(path)
     config = _json_object(path, ("ground_truth", "now", "queries"))
@@ -204,7 +204,8 @@ def load_eval_config(path: Path | str) -> tuple[dict, dict]:
                      path, f"query {i}: topic {topic!r} is not in {gt_path}")
         else:
             cutoff = query.get("cutoff")
-            _require(_is_timestamp(cutoff), path, f"query {i}: as_of needs a timestamp cutoff, got {cutoff!r}")
+            _require(_is_timestamp(cutoff, parse_cutoff), path,
+                     f"query {i}: as_of needs a timestamp cutoff, got {cutoff!r}")
     alphas = config.get("alphas", [])
     _require(isinstance(alphas, list) and all(isinstance(a, (int, float)) and not isinstance(a, bool) for a in alphas),
              path, "alphas must be a list of numbers")
@@ -236,9 +237,9 @@ def _require(ok: bool, path: Path, problem: str) -> None:
         raise ValueError(f"{path}: {problem}")
 
 
-def _is_timestamp(value) -> bool:
+def _is_timestamp(value, parse=coerce_timestamp) -> bool:
     try:
-        coerce_timestamp(value)
+        parse(value)
     except ValueError:
         return False
     return True
@@ -252,12 +253,13 @@ def run_eval(
     trend_params: TrendParams | None = None,
     seed: int = DEFAULT_SEED,
     retrieval_params: RetrievalParams | None = None,
-    granularity: str = DEFAULT_GRANULARITY,
 ) -> EvalReport:
     """Run the full metric suite over an embedded store and its query config.
 
     Ranking uses ``alpha`` and ``half_life_days`` from ``retrieval_params``;
-    ``top_k`` and ``now`` come from the config.
+    ``top_k`` and ``now`` come from the config. Raises ValueError when a
+    ground-truth topic lists an event id the store lacks: the suite was
+    generated for another stream.
     """
     params = replace(
         retrieval_params or RetrievalParams(),
@@ -269,8 +271,14 @@ def run_eval(
     topics = ground_truth["topics"]
     topic_ids = {name: entry["event_ids"] for name, entry in topics.items()}
     truth = {name: entry["truth"] for name, entry in topics.items()}
+    store_ids = set(store.ids())
+    for name, ids in topic_ids.items():
+        missing = len(set(ids) - store_ids)
+        if missing:
+            raise ValueError(f"ground truth {config['ground_truth']}: topic {name!r}: "
+                             f"{missing} of its {len(ids)} event ids are not in the event store")
 
-    clusters, trends = track(store, vecs, trend_params, seed=seed, granularity=granularity)
+    clusters, trends = track(store, vecs, trend_params, seed=seed)
     macro, per_class = trend_macro_f1(clusters, trends, truth, topic_ids)
 
     freshness = [q for q in queries if q["type"] == "freshness"]
@@ -280,7 +288,7 @@ def run_eval(
 
     asof_scores = []
     for query, qvec in zip(asof, _embed_texts(asof, vecs.dim)):
-        cutoff = coerce_timestamp(query["cutoff"])
+        cutoff = parse_cutoff(query["cutoff"])
         hits = rank(qvec, store, vecs, params, mode="fused", as_of=cutoff)
         score = asof_correctness(hits, cutoff)
         asof_scores.append(score)

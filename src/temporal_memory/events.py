@@ -11,11 +11,12 @@ import gc
 import hashlib
 import json
 import logging
+import numbers
 import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
@@ -146,6 +147,21 @@ def coerce_timestamp(raw) -> datetime:
     return dt
 
 
+def parse_cutoff(raw) -> datetime:
+    """An as-of cutoff instant: a bare ``YYYY-MM-DD`` date means the inclusive end of
+    that UTC day; anything else is read by :func:`coerce_timestamp`."""
+    try:
+        day = datetime.strptime(raw.strip(), "%Y-%m-%d")
+    except (AttributeError, ValueError):  # not a string, or not a bare date
+        return coerce_timestamp(raw)
+    return day.replace(tzinfo=timezone.utc) + timedelta(days=1) - _ONE_US
+
+
+def is_int_at_least(value, low: int) -> bool:
+    """True for an integer (not a bool) that is >= ``low``."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
+
+
 def derive_event_id(
     ts: datetime,
     product: str = "",
@@ -185,54 +201,10 @@ def build_text_repr(
     return joined
 
 
-def iso_week_of(ts: datetime) -> WeekKey:
+def period_of(ts: datetime) -> WeekKey:
     """ISO week-date bucket (weeks start Monday; week 1 holds the first Thursday)."""
     year, week, _ = ts.isocalendar()
     return WeekKey(year, week)
-
-
-@dataclass(frozen=True, order=True)
-class DayKey:
-    """UTC calendar-day bucket."""
-
-    day: date
-
-    def __str__(self) -> str:
-        return self.day.isoformat()
-
-    def next(self) -> "DayKey":
-        return DayKey(self.day + timedelta(days=1))
-
-
-@dataclass(frozen=True, order=True)
-class MonthKey:
-    """UTC calendar-month bucket."""
-
-    year: int
-    month: int
-
-    def __str__(self) -> str:
-        return f"{self.year}-{self.month:02d}"
-
-    def next(self) -> "MonthKey":
-        if self.month == 12:
-            return MonthKey(self.year + 1, 1)
-        return MonthKey(self.year, self.month + 1)
-
-
-GRANULARITIES = ("day", "week", "month")
-DEFAULT_GRANULARITY = "week"
-
-
-def period_of(ts: datetime, granularity: str = DEFAULT_GRANULARITY) -> WeekKey | DayKey | MonthKey:
-    if granularity == "week":
-        return iso_week_of(ts)
-    if granularity == "day":
-        return DayKey(ts.astimezone(timezone.utc).date())
-    if granularity == "month":
-        utc = ts.astimezone(timezone.utc)
-        return MonthKey(utc.year, utc.month)
-    raise ValueError(f"unknown granularity: {granularity!r}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +247,7 @@ class EventStore:
     def week_range(self) -> tuple[WeekKey, WeekKey] | None:
         if not self.events:
             return None
-        return iso_week_of(self.events[0].ts), iso_week_of(self.events[-1].ts)
+        return period_of(self.events[0].ts), period_of(self.events[-1].ts)
 
     def manifest(self) -> dict:
         total_records = sum(f["records"] for f in self.source_manifest)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -23,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .embedding import VectorStore
-from .events import EventStore, epoch_us
+from .events import EventStore, epoch_us, is_int_at_least
 
 SECONDS_PER_DAY = 86400.0
 
@@ -42,7 +41,7 @@ class RetrievalParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (math.isfinite(self.half_life_days) and self.half_life_days > 0):
             raise ValueError(f"half_life_days must be positive and finite, got {self.half_life_days}")
-        if isinstance(self.top_k, bool) or not isinstance(self.top_k, numbers.Integral) or self.top_k < 1:
+        if not is_int_at_least(self.top_k, 1):
             raise ValueError(f"top_k must be a positive integer, got {self.top_k!r}")
 
     def resolved_now(self) -> datetime:

@@ -1,9 +1,9 @@
 """Weekly topic tracking: per-bucket clustering, cross-bucket matching, trend labels.
 
-Events are grouped by calendar period (ISO week by default), clustered with
-seeded k-means, summarized with top terms, and linked period-to-period by a
-greedy one-to-one centroid match. Linked clusters get rule-based trend labels;
-unlinked ones are emergences.
+Events are grouped by ISO week, clustered with seeded k-means, summarized
+with top terms, and linked week-to-week by a greedy one-to-one centroid
+match. Linked clusters get rule-based trend labels; unlinked ones are
+emergences.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import VectorStore, tokenize
-from .events import DEFAULT_GRANULARITY, DayKey, Event, EventStore, MonthKey, WeekKey, atomic_write, period_of
+from .events import Event, EventStore, WeekKey, atomic_write, is_int_at_least, period_of
 
 logger = logging.getLogger(__name__)
 
@@ -33,7 +32,6 @@ STOPWORDS = frozenset(
 
 MAX_KMEANS_ITER = 100
 DEFAULT_SEED = 42
-FIXED_K_FALLBACK = 6
 TOP_TERMS = 8
 
 
@@ -54,21 +52,17 @@ class TrendParams:
             raise ValueError(f"thresholds must be positive and finite, got {thresholds}")
         if not self.growth_factor > 1 > self.decay_factor:
             raise ValueError("need growth_factor > 1 > decay_factor")
-        if not _is_int_at_least(self.growth_min_events, 0):
+        if not is_int_at_least(self.growth_min_events, 0):
             raise ValueError(f"growth_min_events must be an integer >= 0, got {self.growth_min_events!r}")
-        if self.k is not None and not _is_int_at_least(self.k, 1):
+        if self.k is not None and not is_int_at_least(self.k, 1):
             raise ValueError(f"fixed k must be an integer >= 1, got {self.k!r}")
-
-
-def _is_int_at_least(value, low: int) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
 
 
 @dataclass(frozen=True)
 class WeekCluster:
-    """One topic cluster within a single period."""
+    """One topic cluster within a single ISO week."""
 
-    week: WeekKey | DayKey | MonthKey
+    week: WeekKey
     cluster_id: int
     member_ids: tuple[str, ...]
     centroid: np.ndarray  # unit norm, float32
@@ -81,9 +75,9 @@ class WeekCluster:
 
 @dataclass(frozen=True)
 class TrendRecord:
-    """Label assigned to one cluster, with its link to the prior period if any."""
+    """Label assigned to one cluster, with its link to the prior week if any."""
 
-    week: WeekKey | DayKey | MonthKey
+    week: WeekKey
     cluster_id: int
     label: str
     size: int
@@ -284,17 +278,16 @@ def track(
     vecs: VectorStore,
     params: TrendParams | None = None,
     seed: int = DEFAULT_SEED,
-    granularity: str = DEFAULT_GRANULARITY,
 ) -> tuple[list[WeekCluster], list[TrendRecord]]:
-    """Cluster each period and label every cluster against the prior period.
+    """Cluster each ISO week and label every cluster against the prior week.
 
-    Periods with zero events produce no clusters and break the match chain:
-    the next populated period is all-emergence.
+    Weeks with zero events produce no clusters and break the match chain:
+    the next populated week is all-emergence.
     """
     params = params or TrendParams()
-    buckets: dict[object, list[int]] = {}
+    buckets: dict[WeekKey, list[int]] = {}
     for idx, event in enumerate(store):
-        buckets.setdefault(period_of(event.ts, granularity), []).append(idx)
+        buckets.setdefault(period_of(event.ts), []).append(idx)
     if not buckets:
         return [], []
 
@@ -308,7 +301,7 @@ def track(
     while True:
         indices = buckets.get(period)
         if indices is None:
-            prev_clusters = []  # a silent period severs the chain
+            prev_clusters = []  # a silent week severs the chain
         else:
             week_clusters = _cluster_period(period, indices, events, vecs.vectors, params, seed)
             matches = match_weeks(prev_clusters, week_clusters, params)
@@ -338,7 +331,7 @@ def track(
 
 
 def _cluster_period(
-    period,
+    period: WeekKey,
     indices: list[int],
     events: list[Event],
     vectors: np.ndarray,  # the store's float16 vectors
@@ -411,7 +404,7 @@ def write_trends_summary_csv(trends: Sequence[TrendRecord], path: Path | str) ->
 
 
 def per_week_k(clusters: Iterable[WeekCluster]) -> dict[str, int]:
-    """Chosen cluster count per period, as rendered period -> k."""
+    """Chosen cluster count per week, as rendered week -> k."""
     out: dict[str, int] = {}
     for cluster in clusters:
         key = str(cluster.week)

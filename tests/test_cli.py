@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import fcntl
 import json
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from temporal_memory import cli
 from temporal_memory.embedding import VectorStore, read_vector_file, write_vector_file
+from temporal_memory.retrieval import RetrievalParams
 from temporal_memory.tracking import TrendParams
 
 
@@ -43,12 +46,19 @@ class TestExitCodes:
             run("--workspace", str(tmp_path), "query", "--text", "okta", "--k", k)
         assert exc.value.code == 64
 
-    def test_k_accepts_fixed_keyword(self):
+    def test_k_takes_auto_or_a_positive_integer(self):
         from temporal_memory.cli import _parse_k
 
-        assert _parse_k("fixed") == 6
         assert _parse_k("auto") is None
         assert _parse_k("4") == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["trends", "--granularity", "week"],
+        ["trends", "--k", "fixed"],
+        ["eval", "--k", "fixed"],
+    ])
+    def test_removed_granularity_and_fixed_k_are_usage_errors(self, tmp_path, argv):
+        assert exit_code("--workspace", str(tmp_path / "empty"), *argv) == 64
 
     def test_trends_without_embed_exits_2_naming_the_file(self, tmp_path, capsys):
         ws = tmp_path / "ws"
@@ -190,6 +200,27 @@ class TestExitCodes:
         assert err.startswith(f"error: {tmp_path / named}: ") and "Traceback" not in err
         assert not (ws / "results" / "eval_report.json").exists()
 
+    def test_bad_query_suite_on_an_empty_workspace_exits_1_naming_the_suite(self, tmp_path, capsys):
+        suite = tmp_path / "eval.json"
+        suite.write_text("{nope")
+        assert run("--workspace", str(tmp_path / "empty"), "eval", "--eval-config", str(suite)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {suite}: not JSON")
+
+    def test_ground_truth_ids_missing_from_the_store_exit_1(self, tmp_path, pipeline_ws, capsys):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        ground_truth = json.loads((pipeline_ws / "logs" / "ground_truth.json").read_text())
+        topic = next(iter(ground_truth["topics"]))
+        ground_truth["topics"][topic]["event_ids"] += ["ghost-1", "ghost-2"]
+        (tmp_path / "ground_truth.json").write_text(json.dumps(ground_truth))
+        suite = tmp_path / "eval.json"
+        suite.write_bytes((pipeline_ws / "logs" / "eval.json").read_bytes())
+        assert run("--workspace", str(ws), "eval", "--eval-config", str(suite)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ground truth ground_truth.json: ")
+        assert f"topic {topic!r}: 2 of its" in err and "not in the event store" in err
+        assert not (ws / "results" / "eval_report.json").exists()
+
     def test_eval_takes_no_config_spelling_of_eval_config(self, tmp_path, pipeline_ws):
         settings = tmp_path / "settings.json"
         settings.write_text(json.dumps({"alpha": 0.5}))
@@ -255,9 +286,10 @@ class TestPipelineArtifacts:
         ws = tmp_path / "ws"
         _copy_store(pipeline_ws, ws)
         config = str(pipeline_ws / "logs" / "eval.json")
-        assert run("--workspace", str(ws), "eval", "--eval-config", config, "--k", "3", "--granularity", "day") == 0
+        assert run("--workspace", str(ws), "eval", "--eval-config", config, "--k", "3") == 0
         params = json.loads((ws / "results" / "run_eval.json").read_text())["params"]
-        assert params.items() >= {**asdict(TrendParams(k=3)), "granularity": "day", "cluster_seed": 42}.items()
+        assert params == {**asdict(TrendParams(k=3)), "eval_config": config, "alpha": RetrievalParams.alpha,
+                          "half_life_days": RetrievalParams.half_life_days, "cluster_seed": 42}
 
     def test_ingest_manifest_covers_the_stream(self, pipeline_ws):
         manifest = json.loads((pipeline_ws / "data" / "manifest.json").read_text())
@@ -411,7 +443,7 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize(
         "config, argv",
         [
-            ({"granularity": "fortnight"}, ("trends",)),
+            ({"granularity": "week"}, ("trends",)),
             ({"top_k": 0}, ("query", "--text", "okta")),
             ({"alpha": "0.5"}, ("query", "--text", "okta")),
             ({"k": 2.5}, ("trends",)),
@@ -449,3 +481,13 @@ class TestConfigPrecedence:
         assert set(_per_week_k(ws).values()) == {2}  # config value applied
         assert run("--workspace", str(ws), "--config", str(config), "trends", "--k", "3") == 0
         assert set(_per_week_k(ws).values()) == {3}  # explicit flag beat the config
+
+
+def test_readme_tuning_knobs_table_lists_exactly_the_eval_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Tuning knobs", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `(--[a-z-]+)` \|", section, flags=re.MULTILINE)
+    eval_parser = cli.build_parser().subcommands.choices["eval"]
+    options = {flag for action in eval_parser._actions for flag in action.option_strings}
+    assert len(documented) == len(set(documented))
+    assert set(documented) == options - {"-h", "--help", "--eval-config"}

@@ -9,6 +9,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from temporal_memory import evaluation
 from temporal_memory.embedding import HashEmbedder, encode_store, read_vector_file
 from temporal_memory.evaluation import (
     asof_correctness,
@@ -201,6 +202,28 @@ class TestRunEval:
         monkeypatch.setattr(HashEmbedder, "embed", counting_embed)
         run_eval(store, vecs, config, ground_truth)
         assert embedded == Counter(q["text"] for q in config["queries"])
+
+    def test_bare_date_cutoff_is_the_end_of_that_utc_day(self, pipeline_ws, monkeypatch):
+        store = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
+        vecs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
+        config, ground_truth = load_eval_config(pipeline_ws / "logs" / "eval.json")
+        query = next(q for q in config["queries"] if q["type"] == "as_of")
+        query["cutoff"] = query["cutoff"][:10]  # a bare YYYY-MM-DD date
+        ranked = []
+
+        def recording_rank(*args, **kwargs):
+            hits = rank(*args, **kwargs)
+            if kwargs.get("as_of") is not None:
+                ranked.append(hits)
+            return hits
+
+        monkeypatch.setattr(evaluation, "rank", recording_rank)
+        run_eval(store, vecs, config, ground_truth)
+        end_of_day = datetime.fromisoformat(query["cutoff"]).replace(tzinfo=UTC) + timedelta(days=1, microseconds=-1)
+        params = RetrievalParams(top_k=config["top_k"], now=datetime.fromisoformat(config["now"]))
+        expected = rank(HashEmbedder(dim=vecs.dim).embed(query["text"]), store, vecs, params, as_of=end_of_day)
+        assert ranked[0] == expected
+        assert any(hit.ts.date().isoformat() == query["cutoff"] for hit in expected)  # the day's own events count
 
 
 @pytest.fixture(scope="module")

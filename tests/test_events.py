@@ -24,8 +24,9 @@ from temporal_memory.events import (
     coerce_timestamp,
     derive_event_id,
     ingest,
-    iso_week_of,
     load_events_jsonl,
+    parse_cutoff,
+    period_of,
     read_mapping,
     write_events_jsonl,
 )
@@ -73,6 +74,21 @@ class TestCoerceTimestamp:
     )
     def test_round_trip_preserves_instant(self, dt):
         assert coerce_timestamp(dt.isoformat()) == dt.astimezone(UTC)
+
+
+class TestParseCutoff:
+    @pytest.mark.parametrize("raw", ["2025-05-01", " 2025-05-01\n"])
+    def test_bare_date_is_the_inclusive_end_of_that_utc_day(self, raw):
+        assert parse_cutoff(raw) == datetime(2025, 5, 1, 23, 59, 59, 999999, tzinfo=UTC)
+
+    @pytest.mark.parametrize("raw", ["2025-05-01T00:00:00Z", "2025-05-01T02:00:00+02:00", 1746057600])
+    def test_anything_else_is_the_instant_it_names(self, raw):
+        assert parse_cutoff(raw) == datetime(2025, 5, 1, tzinfo=UTC)
+
+    @pytest.mark.parametrize("bad", ["someday", "2025-13-01", None])
+    def test_garbage_rejected(self, bad):
+        with pytest.raises(ValueError):
+            parse_cutoff(bad)
 
 
 class TestDeriveEventId:
@@ -157,7 +173,7 @@ class TestIsoWeek:
         ],
     )
     def test_reference_dates(self, day, expected):
-        assert str(iso_week_of(coerce_timestamp(day))) == expected
+        assert str(period_of(coerce_timestamp(day))) == expected
 
     def test_rendering_zero_pads(self):
         assert str(WeekKey(2025, 5)) == "2025-W05"
@@ -173,7 +189,7 @@ class TestIsoWeek:
     def test_ordering_consistent_with_calendar(self, d1, d2):
         t1 = datetime(d1.year, d1.month, d1.day, tzinfo=UTC)
         t2 = datetime(d2.year, d2.month, d2.day, tzinfo=UTC)
-        w1, w2 = iso_week_of(t1), iso_week_of(t2)
+        w1, w2 = period_of(t1), period_of(t2)
         if w1 < w2:
             assert t1 < t2
         if t1.isocalendar()[:2] == t2.isocalendar()[:2]:
@@ -329,7 +345,7 @@ class TestIngest:
         _write_jsonl(src, JSONL_FIXTURE)
         store = ingest([src])
         lo, hi = store.week_range()
-        assert all(lo <= iso_week_of(e.ts) <= hi for e in store)
+        assert all(lo <= period_of(e.ts) <= hi for e in store)
         assert store.manifest()["week_range"] == [str(lo), str(hi)]
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from temporal_memory.events import coerce_timestamp, ingest, iso_week_of
+from temporal_memory.events import coerce_timestamp, ingest, period_of
 from temporal_memory.synth import STREAM_NOW, STREAM_WEEKS, TOPICS, generate_stream
 
 
@@ -100,7 +100,7 @@ class TestStreamShape:
     def test_all_events_fall_in_the_stream_weeks(self, generated):
         out, result = generated
         store = ingest(result.log_files)
-        weeks = {str(iso_week_of(e.ts)) for e in store}
+        weeks = {str(period_of(e.ts)) for e in store}
         assert weeks <= {str(w) for w in STREAM_WEEKS}
         assert str(STREAM_WEEKS[0]) in weeks and str(STREAM_WEEKS[-1]) in weeks
 

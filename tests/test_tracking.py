@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-from datetime import date
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 from temporal_memory.embedding import HashEmbedder, encode_store, read_vector_file
 from temporal_memory.events import WeekKey, load_events_jsonl
 from temporal_memory.tracking import (
-    DayKey,
-    MonthKey,
     TrendParams,
     WeekCluster,
     drift_of,
@@ -362,32 +359,6 @@ class TestTrack:
             and label_by[(str(c.week), c.cluster_id)] == "growth"
         ]
         assert flagged  # the surge is visible to an operator even when labels are noisy
-
-    def test_unknown_granularity_rejected(self):
-        store, vecs = _small_two_week_store(gap=False)
-        with pytest.raises(ValueError):
-            track(store, vecs, granularity="fortnight")
-
-
-class TestGranularity:
-    def test_day_and_month_keys(self):
-        ts = build_event("2025-04-01T10:00:00Z", msg="x").ts
-        assert str(period_of(ts, "day")) == "2025-04-01"
-        assert str(period_of(ts, "month")) == "2025-04"
-        assert period_of(ts, "week") == WeekKey(2025, 14)
-
-    def test_key_successors(self):
-        assert str(DayKey(date(2025, 12, 31)).next()) == "2026-01-01"
-        assert MonthKey(2025, 12).next() == MonthKey(2026, 1)
-
-    def test_daily_tracking_runs(self):
-        store, vecs = _small_two_week_store(gap=False)
-        clusters, trends = track(store, vecs, granularity="day")
-        # fixture events land on exactly two days, a week apart
-        assert {str(c.week) for c in clusters} == {"2025-04-01", "2025-04-08"}
-        assert len(trends) == len(clusters)
-        later = [t for t in trends if str(t.week) == "2025-04-08"]
-        assert all(t.label == "emergence" for t in later)  # six silent days between
 
 
 class TestCsvArtifacts:
