@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import fcntl
 import hashlib
-import json
 import logging
 import sys
 from dataclasses import asdict, fields
@@ -66,10 +65,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-    def add_subparsers(self, **kwargs):
-        self.subcommands = super().add_subparsers(**kwargs)  # kept for the --config defaults
-        return self.subcommands
-
 
 def _int_at_least(low: int, what: str):
     def convert(value: str) -> int:
@@ -96,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The tmem parser. A flag left unset (None) takes its parameter dataclass's default."""
     parser = _Parser(prog="tmem", description=__doc__)
     parser.add_argument("--workspace", default=".", help="workspace directory (default: .)")
-    parser.add_argument("--config", default=None, help="JSON config file; explicit flags win")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -149,51 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Settings a --config file may supply, by flag destination: the fields of
-# TrendParams and RetrievalParams (but the query clock), the stream and k-means
-# seeds, the vector size and the embedder.
-_CONFIG_KEYS = frozenset(
-    {"seed", "dim", "embedder", "cluster_seed", "alpha", "half_life_days", "top_k"}
-    | {f.name for f in fields(TrendParams)}
-)
-
-_NUMERIC_TYPES = (int, float, _positive_int, _seed)
-
-
-def _apply_config(parser: _Parser, text: str) -> None:
-    """Make each config value the default of its flag on every subcommand, so flags still win.
-
-    A value is checked like the flag's own text, by the same converter; a
-    flag that takes a number needs a JSON number. Any bad key or value is a
-    usage error.
-    """
-    try:
-        config = json.loads(text)
-    except ValueError as exc:
-        parser.error(f"config file is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        parser.error("config file must hold a JSON object")
-    subcommands = parser.subcommands.choices.values()
-    flags = {action.dest: action for p in subcommands for action in p._actions}
-    values = {}
-    for key, value in config.items():
-        if key not in _CONFIG_KEYS:
-            parser.error(f"unknown config key {key!r} (known: {', '.join(sorted(_CONFIG_KEYS))})")
-        action = flags[key]
-        try:
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ValueError(f"expected a string or a number, got {value!r}")
-            if isinstance(value, str) and action.type in _NUMERIC_TYPES:
-                raise ValueError(f"expected a number, got the string {value!r}")
-            values[key] = action.type(str(value)) if action.type else str(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"config {key!r}: {exc}")
-    for p in subcommands:
-        p.set_defaults(**values)
-
-
 def _params(cls, args: argparse.Namespace, **extra):
-    """A ``cls`` from the fields a flag or the config set; the others keep the dataclass defaults."""
+    """A ``cls`` from the fields a flag set; the others keep the dataclass defaults."""
     given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
     return cls(**{**{name: value for name, value in given.items() if value is not None}, **extra})
 
@@ -275,6 +226,8 @@ def _cmd_ingest(ws: Workspace, args) -> None:
         raise MissingArtifact(f"no input files under {ws.logs} (run 'tmem gen' or pass --input)")
     for p in paths:
         ws.require(p, "gen")
+    if args.mapping and not Path(args.mapping).exists():
+        raise MissingArtifact(f"missing mapping file {args.mapping}")
     mapping = read_mapping(args.mapping) if args.mapping else None
     store = ingest(paths, mapping)
     write_events_jsonl(store, ws.events)
@@ -289,7 +242,7 @@ def _cmd_embed(ws: Workspace, args) -> None:
     choice = args.embedder
     if choice == "hash":
         embedder = HashEmbedder(dim=args.dim)
-    elif not choice.startswith("external:"):
+    elif not choice.startswith("external:") or choice == "external:":
         raise ValueError(f"unknown embedder {choice!r} (use 'hash' or 'external:<path>')")
     ws.require(ws.events, "ingest")
     store = load_events_jsonl(ws.events)
@@ -323,7 +276,7 @@ def _cmd_trends(ws: Workspace, args) -> None:
     print(f"tracked {len(clusters)} clusters over {len({str(c.week) for c in clusters})} weeks")
     _write_run_manifest(
         ws, "trends",
-        {"seed": args.cluster_seed, **asdict(params)},
+        {"cluster_seed": args.cluster_seed, **asdict(params)},
         [ws.clusters_csv, ws.trends_csv],
     )
 
@@ -391,32 +344,23 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            print(f"config file not found: {args.config}", file=sys.stderr)
-            return EXIT_MISSING_ARTIFACT
-        _apply_config(parser, text)
-        args = parser.parse_args(argv)
 
     ws = Workspace(Path(args.workspace))
-    ws.root.mkdir(parents=True, exist_ok=True)
     lock_path = ws.root / ".tmem.lock"
-    lock_file = lock_path.open("w")
     try:
-        try:
-            fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            print(f"another run holds the workspace lock {lock_path}", file=sys.stderr)
-            return EXIT_ERROR
-        _COMMANDS[args.command](ws, args)
+        ws.root.mkdir(parents=True, exist_ok=True)
+        with lock_path.open("w") as lock_file:
+            try:
+                fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                print(f"another run holds the workspace lock {lock_path}", file=sys.stderr)
+                return EXIT_ERROR
+            _COMMANDS[args.command](ws, args)
         return EXIT_OK
     except MissingArtifact as exc:
         print(str(exc), file=sys.stderr)
@@ -424,12 +368,13 @@ def main(argv: list[str] | None = None) -> int:
     except (IngestError, ValueError, VectorFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:  # a path given is a directory, a file, unreadable, ...
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except Exception as exc:  # pragma: no cover - defensive
         logger.exception("internal error")
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    finally:
-        lock_file.close()
 
 
 def entrypoint() -> None:

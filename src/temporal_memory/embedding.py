@@ -28,27 +28,7 @@ _HEADER = struct.Struct("<4sIQ")  # magic, u32 dim, u64 count
 
 
 class VectorFileError(RuntimeError):
-    """Base class for vector-file integrity failures."""
-
-
-class VectorMagicError(VectorFileError):
-    pass
-
-
-class VectorDimError(VectorFileError):
-    pass
-
-
-class VectorCountError(VectorFileError):
-    pass
-
-
-class VectorTruncatedError(VectorFileError):
-    pass
-
-
-class VectorValueError(VectorFileError):
-    """A stored vector is non-finite (float16 overflow included) or all zero, so has no cosine."""
+    """A TMV1 file is cut short, malformed, or holds a vector with no cosine (zero or non-finite)."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -167,22 +147,22 @@ def write_vector_file(vs: VectorStore, path: Path | str) -> None:
 
 
 def read_vector_file(path: Path | str) -> VectorStore:
-    """Read a TMV1 file, failing distinctly on magic, dim, count, truncation, or bad-value problems."""
+    """Read a TMV1 file; a bad magic, dim, count, length or vector raises VectorFileError naming it."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
-        raise VectorTruncatedError(f"{path}: shorter than header")
+        raise VectorFileError(f"{path}: shorter than header")
     magic, dim, count = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
-        raise VectorMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise VectorFileError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if dim < 2:
-        raise VectorDimError(f"{path}: declared dim {dim} is invalid")
+        raise VectorFileError(f"{path}: declared dim {dim} is invalid")
 
     offset = _HEADER.size
     ids: list[str] = []
     for _ in range(count):
         end = data.find(b"\n", offset)
         if end < 0:
-            raise VectorCountError(
+            raise VectorFileError(
                 f"{path}: id section ended after {len(ids)} of {count} declared ids"
             )
         ids.append(data[offset:end].decode("utf-8"))
@@ -191,11 +171,11 @@ def read_vector_file(path: Path | str) -> VectorStore:
     payload = memoryview(data)[offset:]
     expected_bytes = count * dim * 2
     if len(payload) < expected_bytes:
-        raise VectorTruncatedError(
+        raise VectorFileError(
             f"{path}: payload has {len(payload)} bytes, expected {expected_bytes}"
         )
     if len(payload) > expected_bytes:
-        raise VectorCountError(
+        raise VectorFileError(
             f"{path}: {len(payload) - expected_bytes} trailing bytes beyond declared count"
         )
     vectors = np.frombuffer(payload, dtype="<f2").reshape(count, dim).astype(np.float16)
@@ -205,7 +185,7 @@ def read_vector_file(path: Path | str) -> VectorStore:
     bad = np.flatnonzero((magnitude == 0) | (magnitude >= 0x7C00))
     if bad.size:
         problem = "only zeros" if magnitude[bad[0]] == 0 else "a non-finite value"
-        raise VectorValueError(f"{path}: vector for {ids[bad[0]]} has {problem}; cosine is undefined")
+        raise VectorFileError(f"{path}: vector for {ids[bad[0]]} has {problem}; cosine is undefined")
     return VectorStore(dim=dim, ids=tuple(ids), vectors=vectors)
 
 

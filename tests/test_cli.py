@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import fcntl
 import json
 import re
@@ -239,8 +240,26 @@ class TestExitCodes:
         assert exit_code("--workspace", str(tmp_path / "empty"), command, "--cluster-seed", "-1") == 64
         assert "--cluster-seed" in capsys.readouterr().err
 
-    def test_missing_config_file_exits_2(self, tmp_path):
-        assert run("--workspace", str(tmp_path), "--config", "nope.json", "gen") == 2
+    def test_config_flag_is_a_usage_error(self, tmp_path):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"k": 2}))
+        assert exit_code("--workspace", str(tmp_path / "ws"), "--config", str(settings), "trends") == 64
+        assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize(("argv", "code", "err"), [
+        pytest.param("--workspace {d}/file gen", 1, "error: {d}/file: ", id="workspace-is-a-file"),
+        pytest.param("--workspace {d}/file/ws gen", 1, "error: {d}/file/ws: ", id="workspace-under-a-file"),
+        pytest.param("--workspace {d}/ws ingest --input {d}", 1, "error: {d}: ", id="input-is-a-directory"),
+        pytest.param("--workspace {d}/ws ingest --input {d}/file --mapping {d}/absent.cfg", 2,
+                     "missing mapping file {d}/absent.cfg", id="missing-mapping"),
+        pytest.param("--workspace {d}/ws embed --embedder external:", 1,
+                     "error: unknown embedder 'external:'", id="external-without-a-path"),
+    ])
+    def test_a_bad_path_argument_exits_with_a_message(self, tmp_path, capsys, caplog, argv, code, err):
+        (tmp_path / "file").write_text('{"ts": "2025-04-01T10:00:00Z", "msg": "good"}\n')
+        assert exit_code(*argv.format(d=tmp_path).split()) == code
+        assert capsys.readouterr().err.startswith(err.format(d=tmp_path))
+        assert "internal error" not in caplog.text
 
     def test_lock_contention_exits_1(self, pipeline_ws, capsys):
         lock = (pipeline_ws / ".tmem.lock").open("w")
@@ -290,6 +309,14 @@ class TestPipelineArtifacts:
         params = json.loads((ws / "results" / "run_eval.json").read_text())["params"]
         assert params == {**asdict(TrendParams(k=3)), "eval_config": config, "alpha": RetrievalParams.alpha,
                           "half_life_days": RetrievalParams.half_life_days, "cluster_seed": 42}
+
+    def test_trends_and_eval_manifests_agree_on_every_trend_parameter(self, pipeline_ws):
+        def params(command):
+            return json.loads((pipeline_ws / "results" / f"run_{command}.json").read_text())["params"]
+
+        trends, evals = params("trends"), params("eval")
+        assert trends == {key: evals.get(key, "absent") for key in trends}
+        assert "cluster_seed" in trends
 
     def test_ingest_manifest_covers_the_stream(self, pipeline_ws):
         manifest = json.loads((pipeline_ws / "data" / "manifest.json").read_text())
@@ -415,79 +442,32 @@ class TestTrendParamChecks:
         ws = tmp_path / "ws"
         _copy_store(pipeline_ws, ws)
         assert run("--workspace", str(ws), "trends", "--growth-min-events", "-5") == 1
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"growth_min_events": -5}))
-        assert run("--workspace", str(ws), "--config", str(config), "trends") == 1
-        assert capsys.readouterr().err.count("growth_min_events must be") == 2
+        assert "growth_min_events must be" in capsys.readouterr().err
         assert not (ws / "results" / "clusters_weekly.csv").exists()
 
 
-class TestConfigPrecedence:
-    def _run_with(self, tmp_path, config: dict, *argv: str) -> int:
-        path = tmp_path / "conf.json"
-        path.write_text(json.dumps(config))
-        return exit_code("--workspace", str(tmp_path / "ws"), "--config", str(path), *argv)
-
-    def test_config_k_auto_means_auto(self, tmp_path, pipeline_ws):
-        _copy_store(pipeline_ws, tmp_path / "ws")
-        assert self._run_with(tmp_path, {"k": "auto"}, "trends") == 0
-        assert len(set(_per_week_k(tmp_path / "ws").values())) > 1  # the elbow picks k per week
-
-    def test_explicit_k_auto_beats_config_k(self, tmp_path, pipeline_ws):
-        _copy_store(pipeline_ws, tmp_path / "ws")
-        assert self._run_with(tmp_path, {"k": 2}, "trends", "--k", "auto") == 0
-        assert len(set(_per_week_k(tmp_path / "ws").values())) > 1
-        manifest = json.loads((tmp_path / "ws" / "results" / "run_trends.json").read_text())
-        assert manifest["params"]["k"] is None
-
-    @pytest.mark.parametrize(
-        "config, argv",
-        [
-            ({"granularity": "week"}, ("trends",)),
-            ({"top_k": 0}, ("query", "--text", "okta")),
-            ({"alpha": "0.5"}, ("query", "--text", "okta")),
-            ({"k": 2.5}, ("trends",)),
-            ({"k": True}, ("trends",)),
-            ({"growth_min_events": 2.5}, ("trends",)),
-            ({"half_lif_days": 3}, ("query", "--text", "okta")),
-            ({"cluster_seed": -1}, ("trends",)),
-            ({"cluster_seed": "5"}, ("trends",)),
-        ],
-    )
-    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys, config, argv):
-        assert self._run_with(tmp_path, config, *argv) == 64
-        err = capsys.readouterr().err
-        assert next(iter(config)) in err and "Traceback" not in err
-
-    def test_config_that_is_not_an_object_is_a_usage_error(self, tmp_path):
-        assert self._run_with(tmp_path, [1, 2], "trends") == 64
-
-    def test_config_number_is_parsed_like_the_flag(self, tmp_path, pipeline_ws, capsys):
-        _copy_store(pipeline_ws, tmp_path / "ws")
-        argv = ("query", "--text", "okta auth_fail", "--now", "2025-06-30T00:00:00Z")
-        assert self._run_with(tmp_path, {"alpha": 0.5, "half_life_days": 3, "top_k": 4}, *argv) == 0
-        from_config = capsys.readouterr().out
-        assert run("--workspace", str(tmp_path / "ws"), *argv,
-                   "--alpha", "0.5", "--half-life-days", "3", "--k", "4") == 0
-        assert capsys.readouterr().out == from_config
-        assert len(from_config.split()) == 4
-
-    def test_config_supplies_defaults_but_flags_win(self, tmp_path, pipeline_ws):
+class TestTrendsK:
+    def test_k_3_gives_3_clusters_in_every_week(self, tmp_path, pipeline_ws):
         ws = tmp_path / "ws"
         _copy_store(pipeline_ws, ws)
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"k": 2, "cluster_seed": 42}))
-        assert run("--workspace", str(ws), "--config", str(config), "trends") == 0
-        assert set(_per_week_k(ws).values()) == {2}  # config value applied
-        assert run("--workspace", str(ws), "--config", str(config), "trends", "--k", "3") == 0
-        assert set(_per_week_k(ws).values()) == {3}  # explicit flag beat the config
+        assert run("--workspace", str(ws), "trends", "--k", "3") == 0
+        assert set(_per_week_k(ws).values()) == {3}
+
+    def test_k_auto_records_null_and_k_varies_by_week(self, tmp_path, pipeline_ws):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        assert run("--workspace", str(ws), "trends", "--k", "auto") == 0
+        assert len(set(_per_week_k(ws).values())) > 1  # the elbow picks k per week
+        manifest = json.loads((ws / "results" / "run_trends.json").read_text())
+        assert manifest["params"]["k"] is None
 
 
 def test_readme_tuning_knobs_table_lists_exactly_the_eval_options():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Tuning knobs", 1)[1].split("\n#", 1)[0]
     documented = re.findall(r"^\| `(--[a-z-]+)` \|", section, flags=re.MULTILINE)
-    eval_parser = cli.build_parser().subcommands.choices["eval"]
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    eval_parser = commands.choices["eval"]
     options = {flag for action in eval_parser._actions for flag in action.option_strings}
     assert len(documented) == len(set(documented))
     assert set(documented) == options - {"-h", "--help", "--eval-config"}

@@ -11,12 +11,8 @@ from hypothesis import given, strategies as st
 
 from temporal_memory.embedding import (
     HashEmbedder,
-    VectorCountError,
-    VectorDimError,
-    VectorMagicError,
+    VectorFileError,
     VectorStore,
-    VectorTruncatedError,
-    VectorValueError,
     check_alignment,
     cosine,
     encode_store,
@@ -213,19 +209,19 @@ class TestVectorFile:
         data = bytearray(path.read_bytes())
         data[:4] = b"NOPE"
         path.write_bytes(bytes(data))
-        with pytest.raises(VectorMagicError):
+        with pytest.raises(VectorFileError, match="bad magic b'NOPE'"):
             read_vector_file(path)
 
     def test_declared_dim_zero(self, tmp_path):
         path = tmp_path / "v.tmv"
         path.write_bytes(struct.pack("<4sIQ", b"TMV1", 0, 0))
-        with pytest.raises(VectorDimError):
+        with pytest.raises(VectorFileError, match="declared dim 0 is invalid"):
             read_vector_file(path)
 
     def test_id_section_ends_early(self, tmp_path):
         path = tmp_path / "v.tmv"
         path.write_bytes(struct.pack("<4sIQ", b"TMV1", 4, 3) + b"only-one-id\n")
-        with pytest.raises(VectorCountError):
+        with pytest.raises(VectorFileError, match="id section ended after 1 of 3 declared ids"):
             read_vector_file(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -233,20 +229,20 @@ class TestVectorFile:
         write_vector_file(_sample_store(), path)
         data = path.read_bytes()
         path.write_bytes(data[:-7])
-        with pytest.raises(VectorTruncatedError):
+        with pytest.raises(VectorFileError, match=r"payload has \d+ bytes, expected \d+"):
             read_vector_file(path)
 
     def test_trailing_bytes_beyond_count(self, tmp_path):
         path = tmp_path / "v.tmv"
         write_vector_file(_sample_store(), path)
         path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(VectorCountError):
+        with pytest.raises(VectorFileError, match="4 trailing bytes beyond declared count"):
             read_vector_file(path)
 
     def test_header_shorter_than_magic(self, tmp_path):
         path = tmp_path / "v.tmv"
         path.write_bytes(b"TM")
-        with pytest.raises(VectorTruncatedError):
+        with pytest.raises(VectorFileError, match="shorter than header"):
             read_vector_file(path)
 
     @pytest.mark.parametrize(
@@ -258,7 +254,7 @@ class TestVectorFile:
         vectors[3:] = bad
         path = tmp_path / "v.tmv"
         write_vector_file(VectorStore(dim=vs.dim, ids=vs.ids, vectors=vectors), path)
-        with pytest.raises(VectorValueError, match=f"vector for ev-3 has {problem}"):
+        with pytest.raises(VectorFileError, match=f"vector for ev-3 has {problem}"):
             read_vector_file(path)
 
     @given(bits=st.integers(0, 0xFFFF), other=st.sampled_from([0.0, 1.0]))
@@ -270,7 +266,7 @@ class TestVectorFile:
         if np.isfinite(value) and (value != 0 or other != 0):
             assert np.array_equal(read_vector_file(path).vectors, vectors)
         else:
-            with pytest.raises(VectorValueError, match="probe"):
+            with pytest.raises(VectorFileError, match="probe"):
                 read_vector_file(path)
 
 
