@@ -240,6 +240,10 @@ class TestExitCodes:
         assert exit_code("--workspace", str(tmp_path / "empty"), command, "--cluster-seed", "-1") == 64
         assert "--cluster-seed" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        assert run("--workspace", str(tmp_path), "eval", "--eval-config", "nope.json") == 2
+        assert "missing artifact nope.json" in capsys.readouterr().err
+
     def test_config_flag_is_a_usage_error(self, tmp_path):
         settings = tmp_path / "settings.json"
         settings.write_text(json.dumps({"k": 2}))
@@ -460,6 +464,24 @@ class TestTrendsK:
         assert len(set(_per_week_k(ws).values())) > 1  # the elbow picks k per week
         manifest = json.loads((ws / "results" / "run_trends.json").read_text())
         assert manifest["params"]["k"] is None
+
+    def test_no_k_means_auto(self, tmp_path, pipeline_ws):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        assert run("--workspace", str(ws), "trends") == 0
+        assert len(set(_per_week_k(ws).values())) > 1
+        manifest = json.loads((ws / "results" / "run_trends.json").read_text())
+        assert manifest["params"]["k"] is None
+
+
+class TestConfigPrecedence:
+    """There is no settings file: each setting is its flag, and `--config` is rejected."""
+
+    def test_config_that_is_not_an_object_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps([1, 2]))
+        assert exit_code("--workspace", str(tmp_path / "ws"), "--config", str(path), "trends") == 64
+        assert not (tmp_path / "ws").exists()
 
 
 def test_readme_tuning_knobs_table_lists_exactly_the_eval_options():
