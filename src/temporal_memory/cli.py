@@ -14,6 +14,7 @@ import fcntl
 import hashlib
 import logging
 import sys
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -61,6 +62,11 @@ class MissingArtifact(RuntimeError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error; every flag must be spelled in full (no prefix abbreviations)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -329,7 +335,14 @@ def _cmd_eval(ws: Workspace, args) -> None:
 
 def _cmd_all(ws: Workspace, args) -> None:
     for step in (_cmd_gen, _cmd_ingest, _cmd_embed, _cmd_trends, _cmd_eval):
-        step(ws, args)
+        _timed(step, ws, args)
+
+
+def _timed(command, ws: Workspace, args) -> None:
+    """Run one ``_cmd_*`` and log its wall time (stderr only: criterion 6e hashes the workspace tree)."""
+    start = time.perf_counter()
+    command(ws, args)
+    logger.info("tmem %s: %.3f s", command.__name__.removeprefix("_cmd_"), time.perf_counter() - start)
 
 
 _COMMANDS = {
@@ -360,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError:
                 print(f"another run holds the workspace lock {lock_path}", file=sys.stderr)
                 return EXIT_ERROR
-            _COMMANDS[args.command](ws, args)
+            _timed(_COMMANDS[args.command], ws, args)
         return EXIT_OK
     except MissingArtifact as exc:
         print(str(exc), file=sys.stderr)

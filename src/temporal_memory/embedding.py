@@ -8,6 +8,7 @@ file format instead.
 from __future__ import annotations
 
 import hashlib
+import logging
 import re
 import struct
 from dataclasses import dataclass
@@ -17,6 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .events import EventStore, atomic_write, is_int_at_least
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 384
 
@@ -127,14 +130,26 @@ class VectorStore:
 
 
 def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
-    """Embed every event's text_repr, in store order, quantizing to float16."""
-    rows = np.zeros((len(store), embedder.dim), dtype=np.float32)
-    for i, event in enumerate(store):
+    """Embed every event's text_repr, in store order, quantizing to float16.
+
+    Equal texts embed to equal vectors, so each distinct text is embedded
+    once, in first-seen order, and its float16 row is gathered per event. An
+    unembeddable text raises ValueError naming the first event that holds it.
+    """
+    row_of: dict[str, int] = {}
+    index = np.fromiter(
+        (row_of.setdefault(event.text_repr, len(row_of)) for event in store), dtype=np.intp, count=len(store)
+    )
+    rows = np.empty((len(row_of), embedder.dim), dtype=np.float32)
+    for text, row in row_of.items():
         try:
-            rows[i] = embedder.embed(event.text_repr)
+            rows[row] = embedder.embed(text)
         except ValueError as exc:
-            raise ValueError(f"event {event.event_id}: {exc}") from exc
-    return VectorStore(dim=embedder.dim, ids=tuple(store.ids()), vectors=rows.astype(np.float16))
+            first = next(event for event in store if event.text_repr == text)
+            raise ValueError(f"event {first.event_id}: {exc}") from exc
+    logger.info("embedded %d events from %d distinct texts", len(store), len(row_of))
+    rows = rows.astype(np.float16)  # rebinding frees the float32 table before the gather
+    return VectorStore(dim=embedder.dim, ids=tuple(store.ids()), vectors=rows[index])
 
 
 def write_vector_file(vs: VectorStore, path: Path | str) -> None:

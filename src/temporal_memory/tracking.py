@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -90,19 +91,19 @@ class TrendRecord:
 # Clustering
 
 
-def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    p2 = (points * points).sum(axis=1)[:, None]
+def _pairwise_sq_dists(points: np.ndarray, p2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each point to each center; ``p2`` is the points' squared norms as a column."""
     c2 = (centers * centers).sum(axis=1)[None, :]
     d2 = p2 + c2 - 2.0 * points @ centers.T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(points: np.ndarray, p2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=points.dtype)
     centers[0] = points[rng.integers(n)]
-    d2 = _pairwise_sq_dists(points, centers[:1]).ravel()
+    d2 = _pairwise_sq_dists(points, p2, centers[:1]).ravel()
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -110,7 +111,7 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         else:
             idx = int(rng.choice(n, p=d2 / total))
         centers[i] = points[idx]
-        d2 = np.minimum(d2, _pairwise_sq_dists(points, centers[i : i + 1]).ravel())
+        d2 = np.minimum(d2, _pairwise_sq_dists(points, p2, centers[i : i + 1]).ravel())
     return centers
 
 
@@ -128,10 +129,11 @@ def kmeans(
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
     rng = np.random.default_rng(seed)
-    centers = _kmeanspp_init(points, k, rng)
+    p2 = (points * points).sum(axis=1)[:, None]
+    centers = _kmeanspp_init(points, p2, k, rng)
 
     prev_assign: np.ndarray | None = None
-    d2 = _pairwise_sq_dists(points, centers)
+    d2 = _pairwise_sq_dists(points, p2, centers)
     assign = d2.argmin(axis=1)
     for _ in range(MAX_KMEANS_ITER):
         if prev_assign is not None and np.array_equal(assign, prev_assign):
@@ -150,7 +152,7 @@ def kmeans(
                 new_centers[c] = points[idx]
                 dist_to_own[idx] = -1.0  # each refill takes a distinct point
         centers = new_centers
-        d2 = _pairwise_sq_dists(points, centers)
+        d2 = _pairwise_sq_dists(points, p2, centers)
         assign = d2.argmin(axis=1)
 
     # Duplicate points can leave clusters empty even after refills (tied
@@ -205,13 +207,16 @@ def select_k(vectors: np.ndarray, seed: int = DEFAULT_SEED) -> int:
 
 
 def top_terms_for(texts: Sequence[str]) -> tuple[str, ...]:
-    """The TOP_TERMS terms of highest document frequency within the cluster, ties lexicographic."""
+    """The TOP_TERMS terms of highest document frequency within the cluster, ties lexicographic.
+
+    Each distinct text is tokenized once and counts as many documents as it has copies.
+    """
     df: dict[str, int] = {}
-    for text in texts:
+    for text, copies in Counter(texts).items():
         for token in set(tokenize(text)):
             if token in STOPWORDS or token.isdigit():
                 continue
-            df[token] = df.get(token, 0) + 1
+            df[token] = df.get(token, 0) + copies
     ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(term for term, _ in ranked[:TOP_TERMS])
 

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import argparse
 import fcntl
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -265,6 +269,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(err.format(d=tmp_path))
         assert "internal error" not in caplog.text
 
+    @pytest.mark.parametrize("argv", [
+        "--work {d}/ws gen --seed 3",
+        "--workspace {d}/ws query --text okta --alph 0.5",
+        "--workspace {d}/ws query --text okta --half 3",
+        "--workspace {d}/ws trends --growth-f 2",
+    ])
+    def test_an_abbreviated_flag_is_a_usage_error(self, tmp_path, argv):
+        assert exit_code(*argv.format(d=tmp_path).split()) == 64
+        assert not (tmp_path / "ws").exists()
+
     def test_lock_contention_exits_1(self, pipeline_ws, capsys):
         lock = (pipeline_ws / ".tmem.lock").open("w")
         try:
@@ -273,6 +287,28 @@ class TestExitCodes:
             assert "lock" in capsys.readouterr().err
         finally:
             lock.close()
+
+
+def _tree(ws: Path) -> dict[str, str]:
+    return {
+        str(path.relative_to(ws)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(ws.rglob("*")) if path.is_file() and path.name != ".tmem.lock"
+    }
+
+
+def test_verbose_all_logs_one_time_per_step_and_writes_the_same_tree(tmp_path, pipeline_ws):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ws = tmp_path / "ws"
+    proc = subprocess.run(
+        [sys.executable, "-m", "temporal_memory.cli", "--workspace", str(ws), "-v", "all", "--seed", "7"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = re.findall(r"^INFO \S+: tmem (\w+): \d+\.\d{3} s$", proc.stderr, flags=re.MULTILINE)
+    assert steps == ["gen", "ingest", "embed", "trends", "eval", "all"]
+    assert "INFO temporal_memory.embedding: embedded 2955 events from 498 distinct texts" in proc.stderr
+    assert _tree(ws) == _tree(pipeline_ws)
 
 
 class TestPipelineArtifacts:

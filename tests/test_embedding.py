@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -135,6 +136,45 @@ class TestEncodeStore:
 
         store = EventStore(events=(bad,))
         with pytest.raises(ValueError, match="bad-one"):
+            encode_store(store, HashEmbedder(dim=64))
+
+    @given(st.lists(texts, min_size=1, max_size=4), st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    def test_each_row_is_its_own_text_embedded_and_quantized(self, pool, picks):
+        from temporal_memory.events import Event, EventStore
+
+        start = corpus_events()[0].ts
+        store = EventStore(events=tuple(
+            Event(event_id=f"e{i:02d}", ts=start + timedelta(seconds=i), text_repr=pool[j % len(pool)])
+            for i, j in enumerate(picks)
+        ))
+        embedder = HashEmbedder(dim=64)
+        vs = encode_store(store, embedder)
+        assert vs.vectors.shape == (len(store), 64)
+        for row, event in zip(vs.vectors, store):
+            expected = embedder.embed(event.text_repr).astype(np.float16)
+            assert row.tobytes() == expected.tobytes()
+
+    def test_an_all_distinct_store_gives_each_event_its_own_row(self, corpus_store):
+        from temporal_memory.events import Event, EventStore
+
+        start = corpus_store.events[0].ts
+        store = EventStore(events=tuple(
+            Event(event_id=f"e{i:03d}", ts=start + timedelta(seconds=i), text_repr=f"host{i} auth_fail user{i % 7}")
+            for i in range(120)
+        ))
+        embedder = HashEmbedder(dim=64)
+        expected = np.stack([embedder.embed(event.text_repr) for event in store]).astype(np.float16)
+        assert encode_store(store, embedder).vectors.tobytes() == expected.tobytes()
+
+    def test_repeated_unembeddable_text_names_its_first_event(self, corpus_store):
+        from temporal_memory.events import Event, EventStore
+
+        start = corpus_store.events[0].ts
+        texts = ["okta auth_fail", "|||", "--", "|||"]
+        store = EventStore(events=tuple(
+            Event(event_id=f"e{i}", ts=start + timedelta(seconds=i), text_repr=text) for i, text in enumerate(texts)
+        ))
+        with pytest.raises(ValueError, match=r"^event e1: no tokens in text: '\|\|\|'$"):
             encode_store(store, HashEmbedder(dim=64))
 
     def test_quantization_keeps_cosine_above_0_999(self):

@@ -89,6 +89,29 @@ class TestKmeans:
         assert np.allclose(np.linalg.norm(centers, axis=1), 1.0, atol=1e-6)
 
 
+class TestPinnedFit:
+    """Assignments, inertia and elbow k on one fixed input: any change to the k-means arithmetic shows."""
+
+    @staticmethod
+    def points() -> np.ndarray:
+        rng = np.random.default_rng(2024)
+        centers = rng.standard_normal((4, 6)).astype(np.float32)
+        rows = np.vstack([c + 0.35 * rng.standard_normal((6, 6)).astype(np.float32) for c in centers])
+        return unit_rows(rows)
+
+    @pytest.mark.parametrize(("k", "assignments", "inertia"), [
+        (4, [0] * 6 + [3] * 6 + [1] * 6 + [2] * 6, 1.8944730758666992),
+        (5, [0, 0, 0, 4, 4, 0] + [3] * 6 + [1] * 6 + [2] * 6, 1.7917507886886597),
+    ])
+    def test_kmeans(self, k, assignments, inertia):
+        assign, _, got = kmeans(self.points(), k, seed=42)
+        assert assign.tolist() == assignments
+        assert got == pytest.approx(inertia, rel=1e-6)
+
+    def test_select_k(self):
+        assert select_k(self.points(), seed=42) == 3
+
+
 class TestSelectK:
     def test_three_well_separated_blobs(self):
         centers = unit_rows(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
@@ -144,6 +167,21 @@ class TestTopTerms:
     def test_cap_at_eight(self):
         text = " ".join(f"tok{i}" for i in range(20))
         assert len(top_terms_for([text])) == 8
+
+    @given(st.lists(
+        st.lists(st.sampled_from(["okta", "auth_fail", "mfa", "scan", "s3", "the", "of", "42", "x1"]),
+                 min_size=1, max_size=6).map(" ".join),
+        min_size=1, max_size=5,
+    ), st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    def test_repeated_texts_count_once_per_copy(self, pool, picks):
+        texts = [pool[i % len(pool)] for i in picks]
+        df: dict[str, int] = {}
+        for text in texts:  # naive reference: one document per text, repeats included
+            for token in set(text.split()):
+                if token not in {"the", "of"} and not token.isdigit():
+                    df[token] = df.get(token, 0) + 1
+        expected = tuple(sorted(df, key=lambda t: (-df[t], t))[:8])
+        assert top_terms_for(texts) == expected
 
 
 def _cluster(week, cid, centroid, size) -> WeekCluster:
