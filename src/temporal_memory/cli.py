@@ -49,7 +49,9 @@ from .tracking import (
     write_trends_summary_csv,
 )
 
-logger = logging.getLogger(__name__)
+# Named rather than __name__, which is "__main__" under ``python -m``: -v sets
+# the level of the package logger, and this one must sit below it.
+logger = logging.getLogger("temporal_memory.cli")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -358,10 +360,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig adds a stderr handler only if the root logger has none, so the
+    # level goes on the package logger: -v then works for in-process callers too.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("temporal_memory").setLevel(logging.DEBUG if args.verbose else logging.WARNING)
 
     ws = Workspace(Path(args.workspace))
     lock_path = ws.root / ".tmem.lock"

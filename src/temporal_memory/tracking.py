@@ -92,14 +92,22 @@ class TrendRecord:
 
 
 def _pairwise_sq_dists(points: np.ndarray, p2: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances from each point to each center; ``p2`` is the points' squared norms as a column."""
+    """Squared distances from each point to each center; ``p2`` is the points' squared norms as a column.
+
+    Doubling the k centers rather than the n points is exact and gives the same products.
+    """
     c2 = (centers * centers).sum(axis=1)[None, :]
-    d2 = p2 + c2 - 2.0 * points @ centers.T
+    d2 = p2 + c2 - points @ (2.0 * centers).T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
 def _kmeanspp_init(points: np.ndarray, p2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, 2007).
+
+    Center i is drawn from the same generator state whatever k is, so the
+    seeding for k is the first k rows of the seeding for any larger k.
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=points.dtype)
     centers[0] = points[rng.integers(n)]
@@ -115,49 +123,67 @@ def _kmeanspp_init(points: np.ndarray, p2: np.ndarray, k: int, rng: np.random.Ge
     return centers
 
 
+def _member_means(points: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's member count and mean; an empty cluster's row is zero.
+
+    A stable sort lists the members cluster by cluster in index order, so each
+    float32 sum adds the same rows in the same order as
+    ``points[assign == c].mean(axis=0)``. That mean divides in float64 and
+    rounds, which gives the same float32 as one float32 division, so each row
+    equals it bit for bit.
+    """
+    counts = np.bincount(assign, minlength=k)
+    order = np.argsort(assign, kind="stable")
+    sums = np.zeros((k, points.shape[1]), dtype=points.dtype)
+    start = 0
+    for c, end in enumerate(np.cumsum(counts).tolist()):
+        if end > start:
+            np.add.reduce(points[order[start:end]], axis=0, out=sums[c])
+        start = end
+    return counts, sums / np.maximum(counts, 1).astype(points.dtype)[:, None]
+
+
 def kmeans(
-    vectors: np.ndarray, k: int, seed: int = DEFAULT_SEED
+    vectors: np.ndarray, k: int, seed: int = DEFAULT_SEED, init: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Seeded k-means++ with Lloyd iterations to an assignment fixpoint.
 
     Empty clusters are re-seeded with the point currently farthest from its
     centroid. Returns (assignments, unit-normalized centroids, inertia);
-    deterministic for a fixed (vectors, k, seed).
+    deterministic for a fixed (vectors, k, seed). ``init`` replaces the
+    seeding with given (k, d) centers; ``select_k`` passes the first k rows of
+    one seeding at its largest k, which is the seeding ``seed`` gives for k.
     """
     points = np.asarray(vectors, dtype=np.float32)
     n = points.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
-    rng = np.random.default_rng(seed)
     p2 = (points * points).sum(axis=1)[:, None]
-    centers = _kmeanspp_init(points, p2, k, rng)
+    centers = _kmeanspp_init(points, p2, k, np.random.default_rng(seed)) if init is None else init
 
-    prev_assign: np.ndarray | None = None
     d2 = _pairwise_sq_dists(points, p2, centers)
     assign = d2.argmin(axis=1)
+    converged = False
     for _ in range(MAX_KMEANS_ITER):
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        prev_assign = assign
-        new_centers = centers.copy()
-        for c in range(k):
-            members = points[assign == c]
-            if len(members):
-                new_centers[c] = members.mean(axis=0)
-        counts = np.bincount(assign, minlength=k)
+        counts, centers = _member_means(points, assign, k)
         if (counts == 0).any():
             dist_to_own = d2[np.arange(n), assign].copy()
             for c in np.flatnonzero(counts == 0):
                 idx = int(dist_to_own.argmax())
-                new_centers[c] = points[idx]
+                centers[c] = points[idx]
                 dist_to_own[idx] = -1.0  # each refill takes a distinct point
-        centers = new_centers
         d2 = _pairwise_sq_dists(points, p2, centers)
-        assign = d2.argmin(axis=1)
+        prev_assign, assign = assign, d2.argmin(axis=1)
+        if np.array_equal(assign, prev_assign):
+            converged = True
+            break
+    if not converged:
+        logger.warning("kmeans: no assignment fixpoint after %d Lloyd iterations (n=%d, k=%d)", MAX_KMEANS_ITER, n, k)
 
     # Duplicate points can leave clusters empty even after refills (tied
     # centers all lose the argmin); force-steal so every cluster is non-empty.
     counts = np.bincount(assign, minlength=k)
+    stolen = (counts == 0).any()
     for c in np.flatnonzero(counts == 0):
         eligible = np.flatnonzero(counts[assign] > 1)
         idx = int(eligible[d2[eligible, assign[eligible]].argmax()])
@@ -166,18 +192,16 @@ def kmeans(
         counts[c] = 1
 
     inertia = float(d2[np.arange(n), assign].sum())
+    if not converged or stolen:
+        # Only at a fixpoint with no steal are the last update's centers the
+        # means of exactly the final members.
+        _, centers = _member_means(points, assign, k)
     out_centers = np.empty_like(centers)
     for c in range(k):
-        members = points[assign == c]
-        out_centers[c] = _unit(members.mean(axis=0), fallback=members[0])
+        norm = float(np.linalg.norm(centers[c]))
+        # Members that cancel out have no direction; the first member stands in.
+        out_centers[c] = points[np.argmax(assign == c)] if norm < 1e-12 else centers[c] / norm
     return assign, out_centers, inertia
-
-
-def _unit(vec: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-12:
-        return np.asarray(fallback, dtype=np.float32)
-    return (vec / norm).astype(np.float32)
 
 
 def select_k(vectors: np.ndarray, seed: int = DEFAULT_SEED) -> int:
@@ -186,18 +210,20 @@ def select_k(vectors: np.ndarray, seed: int = DEFAULT_SEED) -> int:
     Formalized as the k in 2..k_max-1, k_max = min(9, isqrt(n), n - 1),
     maximizing the second difference WCSS(k-1) - 2*WCSS(k) + WCSS(k+1), ties
     toward smaller k. Degenerate inputs (fewer than 4 points, or no interior
-    candidate) fall back to 1.
+    candidate) fall back to 1. One k-means++ seeding at k_max serves every
+    fit: its first k rows are the seeding for k.
     """
     points = np.asarray(vectors, dtype=np.float32)
     n = points.shape[0]
     k_max = min(9, math.isqrt(n), n - 1)
     if k_max < 3:
         return 1
-    wcss = {1: kmeans(points, 1, seed)[2]}
+    init = _kmeanspp_init(points, (points * points).sum(axis=1)[:, None], k_max, np.random.default_rng(seed))
+    wcss = {1: kmeans(points, 1, init=init[:1])[2]}
     if wcss[1] == 0.0:
         return 1  # all points identical; splitting cannot help
     for k in range(2, k_max + 1):
-        wcss[k] = kmeans(points, k, seed)[2]
+        wcss[k] = kmeans(points, k, init=init[:k])[2]
     best_k, best_score = 1, -math.inf
     for k in range(2, k_max):
         score = wcss[k - 1] - 2.0 * wcss[k] + wcss[k + 1]
@@ -206,17 +232,23 @@ def select_k(vectors: np.ndarray, seed: int = DEFAULT_SEED) -> int:
     return best_k
 
 
-def top_terms_for(texts: Sequence[str]) -> tuple[str, ...]:
+def top_terms_for(texts: Sequence[str], *, terms_of: dict[str, list[str]] | None = None) -> tuple[str, ...]:
     """The TOP_TERMS terms of highest document frequency within the cluster, ties lexicographic.
 
-    Each distinct text is tokenized once and counts as many documents as it has copies.
+    Each distinct text is tokenized once and counts as many documents as it has
+    copies. ``terms_of`` maps a text to its distinct counted terms and is filled
+    as texts are seen; ``track`` passes one dict per call, so a text that recurs
+    across clusters and weeks is tokenized once per call.
     """
+    if terms_of is None:
+        terms_of = {}
     df: dict[str, int] = {}
     for text, copies in Counter(texts).items():
-        for token in set(tokenize(text)):
-            if token in STOPWORDS or token.isdigit():
-                continue
-            df[token] = df.get(token, 0) + copies
+        terms = terms_of.get(text)
+        if terms is None:
+            terms = terms_of[text] = [t for t in set(tokenize(text)) if t not in STOPWORDS and not t.isdigit()]
+        for term in terms:
+            df[term] = df.get(term, 0) + copies
     ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(term for term, _ in ranked[:TOP_TERMS])
 
@@ -297,6 +329,7 @@ def track(
         return [], []
 
     events = list(store)
+    terms_of: dict[str, list[str]] = {}
     clusters: list[WeekCluster] = []
     trends: list[TrendRecord] = []
     prev_clusters: list[WeekCluster] = []
@@ -308,7 +341,7 @@ def track(
         if indices is None:
             prev_clusters = []  # a silent week severs the chain
         else:
-            week_clusters = _cluster_period(period, indices, events, vecs.vectors, params, seed)
+            week_clusters = _cluster_period(period, indices, events, vecs.vectors, params, seed, terms_of)
             matches = match_weeks(prev_clusters, week_clusters, params)
             prev_of = {c.cluster_id: c for c in prev_clusters}
             for cluster in week_clusters:
@@ -342,6 +375,7 @@ def _cluster_period(
     vectors: np.ndarray,  # the store's float16 vectors
     params: TrendParams,
     seed: int,
+    terms_of: dict[str, list[str]],
 ) -> list[WeekCluster]:
     points = vectors[indices].astype(np.float32)
     n = len(indices)
@@ -359,7 +393,7 @@ def _cluster_period(
                 cluster_id=c,
                 member_ids=tuple(e.event_id for e in member_events),
                 centroid=centroids[c],
-                top_terms=top_terms_for([e.text_repr for e in member_events]),
+                top_terms=top_terms_for([e.text_repr for e in member_events], terms_of=terms_of),
             )
         )
     return out

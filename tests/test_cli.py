@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import fcntl
 import hashlib
+import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -309,6 +311,24 @@ def test_verbose_all_logs_one_time_per_step_and_writes_the_same_tree(tmp_path, p
     assert steps == ["gen", "ingest", "embed", "trends", "eval", "all"]
     assert "INFO temporal_memory.embedding: embedded 2955 events from 498 distinct texts" in proc.stderr
     assert _tree(ws) == _tree(pipeline_ws)
+
+
+def test_verbose_logs_when_the_caller_already_configured_logging(tmp_path):
+    # logging.basicConfig does nothing once the root logger has a handler, so -v
+    # must set the level on the package's own logger.
+    stream = io.StringIO()
+    handler = logging.StreamHandler(stream)
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        assert cli.main(["--workspace", str(tmp_path / "ws"), "-v", "gen", "--seed", "1"]) == 0
+        assert re.search(r"^tmem gen: \d+\.\d{3} s$", stream.getvalue(), flags=re.MULTILINE), stream.getvalue()
+        stream.truncate(0)
+        assert cli.main(["--workspace", str(tmp_path / "ws"), "gen", "--seed", "1"]) == 0
+        assert "tmem gen:" not in stream.getvalue()
+    finally:
+        root.removeHandler(handler)
+        logging.getLogger("temporal_memory").setLevel(logging.NOTSET)
 
 
 class TestPipelineArtifacts:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from temporal_memory.embedding import HashEmbedder, encode_store, read_vector_file
 from temporal_memory.events import WeekKey, load_events_jsonl
+from temporal_memory import tracking
 from temporal_memory.tracking import (
     TrendParams,
     WeekCluster,
@@ -23,6 +25,7 @@ from temporal_memory.tracking import (
     select_k,
     top_terms_for,
     track,
+    _kmeanspp_init,
     write_clusters_csv,
     write_trends_summary_csv,
 )
@@ -87,6 +90,107 @@ class TestKmeans:
         points = unit_rows(rng.standard_normal((30, 12)))
         _, centers, _ = kmeans(points, 3, seed=1)
         assert np.allclose(np.linalg.norm(centers, axis=1), 1.0, atol=1e-6)
+
+
+def unit_member_means(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """The reference centroids: each cluster's members, masked out and averaged, then unit-normalized."""
+    means = [points[assign == c].mean(axis=0) for c in range(k)]
+    return np.array([(m / float(np.linalg.norm(m))).astype(np.float32) for m in means])
+
+
+def seeding(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    return _kmeanspp_init(points, (points * points).sum(axis=1)[:, None], k, np.random.default_rng(seed))
+
+
+class TestSeedingPrefix:
+    """select_k seeds once at k_max and fits each k from the first k rows: exact only if this holds."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prefix_of_the_largest_seeding_is_the_seeding_for_k(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        points = unit_rows(rng.standard_normal((int(rng.integers(10, 80)), 16)))
+        full = seeding(points, 9, seed)
+        for k in range(1, 10):
+            assert full[:k].tobytes() == seeding(points, k, seed).tobytes(), k
+
+    def test_prefix_holds_when_every_point_is_the_same(self):
+        points = np.tile(np.array([[0.6, 0.8, 0.0]], dtype=np.float32), (12, 1))  # d2 sums to 0
+        full = seeding(points, 9, 3)
+        for k in range(1, 10):
+            assert full[:k].tobytes() == seeding(points, k, 3).tobytes(), k
+
+    def test_prefix_holds_with_fewer_distinct_points_than_k(self):
+        rng = np.random.default_rng(4)
+        points = unit_rows(rng.standard_normal((3, 8)))[rng.integers(0, 3, 40)]
+        full = seeding(points, 9, 5)
+        for k in range(1, 10):
+            assert full[:k].tobytes() == seeding(points, k, 5).tobytes(), k
+
+    def test_select_k_fits_equal_self_seeded_fits(self, monkeypatch):
+        points = TestPinnedFit.points()
+        fits = []
+
+        def recording(vectors, k, seed=tracking.DEFAULT_SEED, init=None):
+            result = kmeans(vectors, k, seed, init=init)
+            fits.append((k, result))
+            return result
+
+        monkeypatch.setattr(tracking, "kmeans", recording)
+        select_k(points, seed=42)
+        assert [k for k, _ in fits] == list(range(1, 5))
+        for k, (assign, centers, inertia) in fits:
+            own = kmeans(points, k, seed=42)
+            assert np.array_equal(assign, own[0]) and centers.tobytes() == own[1].tobytes() and inertia == own[2]
+
+
+class TestCentroidsAreMemberMeans:
+    """Centroids equal the unit-normalized mean of the final members, byte for byte, on every exit path."""
+
+    def test_converged(self, caplog):
+        points = blobs_on_sphere(unit_rows(np.eye(5, 384)), 25, 0.4, seed=9)
+        for k in range(1, 8):
+            with caplog.at_level(logging.WARNING, logger="temporal_memory"):
+                assign, centers, _ = kmeans(points, k, seed=k)
+            assert not caplog.records  # a fixpoint was reached
+            assert centers.tobytes() == unit_member_means(points, assign, k).tobytes(), k
+
+    def test_iteration_cap_hit(self, monkeypatch, caplog):
+        monkeypatch.setattr(tracking, "MAX_KMEANS_ITER", 1)
+        rng = np.random.default_rng(12)
+        points = unit_rows(rng.standard_normal((200, 384)))
+        with caplog.at_level(logging.WARNING, logger="temporal_memory"):
+            assign, centers, _ = kmeans(points, 6, seed=1)
+        assert len(caplog.records) == 1  # stopped at the cap, not at a fixpoint
+        assert centers.tobytes() == unit_member_means(points, assign, 6).tobytes()
+
+    def test_force_steal(self, caplog):
+        # Five distinct positions cannot fill seven clusters: at the fixpoint some
+        # are empty, and members are stolen from multi-member clusters.
+        rng = np.random.default_rng(0)
+        distinct = unit_rows(rng.standard_normal((3, 384)))
+        points = np.vstack([distinct[[0, 0, 0, 1, 1, 2]], unit_rows(rng.standard_normal((2, 384)))])
+        with caplog.at_level(logging.WARNING, logger="temporal_memory"):
+            assign, centers, _ = kmeans(points, 7, seed=0)
+        assert not caplog.records
+        assert sorted(np.bincount(assign, minlength=7)) == [1, 1, 1, 1, 1, 1, 2]
+        assert centers.tobytes() == unit_member_means(points, assign, 7).tobytes()
+
+
+class TestConvergenceWarning:
+    def test_cap_hit_logs_one_warning_naming_n_and_k(self, monkeypatch, caplog):
+        monkeypatch.setattr(tracking, "MAX_KMEANS_ITER", 1)
+        rng = np.random.default_rng(3)
+        points = unit_rows(rng.standard_normal((60, 16)))
+        with caplog.at_level(logging.WARNING, logger="temporal_memory"):
+            kmeans(points, 5, seed=2)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING and record.name == "temporal_memory.tracking"
+        assert "n=60" in record.getMessage() and "k=5" in record.getMessage()
+
+    def test_converged_fit_logs_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="temporal_memory"):
+            kmeans(TestPinnedFit.points(), 4, seed=42)
+        assert not caplog.records
 
 
 class TestPinnedFit:
