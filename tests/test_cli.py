@@ -323,7 +323,8 @@ def test_verbose_logs_when_the_caller_already_configured_logging(tmp_path):
     try:
         assert cli.main(["--workspace", str(tmp_path / "ws"), "-v", "gen", "--seed", "1"]) == 0
         assert re.search(r"^tmem gen: \d+\.\d{3} s$", stream.getvalue(), flags=re.MULTILINE), stream.getvalue()
-        stream.truncate(0)
+        stream.seek(0)
+        stream.truncate()
         assert cli.main(["--workspace", str(tmp_path / "ws"), "gen", "--seed", "1"]) == 0
         assert "tmem gen:" not in stream.getvalue()
     finally:

@@ -105,26 +105,15 @@ def seeding(points: np.ndarray, k: int, seed: int) -> np.ndarray:
 class TestSeedingPrefix:
     """select_k seeds once at k_max and fits each k from the first k rows: exact only if this holds."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_prefix_of_the_largest_seeding_is_the_seeding_for_k(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        points = unit_rows(rng.standard_normal((int(rng.integers(10, 80)), 16)))
+    @pytest.mark.parametrize("points, seed", [
+        *[(unit_rows(np.random.default_rng(100 + s).standard_normal((10 + 12 * s, 16))), s) for s in range(6)],
+        (np.tile(np.array([[0.6, 0.8, 0.0]], dtype=np.float32), (12, 1)), 3),  # d2 sums to 0 after one draw
+        (unit_rows(np.random.default_rng(4).standard_normal((3, 8)))[np.arange(40) % 3], 5),  # 3 distinct < k
+    ], ids=[*(f"random-{s}" for s in range(6)), "all-identical", "three-distinct"])
+    def test_prefix_of_the_largest_seeding_is_the_seeding_for_k(self, points, seed):
         full = seeding(points, 9, seed)
         for k in range(1, 10):
             assert full[:k].tobytes() == seeding(points, k, seed).tobytes(), k
-
-    def test_prefix_holds_when_every_point_is_the_same(self):
-        points = np.tile(np.array([[0.6, 0.8, 0.0]], dtype=np.float32), (12, 1))  # d2 sums to 0
-        full = seeding(points, 9, 3)
-        for k in range(1, 10):
-            assert full[:k].tobytes() == seeding(points, k, 3).tobytes(), k
-
-    def test_prefix_holds_with_fewer_distinct_points_than_k(self):
-        rng = np.random.default_rng(4)
-        points = unit_rows(rng.standard_normal((3, 8)))[rng.integers(0, 3, 40)]
-        full = seeding(points, 9, 5)
-        for k in range(1, 10):
-            assert full[:k].tobytes() == seeding(points, k, 5).tobytes(), k
 
     def test_select_k_fits_equal_self_seeded_fits(self, monkeypatch):
         points = TestPinnedFit.points()
@@ -160,7 +149,9 @@ class TestCentroidsAreMemberMeans:
         points = unit_rows(rng.standard_normal((200, 384)))
         with caplog.at_level(logging.WARNING, logger="temporal_memory"):
             assign, centers, _ = kmeans(points, 6, seed=1)
-        assert len(caplog.records) == 1  # stopped at the cap, not at a fixpoint
+        [record] = caplog.records  # stopped at the cap, not at a fixpoint: one warning naming n and k
+        assert record.name == "temporal_memory.tracking" and "n=200" in record.getMessage()
+        assert "k=6" in record.getMessage()
         assert centers.tobytes() == unit_member_means(points, assign, 6).tobytes()
 
     def test_force_steal(self, caplog):
@@ -174,23 +165,6 @@ class TestCentroidsAreMemberMeans:
         assert not caplog.records
         assert sorted(np.bincount(assign, minlength=7)) == [1, 1, 1, 1, 1, 1, 2]
         assert centers.tobytes() == unit_member_means(points, assign, 7).tobytes()
-
-
-class TestConvergenceWarning:
-    def test_cap_hit_logs_one_warning_naming_n_and_k(self, monkeypatch, caplog):
-        monkeypatch.setattr(tracking, "MAX_KMEANS_ITER", 1)
-        rng = np.random.default_rng(3)
-        points = unit_rows(rng.standard_normal((60, 16)))
-        with caplog.at_level(logging.WARNING, logger="temporal_memory"):
-            kmeans(points, 5, seed=2)
-        [record] = caplog.records
-        assert record.levelno == logging.WARNING and record.name == "temporal_memory.tracking"
-        assert "n=60" in record.getMessage() and "k=5" in record.getMessage()
-
-    def test_converged_fit_logs_nothing(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="temporal_memory"):
-            kmeans(TestPinnedFit.points(), 4, seed=42)
-        assert not caplog.records
 
 
 class TestPinnedFit:
