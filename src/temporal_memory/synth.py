@@ -25,7 +25,7 @@ from pathlib import Path
 from .evaluation import DEFAULT_ALPHAS
 from .events import WeekKey, atomic_write, build_text_repr, derive_event_id, write_json
 from .retrieval import RetrievalParams
-from .tracking import TrendParams, size_trend
+from .tracking import TrendParams, label_trend
 
 STREAM_WEEKS = tuple(WeekKey(2025, w) for w in range(14, 27))
 STREAM_NOW = datetime(2025, 6, 30, 0, 0, 0, tzinfo=timezone.utc)
@@ -76,9 +76,10 @@ class ScriptedTopic:
     def truth_labels(self) -> dict[int, str]:
         """Expected trend label per populated week, from the scripted volumes.
 
-        Labels follow the tracker's size-ratio rule at its default thresholds,
-        so they are what a tracker with perfect per-week clusters would
-        output; the scripted vocabulary switch week is a drift.
+        Ground truth and the tracker share ``label_trend`` at its default
+        thresholds, so these are what a tracker with perfect per-week clusters
+        would output: a week after an empty one is an emergence, and the
+        scripted vocabulary switch week is the one that drifted.
         """
         rules = TrendParams()
         out: dict[int, str] = {}
@@ -86,10 +87,7 @@ class ScriptedTopic:
             if count == 0:
                 continue
             prev = self.weekly_counts[wi - 2] if wi >= 2 else 0
-            if prev == 0:
-                out[wi] = "emergence"
-            else:
-                out[wi] = size_trend(count, prev, rules) or ("drift" if self.drift_week == wi else "stable")
+            out[wi] = label_trend(count, prev or None, self.drift_week == wi, rules)
         return out
 
 

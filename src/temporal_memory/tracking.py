@@ -123,8 +123,8 @@ def _kmeanspp_init(points: np.ndarray, p2: np.ndarray, k: int, rng: np.random.Ge
     return centers
 
 
-def _member_means(points: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each cluster's member count and mean; an empty cluster's row is zero.
+def _member_means(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Each cluster's member mean; an empty cluster's row is zero.
 
     A stable sort lists the members cluster by cluster in index order, so each
     float32 sum adds the same rows in the same order as
@@ -140,7 +140,7 @@ def _member_means(points: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.nd
         if end > start:
             np.add.reduce(points[order[start:end]], axis=0, out=sums[c])
         start = end
-    return counts, sums / np.maximum(counts, 1).astype(points.dtype)[:, None]
+    return sums / np.maximum(counts, 1).astype(points.dtype)[:, None]
 
 
 def kmeans(
@@ -148,11 +148,14 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Seeded k-means++ with Lloyd iterations to an assignment fixpoint.
 
-    Empty clusters are re-seeded with the point currently farthest from its
-    centroid. Returns (assignments, unit-normalized centroids, inertia);
-    deterministic for a fixed (vectors, k, seed). ``init`` replaces the
-    seeding with given (k, d) centers; ``select_k`` passes the first k rows of
-    one seeding at its largest k, which is the seeding ``seed`` gives for k.
+    A cluster left empty keeps a zero center while Lloyd runs; at the end each
+    empty cluster takes the point farthest from its center out of a cluster
+    with more than one member. Returns (assignments, unit-normalized
+    centroids, inertia), the inertia being the within-cluster sum of squares
+    of the returned partition; deterministic for a fixed (vectors, k, seed).
+    ``init`` replaces the seeding with given (k, d) centers; ``select_k``
+    passes the first k rows of one seeding at its largest k, which is the
+    seeding ``seed`` gives for k.
     """
     points = np.asarray(vectors, dtype=np.float32)
     n = points.shape[0]
@@ -165,13 +168,7 @@ def kmeans(
     assign = d2.argmin(axis=1)
     converged = False
     for _ in range(MAX_KMEANS_ITER):
-        counts, centers = _member_means(points, assign, k)
-        if (counts == 0).any():
-            dist_to_own = d2[np.arange(n), assign].copy()
-            for c in np.flatnonzero(counts == 0):
-                idx = int(dist_to_own.argmax())
-                centers[c] = points[idx]
-                dist_to_own[idx] = -1.0  # each refill takes a distinct point
+        centers = _member_means(points, assign, k)
         d2 = _pairwise_sq_dists(points, p2, centers)
         prev_assign, assign = assign, d2.argmin(axis=1)
         if np.array_equal(assign, prev_assign):
@@ -180,8 +177,8 @@ def kmeans(
     if not converged:
         logger.warning("kmeans: no assignment fixpoint after %d Lloyd iterations (n=%d, k=%d)", MAX_KMEANS_ITER, n, k)
 
-    # Duplicate points can leave clusters empty even after refills (tied
-    # centers all lose the argmin); force-steal so every cluster is non-empty.
+    # Fewer distinct points than k leave clusters empty; force-steal so every
+    # cluster is non-empty.
     counts = np.bincount(assign, minlength=k)
     stolen = (counts == 0).any()
     for c in np.flatnonzero(counts == 0):
@@ -191,11 +188,12 @@ def kmeans(
         assign[idx] = c
         counts[c] = 1
 
-    inertia = float(d2[np.arange(n), assign].sum())
     if not converged or stolen:
-        # Only at a fixpoint with no steal are the last update's centers the
-        # means of exactly the final members.
-        _, centers = _member_means(points, assign, k)
+        # Only at a fixpoint with no steal are the last update's centers (and
+        # d2) those of exactly the final members.
+        centers = _member_means(points, assign, k)
+        d2 = _pairwise_sq_dists(points, p2, centers)
+    inertia = float(d2[np.arange(n), assign].sum())
     out_centers = np.empty_like(centers)
     for c in range(k):
         norm = float(np.linalg.norm(centers[c]))
@@ -288,26 +286,19 @@ def match_weeks(
     return mapping
 
 
-def size_trend(size: int, previous: int, params: TrendParams) -> str | None:
-    """The size-ratio rule for a cluster linked to one of size ``previous``: "growth", "decay", or None."""
+def label_trend(size: int, previous: int | None, drifted: bool, params: TrendParams) -> str:
+    """The trend rules in fixed precedence emergence -> growth -> decay -> drift -> stable.
+
+    ``previous`` is the size of the linked prior-week cluster (None: no link),
+    and ``drifted`` whether the centroid moved by at least the drift threshold.
+    """
+    if previous is None:
+        return "emergence"
     if size >= params.growth_factor * previous and size >= params.growth_min_events:
         return "growth"
     if size < params.decay_factor * previous:
         return "decay"
-    return None
-
-
-def label_trend(
-    curr: WeekCluster, match: tuple[WeekCluster, float] | None, params: TrendParams
-) -> str:
-    """Apply the trend rules in fixed precedence growth -> decay -> drift -> stable."""
-    if match is None:
-        return "emergence"
-    prev, _ = match
-    label = size_trend(curr.size, prev.size, params)
-    if label is None:
-        label = "drift" if drift_of(prev.centroid, curr.centroid) >= params.drift_threshold else "stable"
-    return label
+    return "drift" if drifted else "stable"
 
 
 def track(
@@ -328,7 +319,6 @@ def track(
     if not buckets:
         return [], []
 
-    events = list(store)
     terms_of: dict[str, list[str]] = {}
     clusters: list[WeekCluster] = []
     trends: list[TrendRecord] = []
@@ -341,22 +331,24 @@ def track(
         if indices is None:
             prev_clusters = []  # a silent week severs the chain
         else:
-            week_clusters = _cluster_period(period, indices, events, vecs.vectors, params, seed, terms_of)
+            week_clusters = _cluster_period(period, indices, store.events, vecs.vectors, params, seed, terms_of)
             matches = match_weeks(prev_clusters, week_clusters, params)
-            prev_of = {c.cluster_id: c for c in prev_clusters}
             for cluster in week_clusters:
-                hit = matches.get(cluster.cluster_id)
-                match = (prev_of[hit[0]], hit[1]) if hit else None
-                label = label_trend(cluster, match, params)
+                prev_id, sim = matches.get(cluster.cluster_id, (None, None))
+                previous = drift = None
+                if prev_id is not None:
+                    prev = prev_clusters[prev_id]  # a cluster's id is its index
+                    previous, drift = prev.size, drift_of(prev.centroid, cluster.centroid)
+                drifted = drift is not None and drift >= params.drift_threshold
                 trends.append(
                     TrendRecord(
                         week=cluster.week,
                         cluster_id=cluster.cluster_id,
-                        label=label,
+                        label=label_trend(cluster.size, previous, drifted, params),
                         size=cluster.size,
-                        matched_prev_id=hit[0] if hit else None,
-                        match_sim=hit[1] if hit else None,
-                        drift_value=drift_of(match[0].centroid, cluster.centroid) if match else None,
+                        matched_prev_id=prev_id,
+                        match_sim=sim,
+                        drift_value=drift,
                     )
                 )
             clusters.extend(week_clusters)
@@ -371,7 +363,7 @@ def track(
 def _cluster_period(
     period: WeekKey,
     indices: list[int],
-    events: list[Event],
+    events: Sequence[Event],
     vectors: np.ndarray,  # the store's float16 vectors
     params: TrendParams,
     seed: int,

@@ -82,8 +82,9 @@ class TestKmeans:
 
     def test_every_cluster_non_empty_even_with_duplicates(self):
         points = np.tile(np.array([[1.0, 0.0]], dtype=np.float32), (10, 1))
-        assign, _, _ = kmeans(points, 3, seed=0)
+        assign, _, inertia = kmeans(points, 3, seed=0)
         assert sorted(np.bincount(assign, minlength=3)) == [1, 1, 8]
+        assert inertia == pytest.approx(masked_wcss(points, assign, 3), abs=WCSS_ROUNDING * len(points))
 
     def test_centroids_are_unit_norm(self):
         rng = np.random.default_rng(8)
@@ -96,6 +97,20 @@ def unit_member_means(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndar
     """The reference centroids: each cluster's members, masked out and averaged, then unit-normalized."""
     means = [points[assign == c].mean(axis=0) for c in range(k)]
     return np.array([(m / float(np.linalg.norm(m))).astype(np.float32) for m in means])
+
+
+# Per point, the float32 squared distance |x|^2 + |c|^2 - 2 x.c of unit-scale rows rounds by a few eps
+# (at most ~5 eps in a 3,000-fit sweep); a stolen point's stale distance would be ~1.
+WCSS_ROUNDING = 16 * float(np.finfo(np.float32).eps)
+
+
+def masked_wcss(points: np.ndarray, assign: np.ndarray, k: int) -> float:
+    """The reference inertia: each cluster's members, masked out, summed squared distance to their mean."""
+    total = 0.0
+    for c in range(k):
+        members = points[assign == c].astype(np.float64)
+        total += float(((members - members.mean(axis=0)) ** 2).sum())
+    return total
 
 
 def seeding(points: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -161,10 +176,26 @@ class TestCentroidsAreMemberMeans:
         distinct = unit_rows(rng.standard_normal((3, 384)))
         points = np.vstack([distinct[[0, 0, 0, 1, 1, 2]], unit_rows(rng.standard_normal((2, 384)))])
         with caplog.at_level(logging.WARNING, logger="temporal_memory"):
-            assign, centers, _ = kmeans(points, 7, seed=0)
+            assign, centers, inertia = kmeans(points, 7, seed=0)
         assert not caplog.records
         assert sorted(np.bincount(assign, minlength=7)) == [1, 1, 1, 1, 1, 1, 2]
         assert centers.tobytes() == unit_member_means(points, assign, 7).tobytes()
+        assert inertia == pytest.approx(masked_wcss(points, assign, 7), abs=WCSS_ROUNDING * len(points))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_fewer_distinct_points_than_k(self, k, caplog):
+        # Two distinct positions cannot fill k clusters: Lloyd reaches a fixpoint
+        # with empty clusters (no cycle to the iteration cap), and the force-steal fills them.
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((2, 384))  # normalized in float64: these rows cycle if Lloyd refills empty clusters
+        base = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+        points = base[rng.integers(0, 2, 50)]
+        with caplog.at_level(logging.WARNING, logger="temporal_memory"):
+            assign, centers, inertia = kmeans(points, k, seed=0)
+        assert not caplog.records
+        assert (np.bincount(assign, minlength=k) > 0).all()
+        assert centers.tobytes() == unit_member_means(points, assign, k).tobytes()
+        assert inertia == pytest.approx(masked_wcss(points, assign, k), abs=WCSS_ROUNDING * len(points))
 
 
 class TestPinnedFit:
@@ -317,34 +348,30 @@ class TestMatchWeeks:
         assert all(sim >= 0.5 for _, sim in mapping.values())
 
 
+def _drifted(prev_centroid: np.ndarray, curr_centroid: np.ndarray) -> bool:
+    return drift_of(prev_centroid, curr_centroid) >= TrendParams().drift_threshold
+
+
 class TestLabelTrend:
     def test_doubled_cluster_is_growth(self):
-        prev = _cluster(W1, 0, E1, 20)
-        curr = _cluster(W2, 0, _dir(0.95), 40)
-        assert label_trend(curr, (prev, 0.95), TrendParams()) == "growth"
+        assert label_trend(40, 20, _drifted(E1, _dir(0.95)), TrendParams()) == "growth"
 
     def test_shrunken_cluster_is_decay(self):
-        prev = _cluster(W1, 0, E1, 100)
-        curr = _cluster(W2, 0, _dir(0.98), 40)
-        assert label_trend(curr, (prev, 0.98), TrendParams()) == "decay"
+        assert label_trend(40, 100, _drifted(E1, _dir(0.98)), TrendParams()) == "decay"
 
     def test_moved_centroid_is_drift(self):
-        prev = _cluster(W1, 0, E1, 30)
-        curr = _cluster(W2, 0, _dir(0.75), 32)
-        assert label_trend(curr, (prev, 0.75), TrendParams()) == "drift"
+        assert label_trend(32, 30, _drifted(E1, _dir(0.75)), TrendParams()) == "drift"
 
     def test_unmatched_is_emergence(self):
-        assert label_trend(_cluster(W2, 0, E1, 5), None, TrendParams()) == "emergence"
+        assert label_trend(5, None, False, TrendParams()) == "emergence"
 
     def test_growth_needs_minimum_size(self):
-        prev = _cluster(W1, 0, E1, 10)
-        curr = _cluster(W2, 0, _dir(0.99), 20)  # doubled but under 30 events
-        assert label_trend(curr, (prev, 0.99), TrendParams()) == "stable"
+        # doubled but under 30 events
+        assert label_trend(20, 10, _drifted(E1, _dir(0.99)), TrendParams()) == "stable"
 
     def test_growth_takes_precedence_over_drift(self):
-        prev = _cluster(W1, 0, E1, 20)
-        curr = _cluster(W2, 0, _dir(0.75), 40)  # both growth and drift fire
-        assert label_trend(curr, (prev, 0.75), TrendParams()) == "growth"
+        # both growth and drift fire
+        assert label_trend(40, 20, _drifted(E1, _dir(0.75)), TrendParams()) == "growth"
 
 
 class TestTrendParams:
