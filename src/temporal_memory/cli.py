@@ -15,7 +15,7 @@ import hashlib
 import logging
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -23,12 +23,14 @@ from .embedding import (
     DEFAULT_DIM,
     HashEmbedder,
     VectorFileError,
+    VectorStore,
     check_alignment,
     encode_store,
     read_vector_file,
     write_vector_file,
 )
 from .events import (
+    EventStore,
     IngestError,
     coerce_timestamp,
     ingest,
@@ -261,18 +263,28 @@ def _cmd_embed(ws: Workspace, args) -> None:
         ws.require(source, "an external embedding step")
         vs = read_vector_file(source)
         check_alignment(store, vs)
-    write_vector_file(vs, ws.vectors)
+    write_vector_file(replace(vs, ts_us=store.ts_us, events_sha256=_sha256(ws.events)), ws.vectors)
     print(f"embedded {len(vs)} events at dim {vs.dim} -> {ws.vectors}")
     _write_run_manifest(ws, "embed", {"dim": vs.dim, "embedder": choice}, [ws.vectors])
 
 
-def _load_store_and_vectors(ws: Workspace):
+def _load_vectors(ws: Workspace) -> VectorStore:
+    """The workspace's TMV2 vectors, required to be embedded from the events.jsonl beside them."""
     ws.require(ws.events, "ingest")
     ws.require(ws.vectors, "embed")
-    store = load_events_jsonl(ws.events)
     vs = read_vector_file(ws.vectors)
-    check_alignment(store, vs)
-    return store, vs
+    if vs.events_sha256 is None:
+        raise VectorFileError(f"{ws.vectors} is a TMV1 file, which records no events.jsonl digest; "
+                              "re-run 'tmem embed'")
+    if vs.events_sha256 != _sha256(ws.events):
+        raise VectorFileError(f"{ws.vectors} was embedded from another version of {ws.events}; "
+                              "re-run 'tmem embed'")
+    return vs
+
+
+def _load_store_and_vectors(ws: Workspace):
+    vs = _load_vectors(ws)
+    return load_events_jsonl(ws.events), vs
 
 
 def _cmd_trends(ws: Workspace, args) -> None:
@@ -293,7 +305,8 @@ def _cmd_query(ws: Workspace, args) -> None:
     params = _params(RetrievalParams, args, now=coerce_timestamp(args.now) if args.now else None)
     mode = "cosine_only" if args.mode == "cosine" else "fused"
     cutoff = parse_cutoff(args.as_of) if args.as_of else None
-    store, vs = _load_store_and_vectors(ws)
+    vs = _load_vectors(ws)
+    store = EventStore.of_timeline(vs.ids, vs.ts_us)
     query_vec = HashEmbedder(dim=vs.dim).embed(args.text)
     hits = rank(query_vec, store, vs, params, mode=mode, as_of=cutoff)
     for hit in hits:

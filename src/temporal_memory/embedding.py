@@ -1,8 +1,11 @@
 """Deterministic text embeddings and a bit-exact half-precision vector store.
 
 The default embedder hashes unigrams and adjacent bigrams into signed
-buckets; any externally computed vectors can be injected through the "TMV1"
-file format instead.
+buckets; externally computed vectors can be injected through the "TMV1"
+file format instead. The workspace artifact is a "TMV2" file, which also
+records each event's timestamp and the sha256 of the events.jsonl it was
+embedded from, so a reader can rank from it alone and can tell when that
+events.jsonl has changed since.
 """
 
 from __future__ import annotations
@@ -26,12 +29,22 @@ DEFAULT_DIM = 384
 # Word characters keep compound tokens like "auth_fail" intact.
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
-MAGIC = b"TMV1"
-_HEADER = struct.Struct("<4sIQ")  # magic, u32 dim, u64 count
+# Both formats are little-endian. Each starts with its header, then the event
+# ids as newline-terminated UTF-8 in store order. TMV1 (the external input
+# format) follows them with count*dim binary16 values, one row per event.
+# TMV2 (the workspace artifact) follows them with count int64 epoch-µs
+# timestamps, count u32 row indices and rows*dim binary16 values: each
+# distinct vector once, in the order np.unique gives them, so event i's
+# vector is row index[i].
+TMV1 = b"TMV1"
+TMV2 = b"TMV2"
+_TMV1_HEADER = struct.Struct("<4sIQ")  # magic, u32 dim, u64 count
+_TMV2_HEADER = struct.Struct("<4sIQQ32s")  # magic, u32 dim, u64 count, u64 rows, sha256 of events.jsonl
 
 
 class VectorFileError(RuntimeError):
-    """A TMV1 file is cut short, malformed, or holds a vector with no cosine (zero or non-finite)."""
+    """A vector file is cut short or malformed, holds a vector with no cosine (zero or
+    non-finite), or does not match the events.jsonl beside it."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -86,11 +99,19 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class VectorStore:
-    """Event vectors quantized to half precision, index-aligned with their ids."""
+    """Event vectors quantized to half precision, index-aligned with their ids.
+
+    A store read from a TMV2 file also holds what that file records of the
+    events.jsonl it was embedded from: each event's int64 epoch-µs ``ts_us``
+    and the file's ``events_sha256`` (hex). Both are None otherwise, and
+    :func:`write_vector_file` needs both.
+    """
 
     dim: int
     ids: tuple[str, ...]
     vectors: np.ndarray  # shape (count, dim), float16
+    ts_us: np.ndarray | None = None
+    events_sha256: str | None = None
 
     def __post_init__(self) -> None:
         if self.vectors.dtype != np.float16:
@@ -99,6 +120,8 @@ class VectorStore:
             raise ValueError(
                 f"shape {self.vectors.shape} inconsistent with {len(self.ids)} ids × dim {self.dim}"
             )
+        if self.ts_us is not None and (self.ts_us.dtype != np.int64 or self.ts_us.shape != (len(self.ids),)):
+            raise ValueError(f"ts_us must be {len(self.ids)} int64 values, got {self.ts_us.dtype} {self.ts_us.shape}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -115,18 +138,24 @@ class VectorStore:
         L2 norms; event i's vector is ``rows[index[i]]``. Byte-identical
         vectors share a row, so a query scores each distinct vector once and
         identical vectors score exactly alike. A zero or non-finite norm
-        raises ValueError.
+        raises ValueError. A TMV2 read fills this in from the file.
         """
         keys = np.ascontiguousarray(self.vectors).view(np.dtype((np.void, 2 * self.dim))).ravel()
         _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-        rows = self.vectors[first].astype(np.float32)
-        norms = np.linalg.norm(rows, axis=1)
+        rows, norms, index = _frozen_distinct(self.vectors[first], index)
         bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
         if bad.size:
             raise ValueError(f"vector for {self.ids[first[bad[0]]]} has norm {norms[bad[0]]}; cosine is undefined")
-        for array in (rows, norms, index):
-            array.flags.writeable = False
         return rows, norms, index
+
+
+def _frozen_distinct(rows: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``VectorStore.distinct`` of float16 ``rows`` and an intp ``index``."""
+    rows = rows.astype(np.float32)
+    norms = np.linalg.norm(rows, axis=1)
+    for array in (rows, norms, index):
+        array.flags.writeable = False
+    return rows, norms, index
 
 
 def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
@@ -153,55 +182,89 @@ def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
 
 
 def write_vector_file(vs: VectorStore, path: Path | str) -> None:
+    """Write ``vs`` as TMV2; it must hold ``ts_us`` and ``events_sha256``."""
+    if vs.ts_us is None or vs.events_sha256 is None:
+        raise ValueError("a TMV2 file records each event's ts and the events.jsonl sha256; the store holds neither")
+    rows, _, index = vs.distinct
     with atomic_write(path, binary=True) as fh:
-        fh.write(_HEADER.pack(MAGIC, vs.dim, len(vs.ids)))
+        fh.write(_TMV2_HEADER.pack(TMV2, vs.dim, len(vs.ids), len(rows), bytes.fromhex(vs.events_sha256)))
         for event_id in vs.ids:
             fh.write(event_id.encode("utf-8"))
             fh.write(b"\n")
-        fh.write(np.ascontiguousarray(vs.vectors, dtype="<f2").tobytes())
+        fh.write(vs.ts_us.astype("<i8").tobytes())
+        fh.write(index.astype("<u4").tobytes())
+        fh.write(rows.astype("<f2").tobytes())
 
 
 def read_vector_file(path: Path | str) -> VectorStore:
-    """Read a TMV1 file; a bad magic, dim, count, length or vector raises VectorFileError naming it."""
+    """Read a TMV2 or a TMV1 file; a file that breaks its format raises VectorFileError naming it.
+
+    A TMV2 store comes with ``ts_us``, ``events_sha256`` and ``distinct``
+    read from the file; a TMV1 store has none of them.
+    """
     data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
+    magic = data[:4]
+    header = {TMV1: _TMV1_HEADER, TMV2: _TMV2_HEADER}.get(magic)
+    if len(data) < (header or _TMV1_HEADER).size:
         raise VectorFileError(f"{path}: shorter than header")
-    magic, dim, count = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise VectorFileError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    if header is None:
+        raise VectorFileError(f"{path}: bad magic {magic!r}, expected {TMV2!r} or {TMV1!r}")
+    if magic == TMV2:
+        _, dim, count, n_rows, digest = header.unpack_from(data, 0)
+    else:
+        (_, dim, count), n_rows = header.unpack_from(data, 0), None
     if dim < 2:
         raise VectorFileError(f"{path}: declared dim {dim} is invalid")
 
-    offset = _HEADER.size
-    ids: list[str] = []
-    for _ in range(count):
-        end = data.find(b"\n", offset)
-        if end < 0:
-            raise VectorFileError(
-                f"{path}: id section ended after {len(ids)} of {count} declared ids"
-            )
-        ids.append(data[offset:end].decode("utf-8"))
-        offset = end + 1
+    # The ids are the first ``count`` newline-terminated parts; the last part is the payload.
+    *id_lines, rest = data[header.size:].split(b"\n", count)
+    if len(id_lines) < count:
+        raise VectorFileError(f"{path}: id section ended after {len(id_lines)} of {count} declared ids")
+    offset, payload = len(data) - len(rest), len(rest)
+    try:
+        ids = data[header.size:offset - 1].decode("utf-8").split("\n") if count else []
+    except UnicodeDecodeError as exc:
+        raise VectorFileError(f"{path}: an event id is not UTF-8: {exc}") from None
+    expected_bytes = count * dim * 2 if n_rows is None else count * 12 + n_rows * dim * 2
+    if payload < expected_bytes:
+        raise VectorFileError(f"{path}: payload has {payload} bytes, expected {expected_bytes}")
+    if payload > expected_bytes:
+        raise VectorFileError(f"{path}: {payload - expected_bytes} trailing bytes beyond declared counts")
+    if n_rows is None:
+        vectors = np.frombuffer(data, "<f2", count * dim, offset).reshape(count, dim).astype(np.float16)
+        _check_rows(path, vectors, ids, np.arange(count))
+        return VectorStore(dim=dim, ids=tuple(ids), vectors=vectors)
 
-    payload = memoryview(data)[offset:]
-    expected_bytes = count * dim * 2
-    if len(payload) < expected_bytes:
-        raise VectorFileError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected_bytes}"
-        )
-    if len(payload) > expected_bytes:
-        raise VectorFileError(
-            f"{path}: {len(payload) - expected_bytes} trailing bytes beyond declared count"
-        )
-    vectors = np.frombuffer(payload, dtype="<f2").reshape(count, dim).astype(np.float16)
+    ts_us = np.frombuffer(data, "<i8", count, offset).astype(np.int64)
+    index = np.frombuffer(data, "<u4", count, offset + 8 * count).astype(np.intp)
+    rows = np.frombuffer(data, "<f2", n_rows * dim, offset + 12 * count).reshape(n_rows, dim).astype(np.float16)
+    beyond = np.flatnonzero(index >= n_rows)
+    if beyond.size:
+        raise VectorFileError(f"{path}: row index of {ids[beyond[0]]} is {index[beyond[0]]}, beyond the {n_rows} rows")
+    held = np.zeros(n_rows, dtype=bool)
+    held[index] = True
+    if not held.all():
+        raise VectorFileError(f"{path}: row {np.flatnonzero(~held)[0]} is held by no event")
+    decreases = np.flatnonzero(np.diff(ts_us) < 0)
+    if decreases.size:
+        raise VectorFileError(f"{path}: ts of {ids[decreases[0] + 1]} is before the ts of the event before it")
+    _check_rows(path, rows, ids, index)
+    ts_us.flags.writeable = False
+    vs = VectorStore(dim=dim, ids=tuple(ids), vectors=rows[index], ts_us=ts_us, events_sha256=digest.hex())
+    vs.__dict__["distinct"] = _frozen_distinct(rows, index)  # the slot cached_property fills
+    return vs
+
+
+def _check_rows(path: Path | str, rows: np.ndarray, ids: list[str], index: np.ndarray) -> None:
+    """Reject a zero or non-finite row, naming the first event (event i has ``rows[index[i]]``) that holds one."""
     # A binary16 value is NaN or inf exactly when its magnitude bits are >= 0x7C00
     # (exponent all ones), so each row's largest magnitude finds both bad cases.
-    magnitude = (vectors.view(np.uint16) & 0x7FFF).max(axis=1)
-    bad = np.flatnonzero((magnitude == 0) | (magnitude >= 0x7C00))
-    if bad.size:
-        problem = "only zeros" if magnitude[bad[0]] == 0 else "a non-finite value"
-        raise VectorFileError(f"{path}: vector for {ids[bad[0]]} has {problem}; cosine is undefined")
-    return VectorStore(dim=dim, ids=tuple(ids), vectors=vectors)
+    magnitude = (rows.view(np.uint16) & 0x7FFF).max(axis=1)
+    holders = np.flatnonzero(((magnitude == 0) | (magnitude >= 0x7C00))[index])
+    if holders.size:
+        first = holders[0]
+        problem = "only zeros" if magnitude[index[first]] == 0 else "a non-finite value"
+        raise VectorFileError(f"{path}: vector for {ids[first]} has {problem}; cosine is undefined")
 
 
 def check_alignment(store: EventStore, vs: VectorStore) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -226,6 +226,22 @@ class EventStore:
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
+    @classmethod
+    def of_timeline(cls, ids: Sequence[str], ts_us: np.ndarray) -> EventStore:
+        """A store of bare events, each only an id and a ts, from an int64 epoch-µs column in store order.
+
+        Ranking reads nothing else of an event. A copy of ``ts_us`` becomes
+        the store's ``ts_us``, so it must not decrease and must hold one value
+        per id (ValueError otherwise).
+        """
+        if len(ids) != len(ts_us):
+            raise ValueError(f"{len(ids)} ids but {len(ts_us)} timestamps")
+        with _cyclic_gc_paused():
+            stamps = [_EPOCH + timedelta(microseconds=us) for us in ts_us.tolist()]
+            store = cls(events=tuple(map(Event, ids, stamps)))
+        store.__dict__["ts_us"] = store._checked_ts(np.array(ts_us, dtype=np.int64))  # the slot cached_property fills
+        return store
+
     def ids(self) -> list[str]:
         return [e.event_id for e in self.events]
 
@@ -236,7 +252,11 @@ class EventStore:
         Raises ValueError if they decrease: the as-of cut in retrieval takes
         a prefix of the store and relies on the (ts, event_id) order.
         """
-        ts = np.fromiter((epoch_us(e.ts) for e in self.events), dtype=np.int64, count=len(self.events))
+        return self._checked_ts(
+            np.fromiter((epoch_us(e.ts) for e in self.events), dtype=np.int64, count=len(self.events))
+        )
+
+    def _checked_ts(self, ts: np.ndarray) -> np.ndarray:
         decreases = np.flatnonzero(np.diff(ts) < 0)
         if decreases.size:
             event = self.events[decreases[0] + 1]
@@ -452,6 +472,22 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
 
 
 @contextmanager
+def _cyclic_gc_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection, then restore the caller's setting.
+
+    Building a store allocates many containers and no cycles, so a cyclic
+    collection meanwhile would only rescan them.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@contextmanager
 def atomic_write(path: Path | str, binary: bool = False) -> Iterator[IO]:
     """Open a temp file beside ``path``; on success move it onto ``path``, on any exception delete it.
 
@@ -582,30 +618,22 @@ def load_events_jsonl(path: Path | str) -> EventStore:
     seen: set[str] = set()
     previous: tuple[datetime, str] | None = None
     line_no = 0
-    # Parsing allocates many containers and no cycles, so a cyclic collection
-    # during the loop would only rescan them; the caller's setting comes back after.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with path.open("rb") as fh:
-            while lines := fh.readlines(_LOAD_CHUNK_BYTES):
-                for value in _parse_lines(path, line_no + 1, lines):
-                    line_no += 1
-                    try:
-                        event = _canonical_event(value)
-                    except ValueError as exc:
-                        raise IngestError(f"{path}:{line_no}: {exc}") from None
-                    key = (event.ts, event.event_id)
-                    if previous is not None and key <= previous:
-                        raise IngestError(f"{path}:{line_no}: (ts, event_id) is not after the previous line's")
-                    if event.event_id in seen:
-                        raise IngestError(f"{path}:{line_no}: event_id {event.event_id!r} repeats an earlier line's")
-                    seen.add(event.event_id)
-                    previous = key
-                    events.append(event)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with _cyclic_gc_paused(), path.open("rb") as fh:
+        while lines := fh.readlines(_LOAD_CHUNK_BYTES):
+            for value in _parse_lines(path, line_no + 1, lines):
+                line_no += 1
+                try:
+                    event = _canonical_event(value)
+                except ValueError as exc:
+                    raise IngestError(f"{path}:{line_no}: {exc}") from None
+                key = (event.ts, event.event_id)
+                if previous is not None and key <= previous:
+                    raise IngestError(f"{path}:{line_no}: (ts, event_id) is not after the previous line's")
+                if event.event_id in seen:
+                    raise IngestError(f"{path}:{line_no}: event_id {event.event_id!r} repeats an earlier line's")
+                seen.add(event.event_id)
+                previous = key
+                events.append(event)
     if not events:
         raise IngestError(f"{path}:1: no events")
     return EventStore(events=tuple(events))

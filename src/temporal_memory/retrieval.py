@@ -8,7 +8,11 @@ so the result equals a brute-force score-then-sort of the whole snapshot.
 Cosines are computed once per distinct vector and gathered per event, so
 byte-identical vectors score exactly alike and tie-break by (ts, event_id).
 The distinct float32 rows, their norms and the timestamp array are built
-once per store and cached on it.
+once per store and cached on it. ``tmem query`` rebuilds none of them: a
+TMV2 vector file holds the distinct rows, each event's index into them and
+the timestamps, and ranking needs nothing more of an event than its id and
+timestamp, so it runs over ``EventStore.of_timeline`` of the file's columns
+and never parses events.jsonl.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
-"""Shared fixtures: hand-built events, a deterministic 50-event corpus, one pipeline run."""
+"""Shared fixtures: hand-built events, a deterministic 50-event corpus, one pipeline run, vector-file bytes."""
 
 from __future__ import annotations
 
+import struct
+
+import numpy as np
 import pytest
 
 from temporal_memory import cli
@@ -91,3 +94,56 @@ def pipeline_ws(tmp_path_factory):
     code = cli.main(["--workspace", str(ws), "all", "--seed", "7"])
     assert code == 0
     return ws
+
+
+# Vector files built byte by byte from the layouts, without the package's code:
+# the package writes only TMV2, and these also build malformed files.
+def tmv1_bytes(ids, vectors) -> bytes:
+    """A TMV1 file: header, newline-terminated ids, one binary16 row per event."""
+    vectors = np.asarray(vectors, dtype="<f2")
+    header = struct.pack("<4sIQ", b"TMV1", vectors.shape[1], len(ids))
+    return header + b"".join(i.encode() + b"\n" for i in ids) + vectors.tobytes()
+
+
+def tmv2_bytes(ids, ts_us, index, rows, digest: bytes = bytes(32), *, count=None, n_rows=None) -> bytes:
+    """A TMV2 file; ``count`` and ``n_rows`` override the header's counts."""
+    rows = np.asarray(rows, dtype="<f2")
+    count = len(ids) if count is None else count
+    n_rows = len(rows) if n_rows is None else n_rows
+    header = struct.pack("<4sIQQ32s", b"TMV2", rows.shape[1], count, n_rows, digest)
+    return (header + b"".join(i.encode() + b"\n" for i in ids) + np.asarray(ts_us, dtype="<i8").tobytes()
+            + np.asarray(index, dtype="<u4").tobytes() + rows.tobytes())
+
+
+# A six-event TMV2 sample whose three rows are first held by events 1, 0 and 3.
+_SAMPLE = {
+    "ids": tuple(f"ev-{i}" for i in range(6)),
+    "ts_us": 1_743_465_600_000_000 + 60_000_000 * np.arange(6),
+    "index": (1, 0, 1, 2, 2, 0),
+    "rows": ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5)),
+}
+
+
+def tmv2_sample(**changes) -> bytes:
+    """The sample's TMV2 bytes, with any of its fields (or the header counts) replaced."""
+    return tmv2_bytes(**{**_SAMPLE, **changes})
+
+
+# Each reader rule, a sample that breaks it, and what the reader's message says.
+TMV2_DEFECTS = {
+    "short header": (lambda: tmv2_sample()[:40], "shorter than header"),
+    "bad magic": (lambda: b"TMV9" + tmv2_sample()[4:], "bad magic b'TMV9'"),
+    "rows overstated": (lambda: tmv2_sample(n_rows=4), "payload has 96 bytes, expected 104"),
+    "count understated": (lambda: tmv2_sample(count=5), "17 trailing bytes beyond declared counts"),
+    "trailing bytes": (lambda: tmv2_sample() + b"junk", "4 trailing bytes beyond declared counts"),
+    "index beyond rows": (lambda: tmv2_sample(index=(1, 0, 3, 2, 2, 0)), "row index of ev-2 is 3, beyond the 3 rows"),
+    "row held by no event": (lambda: tmv2_sample(index=(1, 0, 1, 0, 1, 0)), "row 2 is held by no event"),
+    "decreasing ts": (
+        lambda: tmv2_sample(ts_us=_SAMPLE["ts_us"] - 120_000_000 * (np.arange(6) == 3)),
+        "ts of ev-3 is before the ts of the event before it",
+    ),
+    "zero row": (lambda: tmv2_sample(rows=_SAMPLE["rows"][:2] + ((0.0, -0.0, 0.0, 0.0),)),
+                 "vector for ev-3 has only zeros"),
+    "non-finite row": (lambda: tmv2_sample(rows=_SAMPLE["rows"][:2] + ((0.5, np.inf, 0.5, 0.5),)),
+                       "vector for ev-3 has a non-finite value"),
+}

@@ -102,7 +102,7 @@ SEED_7_DIGESTS = {
     "logs/ground_truth.json": "ec0336e6620867518945fc44d560f7465c8f8f9ba40da00470a6d376133e31ad",
     "data/events.jsonl": "7ad93b9d0518687c110caf45b7d115a71f69aa465a70fbff3db349475b778fe7",
     "data/manifest.json": "3d74abcbea2e94975f1684f27af11e59f99a9c131eacf334215a1a2b71f034fd",
-    "data/vectors.tmv": "b16f34c73bf8bd1af0391454b2edad4b29f4a9fa1692cdededf5d1cfbf1aaf63",
+    "data/vectors.tmv": "8d2c80eaa657adaef75bc52ca6947ff8c230a62c6636097693f9ebdfee908d16",
 }
 
 
@@ -119,7 +119,8 @@ def _events_failing_midway(path):
 
 def _vectors_failing_midway(path):
     ids = ("ev-0", "ev-1", 2)  # the third id cannot be encoded
-    write_vector_file(VectorStore(dim=4, ids=ids, vectors=np.ones((3, 4), dtype=np.float16)), path)
+    vectors = np.ones((3, 4), dtype=np.float16)
+    write_vector_file(VectorStore(dim=4, ids=ids, vectors=vectors, ts_us=np.arange(3), events_sha256="0" * 64), path)
 
 
 def _clusters_failing_midway(path):

@@ -19,9 +19,12 @@ import numpy as np
 import pytest
 
 from temporal_memory import cli
-from temporal_memory.embedding import VectorStore, read_vector_file, write_vector_file
-from temporal_memory.retrieval import RetrievalParams
+from temporal_memory.embedding import HashEmbedder, read_vector_file
+from temporal_memory.events import coerce_timestamp, load_events_jsonl, parse_cutoff
+from temporal_memory.retrieval import RetrievalParams, rank
 from temporal_memory.tracking import TrendParams
+
+from conftest import TMV2_DEFECTS, tmv1_bytes
 
 
 def run(*argv: str) -> int:
@@ -432,17 +435,96 @@ class TestQueryCommand:
         assert code == 0
         assert "no evidence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, mode, as_of, top_k", [
+        ([], "fused", None, 10),
+        (["--mode", "cosine"], "cosine_only", None, 10),
+        (["--as-of", "2025-05-01"], "fused", "2025-05-01", 10),
+        (["--k", "25"], "fused", None, 25),
+    ])
+    def test_printed_hits_equal_rank_over_the_loaded_store(self, pipeline_ws, capsys, extra, mode, as_of, top_k):
+        text, now = "okta auth_fail mfa denied", "2025-06-30T00:00:00Z"
+        assert run("--workspace", str(pipeline_ws), "query", "--text", text, "--now", now, *extra) == 0
+        store = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
+        vecs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
+        params = RetrievalParams(top_k=top_k, now=coerce_timestamp(now))
+        hits = rank(HashEmbedder(dim=vecs.dim).embed(text), store, vecs, params, mode=mode,
+                    as_of=parse_cutoff(as_of) if as_of else None)
+        assert len(hits) == top_k
+        assert capsys.readouterr().out == "".join(hit.to_json() + "\n" for hit in hits)
+
+    def test_query_parses_no_json(self, pipeline_ws, capsys, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"query loaded {path}")
+
+        monkeypatch.setattr(cli, "load_events_jsonl", refuse)
+        assert run("--workspace", str(pipeline_ws), "query", "--text", "okta auth_fail", "--as-of", "2025-05-01") == 0
+        assert len(capsys.readouterr().out.splitlines()) == RetrievalParams.top_k
+
+
+class TestStaleVectors:
+    """Every reader of vectors.tmv checks it was embedded from the events.jsonl beside it."""
+
+    COMMANDS = (["trends"], ["query", "--text", "okta auth_fail"],
+                ["eval", "--eval-config", "{logs}/eval.json"])
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_an_edited_store_exits_1_naming_both_files(self, pipeline_ws, tmp_path, capsys, argv):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        events = ws / "data" / "events.jsonl"
+        lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+        event = json.loads(lines[7])
+        event["msg"] += " (edited)"
+        event["text_repr"] += " (edited)"
+        lines[7] = json.dumps(event, ensure_ascii=False, separators=(",", ":")) + "\n"
+        events.write_text("".join(lines), encoding="utf-8")
+        argv = [a.format(logs=pipeline_ws / "logs") for a in argv]
+        assert run("--workspace", str(ws), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(ws / "data" / "vectors.tmv") in err and str(events) in err
+        assert "re-run 'tmem embed'" in err
+        assert not (ws / "results").exists()
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_a_tmv1_workspace_file_exits_1_asking_for_embed(self, pipeline_ws, tmp_path, capsys, argv):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        vs = read_vector_file(ws / "data" / "vectors.tmv")
+        (ws / "data" / "vectors.tmv").write_bytes(tmv1_bytes(vs.ids, vs.vectors))
+        argv = [a.format(logs=pipeline_ws / "logs") for a in argv]
+        assert run("--workspace", str(ws), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ws / 'data' / 'vectors.tmv'} is a TMV1 file")
+        assert "re-run 'tmem embed'" in err
+
+    @pytest.mark.parametrize("defect", TMV2_DEFECTS)
+    def test_a_malformed_file_exits_1_naming_it(self, pipeline_ws, tmp_path, capsys, defect):
+        build, message = TMV2_DEFECTS[defect]
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        path = ws / "data" / "vectors.tmv"
+        path.write_bytes(build())
+        assert run("--workspace", str(ws), "query", "--text", "okta auth_fail") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
 
 class TestEmbedOptions:
     def test_external_vectors_accepted(self, pipeline_ws, tmp_path, capsys):
         ws = tmp_path / "ws"
         (ws / "data").mkdir(parents=True)
         (ws / "data" / "events.jsonl").write_bytes((pipeline_ws / "data" / "events.jsonl").read_bytes())
+        vs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
         external = tmp_path / "external.tmv"
-        external.write_bytes((pipeline_ws / "data" / "vectors.tmv").read_bytes())
+        external.write_bytes(tmv1_bytes(vs.ids, vs.vectors[::-1]))  # other vectors, the same ids
         code = run("--workspace", str(ws), "embed", "--embedder", f"external:{external}")
         assert code == 0
-        assert (ws / "data" / "vectors.tmv").read_bytes() == external.read_bytes()
+        written, given = read_vector_file(ws / "data" / "vectors.tmv"), read_vector_file(external)
+        assert written.ids == given.ids
+        assert written.vectors.tobytes() == given.vectors.tobytes()
+        assert np.array_equal(written.ts_us, vs.ts_us) and written.events_sha256 == vs.events_sha256
+        assert run("--workspace", str(ws), "query", "--text", "okta auth_fail") == 0
 
     @pytest.mark.parametrize("corrupt", ["nan_row", "bad_magic"])
     def test_bad_external_vectors_exit_1_and_leave_no_vectors(self, pipeline_ws, tmp_path, capsys, corrupt):
@@ -454,7 +536,7 @@ class TestEmbedOptions:
         if corrupt == "nan_row":
             vectors[-1, 0] = np.nan
         external = tmp_path / "external.tmv"
-        write_vector_file(VectorStore(dim=vs.dim, ids=vs.ids, vectors=vectors), external)
+        external.write_bytes(tmv1_bytes(vs.ids, vectors))
         if corrupt == "bad_magic":
             external.write_bytes(b"NOPE" + external.read_bytes()[4:])
         assert run("--workspace", str(ws), "embed", "--embedder", f"external:{external}") == 1

@@ -1,9 +1,10 @@
-"""Hash embedder, cosine, half-precision store, and TMV1 file integrity."""
+"""Hash embedder, cosine, half-precision store, and TMV2/TMV1 file integrity."""
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -22,7 +23,7 @@ from temporal_memory.embedding import (
     write_vector_file,
 )
 
-from conftest import corpus_events, store_of
+from conftest import TMV2_DEFECTS, corpus_events, store_of, tmv1_bytes, tmv2_bytes, tmv2_sample
 
 texts = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters=" _-"),
@@ -119,8 +120,9 @@ class TestEncodeStore:
 
     def test_encoding_twice_is_byte_identical(self, corpus_store, tmp_path):
         a, b = tmp_path / "a.tmv", tmp_path / "b.tmv"
-        write_vector_file(encode_store(corpus_store, HashEmbedder()), a)
-        write_vector_file(encode_store(corpus_store, HashEmbedder()), b)
+        for path in (a, b):
+            vs = encode_store(corpus_store, HashEmbedder())
+            write_vector_file(replace(vs, ts_us=corpus_store.ts_us, events_sha256=_DIGEST), path)
         assert a.read_bytes() == b.read_bytes()
 
     def test_stored_norms_within_half_precision_tolerance(self, corpus_store):
@@ -186,11 +188,24 @@ class TestEncodeStore:
         assert cos.min() >= 0.999
 
 
+_DIGEST = hashlib.sha256(b"events.jsonl").hexdigest()
+
+
 def _sample_store(dim=16, count=5) -> VectorStore:
+    """Unit vectors with TMV2's ts column and digest."""
     rng = np.random.default_rng(9)
     vectors = rng.standard_normal((count, dim)).astype(np.float32)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return VectorStore(dim=dim, ids=tuple(f"ev-{i}" for i in range(count)), vectors=vectors.astype(np.float16))
+    return VectorStore(dim=dim, ids=tuple(f"ev-{i}" for i in range(count)), vectors=vectors.astype(np.float16),
+                       ts_us=1_743_465_600_000_000 + 1_000_000 * np.arange(count), events_sha256=_DIGEST)
+
+
+def _with_repeats(vs: VectorStore) -> VectorStore:
+    """``vs`` with three more events that repeat vectors 3, 0 and 3."""
+    vectors = np.concatenate([vs.vectors, vs.vectors[[3, 0, 3]]])
+    count = len(vectors)
+    return VectorStore(dim=vs.dim, ids=tuple(f"ev-{i}" for i in range(count)), vectors=vectors,
+                       ts_us=1_743_465_600_000_000 + 1_000_000 * np.arange(count), events_sha256=_DIGEST)
 
 
 class TestVectorStore:
@@ -204,9 +219,7 @@ class TestVectorStore:
         assert vs.float32()[0, 0] != 42.0
 
     def test_distinct_rows_rebuild_every_vector(self):
-        vs = _sample_store()
-        vectors = np.concatenate([vs.vectors, vs.vectors[[3, 0, 3]]])
-        vs = VectorStore(dim=vs.dim, ids=tuple(f"ev-{i}" for i in range(len(vectors))), vectors=vectors)
+        vs = _with_repeats(_sample_store())
         rows, norms, index = vs.distinct
         assert vs.distinct is vs.distinct
         assert rows.dtype == norms.dtype == np.float32
@@ -227,21 +240,46 @@ class TestVectorStore:
 
 
 class TestVectorFile:
+    """TMV2, the workspace artifact; the malformed-file cases are in TestTMV2Reader."""
+
     def test_round_trip(self, tmp_path):
-        vs = _sample_store()
+        vs = _with_repeats(_sample_store())
         path = tmp_path / "v.tmv"
         write_vector_file(vs, path)
         back = read_vector_file(path)
         assert back.dim == vs.dim
         assert back.ids == vs.ids
         assert np.array_equal(back.vectors, vs.vectors)
+        assert np.array_equal(back.ts_us, vs.ts_us) and back.ts_us.dtype == np.int64
+        assert back.events_sha256 == _DIGEST
+        # The rows read from the file are the ones a fresh store rebuilds, array for array.
+        rebuilt = VectorStore(dim=vs.dim, ids=vs.ids, vectors=vs.vectors).distinct
+        for read, fresh in zip(back.distinct, rebuilt):
+            assert read.dtype == fresh.dtype and np.array_equal(read, fresh) and not read.flags.writeable
+        assert not back.ts_us.flags.writeable
 
     def test_write_read_write_is_byte_stable(self, tmp_path):
-        vs = _sample_store()
+        vs = _with_repeats(_sample_store())
         a, b = tmp_path / "a.tmv", tmp_path / "b.tmv"
         write_vector_file(vs, a)
         write_vector_file(read_vector_file(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_writer_follows_the_layout(self, tmp_path):
+        vs = _with_repeats(_sample_store())
+        path = tmp_path / "v.tmv"
+        write_vector_file(vs, path)
+        rows, _, index = vs.distinct
+        expected = tmv2_bytes(vs.ids, vs.ts_us, index, rows, bytes.fromhex(_DIGEST))
+        assert path.read_bytes() == expected
+        assert len(expected) == 56 + 8 * 5 + 12 * 8 + 2 * 16 * 5
+
+    def test_writer_needs_the_ts_column_and_the_digest(self, tmp_path):
+        vs = _sample_store()
+        for missing in ({"ts_us": None}, {"events_sha256": None}):
+            with pytest.raises(ValueError, match="ts and the events.jsonl sha256"):
+                write_vector_file(replace(vs, **missing), tmp_path / "v.tmv")
+        assert not (tmp_path / "v.tmv").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.tmv"
@@ -251,6 +289,18 @@ class TestVectorFile:
         path.write_bytes(bytes(data))
         with pytest.raises(VectorFileError, match="bad magic b'NOPE'"):
             read_vector_file(path)
+
+    # TMV1, the external input format: the package has no TMV1 writer, so these
+    # files come from tmv1_bytes.
+
+    def test_tmv1_round_trip(self, tmp_path):
+        vs = _sample_store()
+        path = tmp_path / "v.tmv"
+        path.write_bytes(tmv1_bytes(vs.ids, vs.vectors))
+        back = read_vector_file(path)
+        assert (back.dim, back.ids) == (vs.dim, vs.ids)
+        assert np.array_equal(back.vectors, vs.vectors)
+        assert back.ts_us is None and back.events_sha256 is None
 
     def test_declared_dim_zero(self, tmp_path):
         path = tmp_path / "v.tmv"
@@ -264,18 +314,23 @@ class TestVectorFile:
         with pytest.raises(VectorFileError, match="id section ended after 1 of 3 declared ids"):
             read_vector_file(path)
 
-    def test_truncated_payload(self, tmp_path):
+    def test_id_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "v.tmv"
-        write_vector_file(_sample_store(), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-7])
+        path.write_bytes(struct.pack("<4sIQ", b"TMV1", 2, 1) + b"\xff\n" + np.ones(2, "<f2").tobytes())
+        with pytest.raises(VectorFileError, match="an event id is not UTF-8"):
+            read_vector_file(path)
+
+    def test_truncated_payload(self, tmp_path):
+        vs = _sample_store()
+        path = tmp_path / "v.tmv"
+        path.write_bytes(tmv1_bytes(vs.ids, vs.vectors)[:-7])
         with pytest.raises(VectorFileError, match=r"payload has \d+ bytes, expected \d+"):
             read_vector_file(path)
 
     def test_trailing_bytes_beyond_count(self, tmp_path):
+        vs = _sample_store()
         path = tmp_path / "v.tmv"
-        write_vector_file(_sample_store(), path)
-        path.write_bytes(path.read_bytes() + b"junk")
+        path.write_bytes(tmv1_bytes(vs.ids, vs.vectors) + b"junk")
         with pytest.raises(VectorFileError, match="4 trailing bytes beyond declared count"):
             read_vector_file(path)
 
@@ -293,7 +348,7 @@ class TestVectorFile:
         vectors = vs.vectors.copy()
         vectors[3:] = bad
         path = tmp_path / "v.tmv"
-        write_vector_file(VectorStore(dim=vs.dim, ids=vs.ids, vectors=vectors), path)
+        path.write_bytes(tmv1_bytes(vs.ids, vectors))
         with pytest.raises(VectorFileError, match=f"vector for ev-3 has {problem}"):
             read_vector_file(path)
 
@@ -302,7 +357,7 @@ class TestVectorFile:
         value = np.array([bits], dtype=np.uint16).view(np.float16)[0]
         vectors = np.array([[1.0, 1.0], [value, other]], dtype=np.float16)
         path = tmp_path_factory.mktemp("v") / "v.tmv"
-        write_vector_file(VectorStore(dim=2, ids=("ok", "probe"), vectors=vectors), path)
+        path.write_bytes(tmv1_bytes(("ok", "probe"), vectors))
         if np.isfinite(value) and (value != 0 or other != 0):
             assert np.array_equal(read_vector_file(path).vectors, vectors)
         else:
@@ -310,23 +365,37 @@ class TestVectorFile:
                 read_vector_file(path)
 
 
+class TestTMV2Reader:
+    def test_the_sample_is_well_formed(self, tmp_path):
+        path = tmp_path / "v.tmv"
+        path.write_bytes(tmv2_sample())
+        vs = read_vector_file(path)
+        assert vs.ids[3] == "ev-3" and np.array_equal(vs.distinct[2], [1, 0, 1, 2, 2, 0])
+
+    @pytest.mark.parametrize("defect", TMV2_DEFECTS)
+    def test_malformed_file_is_rejected_naming_it(self, tmp_path, defect):
+        build, message = TMV2_DEFECTS[defect]
+        path = tmp_path / "v.tmv"
+        path.write_bytes(build())
+        with pytest.raises(VectorFileError) as exc:
+            read_vector_file(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert message in str(exc.value)
+
+
 class TestExternalInjection:
     """A file produced by independent code must be accepted when ids align."""
 
     @staticmethod
     def _independent_writer(path, ids, dim):
-        # Deliberately avoids the package writer: plain struct + byte ops.
-        blob = struct.pack("<4s", b"TMV1") + struct.pack("<I", dim) + struct.pack("<Q", len(ids))
+        # Deliberately avoids the package: vectors from each id's sha256, bytes from tmv1_bytes.
         rows = []
         for event_id in ids:
-            blob += event_id.encode() + b"\n"
             seed_bytes = hashlib.sha256(event_id.encode()).digest()
             row = np.frombuffer((seed_bytes * (dim // 8))[: dim * 2], dtype="<u2").astype(np.float32)
             row = (row - row.mean()) / (row.std() + 1e-9)
-            row /= np.linalg.norm(row)
-            rows.append(row.astype("<f2"))
-        blob += b"".join(r.tobytes() for r in rows)
-        path.write_bytes(blob)
+            rows.append(row / np.linalg.norm(row))
+        path.write_bytes(tmv1_bytes(ids, rows))
 
     def test_externally_built_file_feeds_the_pipeline(self, corpus_store, tmp_path):
         path = tmp_path / "external.tmv"
@@ -353,6 +422,12 @@ class TestVectorStoreInvariants:
     def test_shape_alignment_enforced(self):
         with pytest.raises(ValueError):
             VectorStore(dim=4, ids=("a", "b"), vectors=np.zeros((1, 4), dtype=np.float16))
+
+    def test_ts_column_alignment_enforced(self):
+        vectors = np.ones((2, 4), dtype=np.float16)
+        for ts_us in (np.arange(3), np.arange(2, dtype=np.int32)):
+            with pytest.raises(ValueError, match="ts_us"):
+                VectorStore(dim=4, ids=("a", "b"), vectors=vectors, ts_us=ts_us)
 
 
 def test_store_of_rejects_duplicate_fixture_ids():

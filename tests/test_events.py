@@ -506,6 +506,36 @@ class TestEventStore:
         with pytest.raises(ValueError, match="not sorted"):
             EventStore(events=(newer, older)).ts_us
 
+    def test_of_timeline_holds_each_events_id_and_exact_ts(self, pipeline_ws):
+        loaded = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
+        bare = EventStore.of_timeline(loaded.ids(), np.array(loaded.ts_us))
+        assert [(e.event_id, e.ts) for e in bare] == [(e.event_id, e.ts) for e in loaded]
+        assert [e.ts.isoformat() for e in bare] == [e.ts.isoformat() for e in loaded]
+        assert bare.events[0] == Event(loaded.events[0].event_id, loaded.events[0].ts)
+        assert np.array_equal(bare.ts_us, loaded.ts_us) and not bare.ts_us.flags.writeable
+
+    def test_of_timeline_keeps_the_callers_gc_setting_and_array(self):
+        ts_us = np.array([-1, 0, 1743501600000001])
+        try:
+            for enabled in (False, True):
+                gc.enable() if enabled else gc.disable()
+                store = EventStore.of_timeline(["a", "b", "c"], ts_us)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert [e.ts.isoformat() for e in store] == [
+            "1969-12-31T23:59:59.999999+00:00", "1970-01-01T00:00:00+00:00", "2025-04-01T10:00:00.000001+00:00",
+        ]
+        assert ts_us.flags.writeable and store.ts_us is not ts_us
+
+    @pytest.mark.parametrize("ids, ts_us, message", [
+        (["a", "b"], [2, 1], "not sorted by ts: b is older"),
+        (["a", "b"], [1], "2 ids but 1 timestamps"),
+    ])
+    def test_of_timeline_rejects_what_ranking_cannot_use(self, ids, ts_us, message):
+        with pytest.raises(ValueError, match=message):
+            EventStore.of_timeline(ids, np.array(ts_us))
+
     def test_event_is_immutable(self):
         event = build_event("2025-04-01T00:00:00Z", msg="frozen")
         with pytest.raises(AttributeError):
