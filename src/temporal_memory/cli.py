@@ -15,7 +15,7 @@ import hashlib
 import logging
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -263,7 +263,7 @@ def _cmd_embed(ws: Workspace, args) -> None:
         ws.require(source, "an external embedding step")
         vs = read_vector_file(source)
         check_alignment(store, vs)
-    write_vector_file(replace(vs, ts_us=store.ts_us, events_sha256=_sha256(ws.events)), ws.vectors)
+    write_vector_file(vs.with_source(store.ts_us, _sha256(ws.events)), ws.vectors)
     print(f"embedded {len(vs)} events at dim {vs.dim} -> {ws.vectors}")
     _write_run_manifest(ws, "embed", {"dim": vs.dim, "embedder": choice}, [ws.vectors])
 

@@ -14,7 +14,7 @@ import hashlib
 import logging
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -138,15 +138,37 @@ class VectorStore:
         L2 norms; event i's vector is ``rows[index[i]]``. Byte-identical
         vectors share a row, so a query scores each distinct vector once and
         identical vectors score exactly alike. A zero or non-finite norm
-        raises ValueError. A TMV2 read fills this in from the file.
+        raises ValueError. A TMV2 read fills this in from the file, and
+        :func:`encode_store` from its table of distinct texts.
         """
-        keys = np.ascontiguousarray(self.vectors).view(np.dtype((np.void, 2 * self.dim))).ravel()
-        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-        rows, norms, index = _frozen_distinct(self.vectors[first], index)
-        bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
-        if bad.size:
-            raise ValueError(f"vector for {self.ids[first[bad[0]]]} has norm {norms[bad[0]]}; cosine is undefined")
-        return rows, norms, index
+        return _grouped(self.vectors, np.arange(len(self.ids)), self.ids)
+
+    def with_source(self, ts_us: np.ndarray, events_sha256: str) -> VectorStore:
+        """This store with the ``ts_us`` and ``events_sha256`` of the events.jsonl it was embedded from.
+
+        The result keeps this store's ``distinct`` instead of grouping the vectors again.
+        """
+        vs = replace(self, ts_us=ts_us, events_sha256=events_sha256)
+        vs.__dict__["distinct"] = self.distinct  # the slot cached_property fills
+        return vs
+
+
+def _grouped(
+    table: np.ndarray, table_index: np.ndarray, ids: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``VectorStore.distinct`` of the store whose event i has the float16 row ``table[table_index[i]]``.
+
+    Rows of ``table`` may repeat: byte-identical rows are grouped into one,
+    in ``np.unique`` order, whatever their place in ``table``.
+    """
+    keys = np.ascontiguousarray(table).view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows, norms, index = _frozen_distinct(table[first], inverse[table_index])
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        holder = np.flatnonzero(index == bad[0])[0]
+        raise ValueError(f"vector for {ids[holder]} has norm {norms[bad[0]]}; cosine is undefined")
+    return rows, norms, index
 
 
 def _frozen_distinct(rows: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,8 +184,10 @@ def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
     """Embed every event's text_repr, in store order, quantizing to float16.
 
     Equal texts embed to equal vectors, so each distinct text is embedded
-    once, in first-seen order, and its float16 row is gathered per event. An
-    unembeddable text raises ValueError naming the first event that holds it.
+    once, in first-seen order, and its float16 row is gathered per event;
+    the store's ``distinct`` is grouped from those rows, not from every
+    event's. An unembeddable text raises ValueError naming the first event
+    that holds it.
     """
     row_of: dict[str, int] = {}
     index = np.fromiter(
@@ -178,7 +202,9 @@ def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
             raise ValueError(f"event {first.event_id}: {exc}") from exc
     logger.info("embedded %d events from %d distinct texts", len(store), len(row_of))
     rows = rows.astype(np.float16)  # rebinding frees the float32 table before the gather
-    return VectorStore(dim=embedder.dim, ids=tuple(store.ids()), vectors=rows[index])
+    vs = VectorStore(dim=embedder.dim, ids=tuple(store.ids()), vectors=rows[index])
+    vs.__dict__["distinct"] = _grouped(rows, index, vs.ids)  # the slot cached_property fills
+    return vs
 
 
 def write_vector_file(vs: VectorStore, path: Path | str) -> None:
@@ -216,11 +242,12 @@ def read_vector_file(path: Path | str) -> VectorStore:
     if dim < 2:
         raise VectorFileError(f"{path}: declared dim {dim} is invalid")
 
-    # The ids are the first ``count`` newline-terminated parts; the last part is the payload.
-    *id_lines, rest = data[header.size:].split(b"\n", count)
-    if len(id_lines) < count:
-        raise VectorFileError(f"{path}: id section ended after {len(id_lines)} of {count} declared ids")
-    offset, payload = len(data) - len(rest), len(rest)
+    # The ids are the first ``count`` newline-terminated lines; the payload follows them.
+    newlines = np.flatnonzero(np.frombuffer(data, np.uint8, offset=header.size) == ord("\n"))[:count]
+    if len(newlines) < count:
+        raise VectorFileError(f"{path}: id section ended after {len(newlines)} of {count} declared ids")
+    offset = header.size + int(newlines[-1]) + 1 if count else header.size
+    payload = len(data) - offset
     try:
         ids = data[header.size:offset - 1].decode("utf-8").split("\n") if count else []
     except UnicodeDecodeError as exc:

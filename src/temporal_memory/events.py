@@ -207,6 +207,31 @@ def period_of(ts: datetime) -> WeekKey:
     return WeekKey(year, week)
 
 
+class _Timeline(Sequence[Event]):
+    """Read-only sequence of bare events, each only an id and a ts, built on access.
+
+    Item ``i`` is ``Event(ids[i], <ts_us[i] epoch-µs as a UTC datetime>)``; a
+    slice is a tuple of such events.
+    """
+
+    __slots__ = ("_ids", "_ts_us")
+
+    def __init__(self, ids: tuple[str, ...], ts_us: np.ndarray) -> None:
+        self._ids = ids
+        self._ts_us = ts_us
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        return Event(self._ids[i], _EPOCH + timedelta(microseconds=int(self._ts_us[i])))
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass(frozen=True)
 class EventStore:
     """Immutable, deterministically ordered collection of events.
@@ -216,7 +241,7 @@ class EventStore:
     invariant under input-line shuffling.
     """
 
-    events: tuple[Event, ...]
+    events: Sequence[Event]
     source_manifest: tuple[dict, ...] = ()
     duplicates_dropped: int = 0
 
@@ -230,16 +255,17 @@ class EventStore:
     def of_timeline(cls, ids: Sequence[str], ts_us: np.ndarray) -> EventStore:
         """A store of bare events, each only an id and a ts, from an int64 epoch-µs column in store order.
 
-        Ranking reads nothing else of an event. A copy of ``ts_us`` becomes
-        the store's ``ts_us``, so it must not decrease and must hold one value
-        per id (ValueError otherwise).
+        Ranking reads nothing else of an event, and only of the top-k events,
+        so each event is built when it is read: ``events`` is a read-only
+        sequence over the ids and a copy of ``ts_us``. That copy becomes the
+        store's ``ts_us``, so it must not decrease and must hold one value per
+        id (ValueError otherwise).
         """
         if len(ids) != len(ts_us):
             raise ValueError(f"{len(ids)} ids but {len(ts_us)} timestamps")
-        with _cyclic_gc_paused():
-            stamps = [_EPOCH + timedelta(microseconds=us) for us in ts_us.tolist()]
-            store = cls(events=tuple(map(Event, ids, stamps)))
-        store.__dict__["ts_us"] = store._checked_ts(np.array(ts_us, dtype=np.int64))  # the slot cached_property fills
+        ts = np.array(ts_us, dtype=np.int64)
+        store = cls(events=_Timeline(tuple(ids), ts))
+        store.__dict__["ts_us"] = store._checked_ts(ts)  # the slot cached_property fills
         return store
 
     def ids(self) -> list[str]:

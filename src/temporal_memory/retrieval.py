@@ -12,7 +12,8 @@ once per store and cached on it. ``tmem query`` rebuilds none of them: a
 TMV2 vector file holds the distinct rows, each event's index into them and
 the timestamps, and ranking needs nothing more of an event than its id and
 timestamp, so it runs over ``EventStore.of_timeline`` of the file's columns
-and never parses events.jsonl.
+and never parses events.jsonl. That store builds an event only when it is
+read, and ranking reads only the top-k events, each once.
 """
 
 from __future__ import annotations
@@ -134,12 +135,12 @@ def rank(
     top = cand[np.lexsort((cand, -ts_us[cand], -score[cand]))][:k]
     return [
         RankedHit(
-            event_id=store.events[i].event_id,
-            ts=store.events[i].ts,
+            event_id=event.event_id,
+            ts=event.ts,
             cosine_sim=float(cos[i]),
             age_days=float(ages[i]),
             recency_weight=float(weights[i]),
             fused=float(fused[i]),
         )
-        for i in top
+        for i, event in zip(top, map(store.events.__getitem__, top))
     ]

@@ -155,6 +155,33 @@ class TestEncodeStore:
         for row, event in zip(vs.vectors, store):
             expected = embedder.embed(event.text_repr).astype(np.float16)
             assert row.tobytes() == expected.tobytes()
+        _assert_same_distinct(vs.distinct, VectorStore(dim=vs.dim, ids=vs.ids, vectors=vs.vectors).distinct)
+
+    def test_texts_whose_float16_rows_are_equal_share_one_row(self, corpus_store):
+        from temporal_memory.events import Event, EventStore
+
+        class NearEmbedder:
+            """"b" embeds a float32 step away from "a", far below a float16 step."""
+
+            dim = 4
+
+            def embed(self, text):
+                vec = np.array([0.0, 0.0, 1.0, 0.0] if text == "c" else [0.6, 0.8, 0.0, 0.0], dtype=np.float32)
+                if text == "b":
+                    vec[0] = np.nextafter(vec[0], np.float32(1))
+                return vec
+
+        assert NearEmbedder().embed("a").tobytes() != NearEmbedder().embed("b").tobytes()
+        start = corpus_store.events[0].ts
+        store = EventStore(events=tuple(
+            Event(event_id=f"e{i}", ts=start + timedelta(seconds=i), text_repr=text)
+            for i, text in enumerate(["c", "a", "b", "c", "b"])
+        ))
+        vs = encode_store(store, NearEmbedder())
+        rows, _, index = vs.distinct
+        assert len(rows) == 2
+        assert index[1] == index[2] == index[4] != index[0] == index[3]
+        _assert_same_distinct(vs.distinct, VectorStore(dim=vs.dim, ids=vs.ids, vectors=vs.vectors).distinct)
 
     def test_an_all_distinct_store_gives_each_event_its_own_row(self, corpus_store):
         from temporal_memory.events import Event, EventStore
@@ -189,6 +216,12 @@ class TestEncodeStore:
 
 
 _DIGEST = hashlib.sha256(b"events.jsonl").hexdigest()
+
+
+def _assert_same_distinct(got, expected) -> None:
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
 
 
 def _sample_store(dim=16, count=5) -> VectorStore:
@@ -230,6 +263,13 @@ class TestVectorStore:
         for array in (rows, norms, index):
             with pytest.raises(ValueError):
                 array[0] = 1
+
+    def test_with_source_keeps_the_distinct_rows(self):
+        vs = _with_repeats(_sample_store())
+        bare = VectorStore(dim=vs.dim, ids=vs.ids, vectors=vs.vectors)
+        stamped = bare.with_source(vs.ts_us, _DIGEST)
+        assert stamped.distinct is bare.distinct
+        assert stamped.ts_us is vs.ts_us and stamped.events_sha256 == _DIGEST and stamped.vectors is bare.vectors
 
     def test_zero_row_has_no_norm(self):
         vs = _sample_store()

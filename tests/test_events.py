@@ -514,19 +514,30 @@ class TestEventStore:
         assert bare.events[0] == Event(loaded.events[0].event_id, loaded.events[0].ts)
         assert np.array_equal(bare.ts_us, loaded.ts_us) and not bare.ts_us.flags.writeable
 
-    def test_of_timeline_keeps_the_callers_gc_setting_and_array(self):
+    def test_of_timeline_copies_the_callers_array(self):
         ts_us = np.array([-1, 0, 1743501600000001])
-        try:
-            for enabled in (False, True):
-                gc.enable() if enabled else gc.disable()
-                store = EventStore.of_timeline(["a", "b", "c"], ts_us)
-                assert gc.isenabled() is enabled
-        finally:
-            gc.enable()
+        store = EventStore.of_timeline(["a", "b", "c"], ts_us)
+        ts_us[0] = 7
         assert [e.ts.isoformat() for e in store] == [
             "1969-12-31T23:59:59.999999+00:00", "1970-01-01T00:00:00+00:00", "2025-04-01T10:00:00.000001+00:00",
         ]
-        assert ts_us.flags.writeable and store.ts_us is not ts_us
+        assert ts_us.flags.writeable and store.ts_us is not ts_us and store.ts_us[0] == -1
+
+    def test_of_timeline_events_read_as_the_tuple_of_bare_events(self, pipeline_ws):
+        loaded = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
+        bare = tuple(Event(e.event_id, e.ts) for e in loaded)
+        store = EventStore.of_timeline(loaded.ids(), loaded.ts_us)
+        events = store.events
+        assert len(events) == len(store) == len(bare)
+        assert events[0] == bare[0] and events[-1] == bare[-1] and events[np.int64(5)] == bare[5]
+        for part in (slice(5, 17), slice(None, None, -400), slice(3, 3), slice(-2, None)):
+            assert events[part] == bare[part]
+        assert tuple(events) == tuple(store) == bare
+        assert store.week_range() == loaded.week_range()
+        with pytest.raises(IndexError):
+            events[len(bare)]
+        with pytest.raises(TypeError):
+            events[0] = bare[0]
 
     @pytest.mark.parametrize("ids, ts_us, message", [
         (["a", "b"], [2, 1], "not sorted by ts: b is older"),

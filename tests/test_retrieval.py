@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from temporal_memory.embedding import HashEmbedder, VectorStore, encode_store
+from temporal_memory.embedding import HashEmbedder, VectorStore, encode_store, read_vector_file
 from temporal_memory.events import Event, EventStore
 from temporal_memory.retrieval import (
     MODES,
@@ -203,6 +203,22 @@ class TestRank:
         hits = rank(HashEmbedder(dim=64).embed("okta auth_fail mfa denied"), store, vecs, params)
         assert hits[0].ts == new
         assert hits[0].cosine_sim == pytest.approx(hits[1].cosine_sim)
+
+    def test_a_top_10_rank_over_of_timeline_builds_at_most_10_events(self, pipeline_ws, monkeypatch):
+        built = []
+
+        class CountedEvent(Event):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0] if args else kwargs["event_id"])
+                super().__init__(*args, **kwargs)
+
+        vecs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
+        monkeypatch.setattr("temporal_memory.events.Event", CountedEvent)
+        store = EventStore.of_timeline(vecs.ids, vecs.ts_us)
+        query = HashEmbedder(dim=vecs.dim).embed("okta auth_fail mfa denied")
+        hits = rank(query, store, vecs, RetrievalParams(now=NOW, top_k=10))
+        assert len(hits) == 10 and len(store) > 1000
+        assert len(built) <= 10 and set(built) <= {hit.event_id for hit in hits}
 
     def test_alpha_one_equals_cosine_only(self, indexed_corpus):
         store, vecs = indexed_corpus
