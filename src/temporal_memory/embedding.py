@@ -144,26 +144,17 @@ class VectorStore:
         return _grouped(self.vectors, np.arange(len(self.ids)), self.ids)
 
     def with_source(self, ts_us: np.ndarray, events_sha256: str) -> VectorStore:
-        """This store with the ``ts_us`` and ``events_sha256`` of the events.jsonl it was embedded from.
-
-        The result keeps this store's ``distinct`` instead of grouping the vectors again.
-        """
+        """This store, keeping its ``distinct``, with the ``ts_us`` and ``events_sha256`` of its events.jsonl."""
         vs = replace(self, ts_us=ts_us, events_sha256=events_sha256)
         vs.__dict__["distinct"] = self.distinct  # the slot cached_property fills
         return vs
 
 
-def _grouped(
-    table: np.ndarray, table_index: np.ndarray, ids: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``VectorStore.distinct`` of the store whose event i has the float16 row ``table[table_index[i]]``.
-
-    Rows of ``table`` may repeat: byte-identical rows are grouped into one,
-    in ``np.unique`` order, whatever their place in ``table``.
-    """
-    keys = np.ascontiguousarray(table).view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+def _grouped(table: np.ndarray, rows_of: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """``VectorStore.distinct`` of events whose float16 rows are ``table[rows_of]``; equal table rows merge."""
+    keys = np.ascontiguousarray(table).view(np.dtype((np.void, 2 * table.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rows, norms, index = _frozen_distinct(table[first], inverse[table_index])
+    rows, norms, index = _frozen_distinct(table[first], inverse[rows_of])
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
     if bad.size:
         holder = np.flatnonzero(index == bad[0])[0]
@@ -184,10 +175,9 @@ def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
     """Embed every event's text_repr, in store order, quantizing to float16.
 
     Equal texts embed to equal vectors, so each distinct text is embedded
-    once, in first-seen order, and its float16 row is gathered per event;
-    the store's ``distinct`` is grouped from those rows, not from every
-    event's. An unembeddable text raises ValueError naming the first event
-    that holds it.
+    once, in first-seen order, and its float16 row (which ``distinct`` groups)
+    is gathered per event. An unembeddable text raises ValueError naming the
+    first event that holds it.
     """
     row_of: dict[str, int] = {}
     index = np.fromiter(

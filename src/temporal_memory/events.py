@@ -208,11 +208,7 @@ def period_of(ts: datetime) -> WeekKey:
 
 
 class _Timeline(Sequence[Event]):
-    """Read-only sequence of bare events, each only an id and a ts, built on access.
-
-    Item ``i`` is ``Event(ids[i], <ts_us[i] epoch-µs as a UTC datetime>)``; a
-    slice is a tuple of such events.
-    """
+    """Read-only sequence of bare events, each an id and an epoch-µs ts, built on access; a slice is a tuple."""
 
     __slots__ = ("_ids", "_ts_us")
 
@@ -227,9 +223,6 @@ class _Timeline(Sequence[Event]):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
         return Event(self._ids[i], _EPOCH + timedelta(microseconds=int(self._ts_us[i])))
-
-    def __iter__(self) -> Iterator[Event]:
-        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
