@@ -15,7 +15,7 @@ import hashlib
 import logging
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     seed = _Parser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--seed", type=_seed, default=0, help="stream seed, an integer >= 0 (default %(default)s)")
     dim = _Parser(add_help=False)
     dim.add_argument("--dim", type=int, default=DEFAULT_DIM, help="hash embedding size, >= 2 (default %(default)s)")
     recency = _Parser(add_help=False)
@@ -263,7 +263,7 @@ def _cmd_embed(ws: Workspace, args) -> None:
         ws.require(source, "an external embedding step")
         vs = read_vector_file(source)
         check_alignment(store, vs)
-    write_vector_file(vs.with_source(store.ts_us, _sha256(ws.events)), ws.vectors)
+    write_vector_file(replace(vs, ts_us=store.ts_us, events_sha256=_sha256(ws.events)), ws.vectors)
     print(f"embedded {len(vs)} events at dim {vs.dim} -> {ws.vectors}")
     _write_run_manifest(ws, "embed", {"dim": vs.dim, "embedder": choice}, [ws.vectors])
 

@@ -5,7 +5,9 @@ buckets; externally computed vectors can be injected through the "TMV1"
 file format instead. The workspace artifact is a "TMV2" file, which also
 records each event's timestamp and the sha256 of the events.jsonl it was
 embedded from, so a reader can rank from it alone and can tell when that
-events.jsonl has changed since.
+events.jsonl has changed since. A VectorStore in memory has TMV2's layout:
+each distinct float16 vector once and each event's index into them, so
+reading and writing a file copy no per-event vector.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import logging
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -101,6 +103,11 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 class VectorStore:
     """Event vectors quantized to half precision, index-aligned with their ids.
 
+    The store holds vectors the way a TMV2 file does: ``rows`` is each
+    distinct float16 vector once, in the order :func:`group_rows` gives them,
+    and event i's vector is ``rows[index[i]]``. Every row is held by some
+    event and has a cosine (it is neither all zeros nor non-finite).
+
     A store read from a TMV2 file also holds what that file records of the
     events.jsonl it was embedded from: each event's int64 epoch-µs ``ts_us``
     and the file's ``events_sha256`` (hex). Both are None otherwise, and
@@ -109,75 +116,77 @@ class VectorStore:
 
     dim: int
     ids: tuple[str, ...]
-    vectors: np.ndarray  # shape (count, dim), float16
+    rows: np.ndarray  # shape (distinct, dim), float16
+    index: np.ndarray  # shape (count,), intp
     ts_us: np.ndarray | None = None
     events_sha256: str | None = None
 
     def __post_init__(self) -> None:
-        if self.vectors.dtype != np.float16:
-            raise ValueError(f"vectors must be float16, got {self.vectors.dtype}")
-        if self.vectors.shape != (len(self.ids), self.dim):
-            raise ValueError(
-                f"shape {self.vectors.shape} inconsistent with {len(self.ids)} ids × dim {self.dim}"
-            )
-        if self.ts_us is not None and (self.ts_us.dtype != np.int64 or self.ts_us.shape != (len(self.ids),)):
-            raise ValueError(f"ts_us must be {len(self.ids)} int64 values, got {self.ts_us.dtype} {self.ts_us.shape}")
+        count, rows, index = len(self.ids), self.rows, self.index
+        if rows.dtype != np.float16 or index.dtype != np.intp:
+            raise ValueError(f"rows must be float16 and index intp, got {rows.dtype} and {index.dtype}")
+        if rows.ndim != 2 or rows.shape[1] != self.dim or index.shape != (count,):
+            raise ValueError(f"rows {rows.shape}, index {index.shape} inconsistent with {count} ids × dim {self.dim}")
+        if self.ts_us is not None and (self.ts_us.dtype != np.int64 or self.ts_us.shape != (count,)):
+            raise ValueError(f"ts_us must be {count} int64 values, got {self.ts_us.dtype} {self.ts_us.shape}")
+        beyond = np.flatnonzero((index < 0) | (index >= len(rows)))
+        if beyond.size:
+            first = beyond[0]
+            raise ValueError(f"row index of {self.ids[first]} is {index[first]}, beyond the {len(rows)} rows")
+        held = np.zeros(len(rows), dtype=bool)
+        held[index] = True
+        if not held.all():
+            raise ValueError(f"row {np.flatnonzero(~held)[0]} is held by no event")
+        zero = ~rows.any(axis=1)
+        holders = np.flatnonzero((zero | ~np.isfinite(rows).all(axis=1))[index])
+        if holders.size:
+            first = holders[0]
+            problem = "only zeros" if zero[index[first]] else "a non-finite value"
+            raise ValueError(f"vector for {self.ids[first]} has {problem}; cosine is undefined")
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """Each event's float16 vector, gathered from ``rows`` on every access."""
+        return self.rows[self.index]
+
     def float32(self) -> np.ndarray:
-        """A fresh, writable float32 copy of the vectors."""
+        """A fresh, writable float32 copy of each event's vector."""
         return self.vectors.astype(np.float32)
 
     @cached_property
-    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, norms, index): each distinct vector once, and which one each event has.
+    def scoring(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, norms): ``rows`` as read-only float32 and their read-only float32 L2 norms.
 
-        ``rows`` are read-only float32 and ``norms`` their read-only float32
-        L2 norms; event i's vector is ``rows[index[i]]``. Byte-identical
-        vectors share a row, so a query scores each distinct vector once and
-        identical vectors score exactly alike. A zero or non-finite norm
-        raises ValueError. A TMV2 read fills this in from the file, and
-        :func:`encode_store` from its table of distinct texts.
+        Byte-identical vectors share a row, so a query scores each distinct
+        vector once and identical vectors score exactly alike.
         """
-        return _grouped(self.vectors, np.arange(len(self.ids)), self.ids)
-
-    def with_source(self, ts_us: np.ndarray, events_sha256: str) -> VectorStore:
-        """This store, keeping its ``distinct``, with the ``ts_us`` and ``events_sha256`` of its events.jsonl."""
-        vs = replace(self, ts_us=ts_us, events_sha256=events_sha256)
-        vs.__dict__["distinct"] = self.distinct  # the slot cached_property fills
-        return vs
+        rows = self.rows.astype(np.float32)
+        norms = np.linalg.norm(rows, axis=1)
+        rows.flags.writeable = norms.flags.writeable = False
+        return rows, norms
 
 
-def _grouped(table: np.ndarray, rows_of: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """``VectorStore.distinct`` of events whose float16 rows are ``table[rows_of]``; equal table rows merge."""
+def group_rows(table: np.ndarray, rows_of: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, index) of a :class:`VectorStore` whose event i has the float16 row ``table[rows_of[i]]``.
+
+    ``rows_of`` defaults to one event per table row. Byte-identical table
+    rows merge into one, and ``rows`` come in ``np.unique`` order.
+    """
     keys = np.ascontiguousarray(table).view(np.dtype((np.void, 2 * table.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rows, norms, index = _frozen_distinct(table[first], inverse[rows_of])
-    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
-    if bad.size:
-        holder = np.flatnonzero(index == bad[0])[0]
-        raise ValueError(f"vector for {ids[holder]} has norm {norms[bad[0]]}; cosine is undefined")
-    return rows, norms, index
-
-
-def _frozen_distinct(rows: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``VectorStore.distinct`` of float16 ``rows`` and an intp ``index``."""
-    rows = rows.astype(np.float32)
-    norms = np.linalg.norm(rows, axis=1)
-    for array in (rows, norms, index):
-        array.flags.writeable = False
-    return rows, norms, index
+    return table[first], inverse if rows_of is None else inverse[rows_of]
 
 
 def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
     """Embed every event's text_repr, in store order, quantizing to float16.
 
     Equal texts embed to equal vectors, so each distinct text is embedded
-    once, in first-seen order, and its float16 row (which ``distinct`` groups)
-    is gathered per event. An unembeddable text raises ValueError naming the
-    first event that holds it.
+    once, in first-seen order, and :func:`group_rows` merges the texts whose
+    float16 rows are equal. An unembeddable text raises ValueError naming the
+    first event that holds it, as does a vector with no cosine.
     """
     row_of: dict[str, int] = {}
     index = np.fromiter(
@@ -191,32 +200,29 @@ def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
             first = next(event for event in store if event.text_repr == text)
             raise ValueError(f"event {first.event_id}: {exc}") from exc
     logger.info("embedded %d events from %d distinct texts", len(store), len(row_of))
-    rows = rows.astype(np.float16)  # rebinding frees the float32 table before the gather
-    vs = VectorStore(dim=embedder.dim, ids=tuple(store.ids()), vectors=rows[index])
-    vs.__dict__["distinct"] = _grouped(rows, index, vs.ids)  # the slot cached_property fills
-    return vs
+    return VectorStore(embedder.dim, tuple(store.ids()), *group_rows(rows.astype(np.float16), index))
 
 
 def write_vector_file(vs: VectorStore, path: Path | str) -> None:
     """Write ``vs`` as TMV2; it must hold ``ts_us`` and ``events_sha256``."""
     if vs.ts_us is None or vs.events_sha256 is None:
         raise ValueError("a TMV2 file records each event's ts and the events.jsonl sha256; the store holds neither")
-    rows, _, index = vs.distinct
     with atomic_write(path, binary=True) as fh:
-        fh.write(_TMV2_HEADER.pack(TMV2, vs.dim, len(vs.ids), len(rows), bytes.fromhex(vs.events_sha256)))
+        fh.write(_TMV2_HEADER.pack(TMV2, vs.dim, len(vs.ids), len(vs.rows), bytes.fromhex(vs.events_sha256)))
         for event_id in vs.ids:
             fh.write(event_id.encode("utf-8"))
             fh.write(b"\n")
         fh.write(vs.ts_us.astype("<i8").tobytes())
-        fh.write(index.astype("<u4").tobytes())
-        fh.write(rows.astype("<f2").tobytes())
+        fh.write(vs.index.astype("<u4").tobytes())
+        fh.write(vs.rows.astype("<f2").tobytes())
 
 
 def read_vector_file(path: Path | str) -> VectorStore:
     """Read a TMV2 or a TMV1 file; a file that breaks its format raises VectorFileError naming it.
 
-    A TMV2 store comes with ``ts_us``, ``events_sha256`` and ``distinct``
-    read from the file; a TMV1 store has none of them.
+    A TMV2 store takes its rows, index, ``ts_us`` and ``events_sha256`` from
+    the file as they are; a TMV1 store groups its per-event rows with
+    :func:`group_rows` and has neither ``ts_us`` nor ``events_sha256``.
     """
     data = Path(path).read_bytes()
     magic = data[:4]
@@ -249,39 +255,25 @@ def read_vector_file(path: Path | str) -> VectorStore:
         raise VectorFileError(f"{path}: {payload - expected_bytes} trailing bytes beyond declared counts")
     if n_rows is None:
         vectors = np.frombuffer(data, "<f2", count * dim, offset).reshape(count, dim).astype(np.float16)
-        _check_rows(path, vectors, ids, np.arange(count))
-        return VectorStore(dim=dim, ids=tuple(ids), vectors=vectors)
+        return _checked_store(path, dim, ids, *group_rows(vectors))
 
     ts_us = np.frombuffer(data, "<i8", count, offset).astype(np.int64)
     index = np.frombuffer(data, "<u4", count, offset + 8 * count).astype(np.intp)
     rows = np.frombuffer(data, "<f2", n_rows * dim, offset + 12 * count).reshape(n_rows, dim).astype(np.float16)
-    beyond = np.flatnonzero(index >= n_rows)
-    if beyond.size:
-        raise VectorFileError(f"{path}: row index of {ids[beyond[0]]} is {index[beyond[0]]}, beyond the {n_rows} rows")
-    held = np.zeros(n_rows, dtype=bool)
-    held[index] = True
-    if not held.all():
-        raise VectorFileError(f"{path}: row {np.flatnonzero(~held)[0]} is held by no event")
+    ts_us.flags.writeable = False
+    vs = _checked_store(path, dim, ids, rows, index, ts_us, digest.hex())
     decreases = np.flatnonzero(np.diff(ts_us) < 0)
     if decreases.size:
         raise VectorFileError(f"{path}: ts of {ids[decreases[0] + 1]} is before the ts of the event before it")
-    _check_rows(path, rows, ids, index)
-    ts_us.flags.writeable = False
-    vs = VectorStore(dim=dim, ids=tuple(ids), vectors=rows[index], ts_us=ts_us, events_sha256=digest.hex())
-    vs.__dict__["distinct"] = _frozen_distinct(rows, index)  # the slot cached_property fills
     return vs
 
 
-def _check_rows(path: Path | str, rows: np.ndarray, ids: list[str], index: np.ndarray) -> None:
-    """Reject a zero or non-finite row, naming the first event (event i has ``rows[index[i]]``) that holds one."""
-    # A binary16 value is NaN or inf exactly when its magnitude bits are >= 0x7C00
-    # (exponent all ones), so each row's largest magnitude finds both bad cases.
-    magnitude = (rows.view(np.uint16) & 0x7FFF).max(axis=1)
-    holders = np.flatnonzero(((magnitude == 0) | (magnitude >= 0x7C00))[index])
-    if holders.size:
-        first = holders[0]
-        problem = "only zeros" if magnitude[index[first]] == 0 else "a non-finite value"
-        raise VectorFileError(f"{path}: vector for {ids[first]} has {problem}; cosine is undefined")
+def _checked_store(path: Path | str, dim: int, ids: list[str], *fields) -> VectorStore:
+    """The :class:`VectorStore` of a file's fields; one that breaks its invariant raises VectorFileError."""
+    try:
+        return VectorStore(dim, tuple(ids), *fields)
+    except ValueError as exc:
+        raise VectorFileError(f"{path}: {exc}") from None
 
 
 def check_alignment(store: EventStore, vs: VectorStore) -> None:

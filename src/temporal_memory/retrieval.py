@@ -7,13 +7,13 @@ the scores around the k-th best, then sorts only the events that reach it,
 so the result equals a brute-force score-then-sort of the whole snapshot.
 Cosines are computed once per distinct vector and gathered per event, so
 byte-identical vectors score exactly alike and tie-break by (ts, event_id).
-The distinct float32 rows, their norms and the timestamp array are built
-once per store and cached on it. ``tmem query`` rebuilds none of them: a
-TMV2 vector file holds the distinct rows, each event's index into them and
-the timestamps, and ranking needs nothing more of an event than its id and
-timestamp, so it runs over ``EventStore.of_timeline`` of the file's columns
-and never parses events.jsonl. That store builds an event only when it is
-read, and ranking reads only the top-k events, each once.
+A VectorStore holds the distinct float16 rows and each event's index into
+them, as a TMV2 vector file does; their float32 copy and norms are built
+once per store and cached on it. Ranking needs nothing more of an event
+than its id and timestamp, so ``tmem query`` runs over
+``EventStore.of_timeline`` of the file's columns and never parses
+events.jsonl. That store builds an event only when it is read, and ranking
+reads only the top-k events, each once.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def rank(
         return []
 
     ts_us = store.ts_us[:n]
-    rows, norms, index = vecs.distinct  # raises on a bad row before numpy would warn
-    cos = ((rows @ query) / (norms * qnorm))[index[:n]]
+    rows, norms = vecs.scoring  # VectorStore holds no zero or non-finite row, so no norm is 0 or inf
+    cos = ((rows @ query) / (norms * qnorm))[vecs.index[:n]]
     ages = (epoch_us(params.resolved_now()) - ts_us) / 1e6 / SECONDS_PER_DAY
     future = int((ages < 0).sum())
     if future:

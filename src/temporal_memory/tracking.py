@@ -331,7 +331,7 @@ def track(
         if indices is None:
             prev_clusters = []  # a silent week severs the chain
         else:
-            week_clusters = _cluster_period(period, indices, store.events, vecs.vectors, params, seed, terms_of)
+            week_clusters = _cluster_period(period, indices, store.events, vecs, params, seed, terms_of)
             matches = match_weeks(prev_clusters, week_clusters, params)
             for cluster in week_clusters:
                 prev_id, sim = matches.get(cluster.cluster_id, (None, None))
@@ -364,12 +364,12 @@ def _cluster_period(
     period: WeekKey,
     indices: list[int],
     events: Sequence[Event],
-    vectors: np.ndarray,  # the store's float16 vectors
+    vecs: VectorStore,
     params: TrendParams,
     seed: int,
     terms_of: dict[str, list[str]],
 ) -> list[WeekCluster]:
-    points = vectors[indices].astype(np.float32)
+    points = vecs.rows[vecs.index[indices]].astype(np.float32)
     n = len(indices)
     k = params.k if params.k is not None else select_k(points, seed=seed)
     k = max(1, min(k, n))

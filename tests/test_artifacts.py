@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from temporal_memory.embedding import VectorStore, write_vector_file
+from temporal_memory.embedding import VectorStore, group_rows, write_vector_file
 from temporal_memory.evaluation import EvalReport
 from temporal_memory.events import Event, EventStore, WeekKey, load_events_jsonl, write_events_jsonl
 from temporal_memory.retrieval import RankedHit
@@ -120,7 +120,7 @@ def _events_failing_midway(path):
 def _vectors_failing_midway(path):
     ids = ("ev-0", "ev-1", 2)  # the third id cannot be encoded
     vectors = np.ones((3, 4), dtype=np.float16)
-    write_vector_file(VectorStore(dim=4, ids=ids, vectors=vectors, ts_us=np.arange(3), events_sha256="0" * 64), path)
+    write_vector_file(VectorStore(4, ids, *group_rows(vectors), ts_us=np.arange(3), events_sha256="0" * 64), path)
 
 
 def _clusters_failing_midway(path):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from temporal_memory import cli
-from temporal_memory.embedding import HashEmbedder, read_vector_file
+from temporal_memory.embedding import HashEmbedder, VectorStore, read_vector_file
 from temporal_memory.events import coerce_timestamp, load_events_jsonl, parse_cutoff
 from temporal_memory.retrieval import RetrievalParams, rank
 from temporal_memory.tracking import TrendParams
@@ -244,10 +244,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: dim must be") and "missing artifact" not in err
 
-    @pytest.mark.parametrize("command", ["trends", "eval", "all"])
-    def test_negative_cluster_seed_is_a_usage_error(self, tmp_path, capsys, command):
-        assert exit_code("--workspace", str(tmp_path / "empty"), command, "--cluster-seed", "-1") == 64
-        assert "--cluster-seed" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, flag", [
+        ("trends", "--cluster-seed"), ("eval", "--cluster-seed"), ("all", "--cluster-seed"),
+        ("gen", "--seed"), ("all", "--seed"),
+    ])
+    def test_negative_cluster_seed_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        assert exit_code("--workspace", str(tmp_path / "empty"), command, flag, "-1") == 64
+        assert f"{flag}: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "empty").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert run("--workspace", str(tmp_path), "eval", "--eval-config", "nope.json") == 2
@@ -458,6 +462,20 @@ class TestQueryCommand:
 
         monkeypatch.setattr(cli, "load_events_jsonl", refuse)
         assert run("--workspace", str(pipeline_ws), "query", "--text", "okta auth_fail", "--as-of", "2025-05-01") == 0
+        assert len(capsys.readouterr().out.splitlines()) == RetrievalParams.top_k
+
+    def test_trends_and_query_gather_no_per_event_vectors(self, pipeline_ws, tmp_path, capsys, monkeypatch):
+        def refuse(vs):
+            raise AssertionError("gathered every event's vector")
+
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        monkeypatch.setattr(VectorStore, "vectors", property(refuse))
+        assert run("--workspace", str(ws), "trends") == 0
+        for name in ("clusters_weekly.csv", "trends_summary.csv"):
+            assert (ws / "results" / name).read_bytes() == (pipeline_ws / "results" / name).read_bytes()
+        capsys.readouterr()
+        assert run("--workspace", str(ws), "query", "--text", "okta auth_fail mfa denied") == 0
         assert len(capsys.readouterr().out.splitlines()) == RetrievalParams.top_k
 
 

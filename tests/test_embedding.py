@@ -18,6 +18,7 @@ from temporal_memory.embedding import (
     check_alignment,
     cosine,
     encode_store,
+    group_rows,
     read_vector_file,
     tokenize,
     write_vector_file,
@@ -155,7 +156,7 @@ class TestEncodeStore:
         for row, event in zip(vs.vectors, store):
             expected = embedder.embed(event.text_repr).astype(np.float16)
             assert row.tobytes() == expected.tobytes()
-        _assert_same_distinct(vs.distinct, VectorStore(dim=vs.dim, ids=vs.ids, vectors=vs.vectors).distinct)
+        _assert_same_grouping(vs, vs.vectors)
 
     def test_texts_whose_float16_rows_are_equal_share_one_row(self, corpus_store):
         from temporal_memory.events import Event, EventStore
@@ -178,10 +179,10 @@ class TestEncodeStore:
             for i, text in enumerate(["c", "a", "b", "c", "b"])
         ))
         vs = encode_store(store, NearEmbedder())
-        rows, _, index = vs.distinct
+        rows, index = vs.rows, vs.index
         assert len(rows) == 2
         assert index[1] == index[2] == index[4] != index[0] == index[3]
-        _assert_same_distinct(vs.distinct, VectorStore(dim=vs.dim, ids=vs.ids, vectors=vs.vectors).distinct)
+        _assert_same_grouping(vs, vs.vectors)
 
     def test_an_all_distinct_store_gives_each_event_its_own_row(self, corpus_store):
         from temporal_memory.events import Event, EventStore
@@ -194,6 +195,26 @@ class TestEncodeStore:
         embedder = HashEmbedder(dim=64)
         expected = np.stack([embedder.embed(event.text_repr) for event in store]).astype(np.float16)
         assert encode_store(store, embedder).vectors.tobytes() == expected.tobytes()
+
+    def test_a_row_that_overflows_float16_names_its_first_event(self, corpus_store):
+        from temporal_memory.events import Event, EventStore
+
+        class LoudEmbedder:
+            """"loud" embeds to a finite float32 vector whose float16 row is inf."""
+
+            dim = 4
+
+            def embed(self, text):
+                return np.array([7e4, 0, 0, 0] if text == "loud" else [0, 1, 0, 0], dtype=np.float32)
+
+        start = corpus_store.events[0].ts
+        store = EventStore(events=tuple(
+            Event(event_id=f"e{i}", ts=start + timedelta(seconds=i), text_repr=text)
+            for i, text in enumerate(["quiet", "loud", "quiet", "loud"])
+        ))
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="^vector for e1 has a non-finite value; cosine is undefined$"):
+            encode_store(store, LoudEmbedder())
 
     def test_repeated_unembeddable_text_names_its_first_event(self, corpus_store):
         from temporal_memory.events import Event, EventStore
@@ -218,10 +239,10 @@ class TestEncodeStore:
 _DIGEST = hashlib.sha256(b"events.jsonl").hexdigest()
 
 
-def _assert_same_distinct(got, expected) -> None:
-    for a, b in zip(got, expected, strict=True):
+def _assert_same_grouping(vs: VectorStore, vectors: np.ndarray) -> None:
+    """``vs`` holds the rows and index that group_rows gives of every event's row."""
+    for a, b in zip((vs.rows, vs.index), group_rows(vectors), strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert not a.flags.writeable
 
 
 def _sample_store(dim=16, count=5) -> VectorStore:
@@ -229,7 +250,7 @@ def _sample_store(dim=16, count=5) -> VectorStore:
     rng = np.random.default_rng(9)
     vectors = rng.standard_normal((count, dim)).astype(np.float32)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return VectorStore(dim=dim, ids=tuple(f"ev-{i}" for i in range(count)), vectors=vectors.astype(np.float16),
+    return VectorStore(dim, tuple(f"ev-{i}" for i in range(count)), *group_rows(vectors.astype(np.float16)),
                        ts_us=1_743_465_600_000_000 + 1_000_000 * np.arange(count), events_sha256=_DIGEST)
 
 
@@ -237,7 +258,7 @@ def _with_repeats(vs: VectorStore) -> VectorStore:
     """``vs`` with three more events that repeat vectors 3, 0 and 3."""
     vectors = np.concatenate([vs.vectors, vs.vectors[[3, 0, 3]]])
     count = len(vectors)
-    return VectorStore(dim=vs.dim, ids=tuple(f"ev-{i}" for i in range(count)), vectors=vectors,
+    return VectorStore(vs.dim, tuple(f"ev-{i}" for i in range(count)), *group_rows(vectors),
                        ts_us=1_743_465_600_000_000 + 1_000_000 * np.arange(count), events_sha256=_DIGEST)
 
 
@@ -253,30 +274,24 @@ class TestVectorStore:
 
     def test_distinct_rows_rebuild_every_vector(self):
         vs = _with_repeats(_sample_store())
-        rows, norms, index = vs.distinct
-        assert vs.distinct is vs.distinct
+        rows, norms = vs.scoring
+        assert vs.scoring is vs.scoring
         assert rows.dtype == norms.dtype == np.float32
-        assert len(rows) == 5
-        assert np.array_equal(rows[index], vs.vectors.astype(np.float32))
-        assert index[5] == index[3] == index[7] and index[6] == index[0]
+        assert len(rows) == len(vs.rows) == 5
+        assert np.array_equal(rows, vs.rows.astype(np.float32))
+        assert np.array_equal(rows[vs.index], vs.vectors.astype(np.float32))
+        assert vs.index[5] == vs.index[3] == vs.index[7] and vs.index[6] == vs.index[0]
         assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
-        for array in (rows, norms, index):
+        for array in (rows, norms):
             with pytest.raises(ValueError):
                 array[0] = 1
-
-    def test_with_source_keeps_the_distinct_rows(self):
-        vs = _with_repeats(_sample_store())
-        bare = VectorStore(dim=vs.dim, ids=vs.ids, vectors=vs.vectors)
-        stamped = bare.with_source(vs.ts_us, _DIGEST)
-        assert stamped.distinct is bare.distinct
-        assert stamped.ts_us is vs.ts_us and stamped.events_sha256 == _DIGEST and stamped.vectors is bare.vectors
 
     def test_zero_row_has_no_norm(self):
         vs = _sample_store()
         vectors = vs.vectors.copy()
         vectors[2] = 0
-        with pytest.raises(ValueError, match="ev-2"):
-            VectorStore(dim=vs.dim, ids=vs.ids, vectors=vectors).distinct
+        with pytest.raises(ValueError, match="^vector for ev-2 has only zeros; cosine is undefined$"):
+            VectorStore(vs.dim, vs.ids, *group_rows(vectors))
 
 
 class TestVectorFile:
@@ -292,9 +307,9 @@ class TestVectorFile:
         assert np.array_equal(back.vectors, vs.vectors)
         assert np.array_equal(back.ts_us, vs.ts_us) and back.ts_us.dtype == np.int64
         assert back.events_sha256 == _DIGEST
-        # The rows read from the file are the ones a fresh store rebuilds, array for array.
-        rebuilt = VectorStore(dim=vs.dim, ids=vs.ids, vectors=vs.vectors).distinct
-        for read, fresh in zip(back.distinct, rebuilt):
+        # The rows and index read from the file are the ones the written store held, array for array.
+        _assert_same_grouping(back, vs.vectors)
+        for read, fresh in zip(back.scoring, vs.scoring, strict=True):
             assert read.dtype == fresh.dtype and np.array_equal(read, fresh) and not read.flags.writeable
         assert not back.ts_us.flags.writeable
 
@@ -309,8 +324,7 @@ class TestVectorFile:
         vs = _with_repeats(_sample_store())
         path = tmp_path / "v.tmv"
         write_vector_file(vs, path)
-        rows, _, index = vs.distinct
-        expected = tmv2_bytes(vs.ids, vs.ts_us, index, rows, bytes.fromhex(_DIGEST))
+        expected = tmv2_bytes(vs.ids, vs.ts_us, vs.index, vs.rows, bytes.fromhex(_DIGEST))
         assert path.read_bytes() == expected
         assert len(expected) == 56 + 8 * 5 + 12 * 8 + 2 * 16 * 5
 
@@ -410,7 +424,7 @@ class TestTMV2Reader:
         path = tmp_path / "v.tmv"
         path.write_bytes(tmv2_sample())
         vs = read_vector_file(path)
-        assert vs.ids[3] == "ev-3" and np.array_equal(vs.distinct[2], [1, 0, 1, 2, 2, 0])
+        assert vs.ids[3] == "ev-3" and np.array_equal(vs.index, [1, 0, 1, 2, 2, 0])
 
     @pytest.mark.parametrize("defect", TMV2_DEFECTS)
     def test_malformed_file_is_rejected_naming_it(self, tmp_path, defect):
@@ -456,18 +470,37 @@ class TestExternalInjection:
 
 class TestVectorStoreInvariants:
     def test_dtype_enforced(self):
-        with pytest.raises(ValueError):
-            VectorStore(dim=4, ids=("a",), vectors=np.zeros((1, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="float16"):
+            VectorStore(4, ("a",), np.ones((1, 4), dtype=np.float32), np.zeros(1, dtype=np.intp))
+        with pytest.raises(ValueError, match="intp"):
+            VectorStore(4, ("a",), np.ones((1, 4), dtype=np.float16), np.zeros(1, dtype=np.uint32))
 
     def test_shape_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            VectorStore(dim=4, ids=("a", "b"), vectors=np.zeros((1, 4), dtype=np.float16))
+        rows = np.ones((1, 4), dtype=np.float16)
+        for dim, index in ((4, np.zeros(1, dtype=np.intp)), (3, np.zeros(2, dtype=np.intp))):
+            with pytest.raises(ValueError, match="inconsistent"):
+                VectorStore(dim, ("a", "b"), rows, index)
 
     def test_ts_column_alignment_enforced(self):
-        vectors = np.ones((2, 4), dtype=np.float16)
+        rows, index = np.ones((1, 4), dtype=np.float16), np.zeros(2, dtype=np.intp)
         for ts_us in (np.arange(3), np.arange(2, dtype=np.int32)):
             with pytest.raises(ValueError, match="ts_us"):
-                VectorStore(dim=4, ids=("a", "b"), vectors=vectors, ts_us=ts_us)
+                VectorStore(4, ("a", "b"), rows, index, ts_us=ts_us)
+
+    @pytest.mark.parametrize("index, message", [
+        ((0, -1), "row index of b is -1, beyond the 2 rows"),
+        ((0, 2), "row index of b is 2, beyond the 2 rows"),
+        ((1, 1), "row 0 is held by no event"),
+    ])
+    def test_index_must_hold_every_row_and_no_other(self, index, message):
+        rows = np.eye(2, dtype=np.float16)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            VectorStore(2, ("a", "b"), rows, np.array(index, dtype=np.intp))
+
+    def test_bad_row_names_the_first_event_that_holds_it(self):
+        rows = np.array([[0, 0], [1, 0], [0, np.nan]], dtype=np.float16)  # row 0 is bad too, but held later
+        with pytest.raises(ValueError, match="^vector for b has a non-finite value; cosine is undefined$"):
+            VectorStore(2, ("a", "b", "c", "d"), rows, np.array([1, 2, 0, 2], dtype=np.intp))
 
 
 def test_store_of_rejects_duplicate_fixture_ids():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from temporal_memory.embedding import HashEmbedder, VectorStore, encode_store, read_vector_file
+from temporal_memory.embedding import HashEmbedder, VectorStore, encode_store, group_rows, read_vector_file
 from temporal_memory.events import Event, EventStore
 from temporal_memory.retrieval import (
     MODES,
@@ -353,13 +353,13 @@ class TestRank:
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_zero_or_non_finite_vector_row_rejected(self, indexed_corpus, bad):
-        store, vecs = indexed_corpus
+        # rank scores no such row: a VectorStore holding one cannot be built.
+        _, vecs = indexed_corpus
         rows = vecs.vectors.copy()
         rows[3] = 0.0
         rows[3, 0] = bad
-        broken = VectorStore(dim=vecs.dim, ids=vecs.ids, vectors=rows)
-        with pytest.raises(ValueError, match="norm"):
-            rank(HashEmbedder(dim=384).embed("okta"), store, broken, RetrievalParams(now=NOW))
+        with pytest.raises(ValueError, match=f"^vector for {vecs.ids[3]} has .*; cosine is undefined$"):
+            VectorStore(vecs.dim, vecs.ids, *group_rows(rows))
 
     def test_non_finite_query_rejected(self, indexed_corpus):
         store, vecs = indexed_corpus
@@ -393,7 +393,7 @@ def tie_stores(draw):
             row_of[event_id] = pool[vec]
     store = store_of(events)
     rows = np.array([row_of[e.event_id] for e in store], dtype=np.float16)
-    return store, VectorStore(dim=4, ids=tuple(store.ids()), vectors=rows)
+    return store, VectorStore(4, tuple(store.ids()), *group_rows(rows))
 
 
 @pytest.mark.parametrize("mode", MODES)
