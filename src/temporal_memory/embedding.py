@@ -106,7 +106,8 @@ class VectorStore:
     The store holds vectors the way a TMV2 file does: ``rows`` is each
     distinct float16 vector once, in the order :func:`group_rows` gives them,
     and event i's vector is ``rows[index[i]]``. Every row is held by some
-    event and has a cosine (it is neither all zeros nor non-finite).
+    event and has a cosine (it is neither all zeros nor non-finite); the
+    store makes both arrays read-only once it has checked them.
 
     A store read from a TMV2 file also holds what that file records of the
     events.jsonl it was embedded from: each event's int64 epoch-µs ``ts_us``
@@ -137,12 +138,15 @@ class VectorStore:
         held[index] = True
         if not held.all():
             raise ValueError(f"row {np.flatnonzero(~held)[0]} is held by no event")
-        zero = ~rows.any(axis=1)
-        holders = np.flatnonzero((zero | ~np.isfinite(rows).all(axis=1))[index])
+        # A binary16 value is NaN or inf exactly when its magnitude bits are >= 0x7C00
+        # (exponent all ones), so each row's largest magnitude finds both bad cases.
+        magnitude = (rows.view(np.uint16) & 0x7FFF).max(axis=1)
+        holders = np.flatnonzero(((magnitude == 0) | (magnitude >= 0x7C00))[index])
         if holders.size:
             first = holders[0]
-            problem = "only zeros" if zero[index[first]] else "a non-finite value"
+            problem = "only zeros" if magnitude[index[first]] == 0 else "a non-finite value"
             raise ValueError(f"vector for {self.ids[first]} has {problem}; cosine is undefined")
+        rows.flags.writeable = index.flags.writeable = False  # so what was checked stays true
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -282,7 +282,7 @@ class TestVectorStore:
         assert np.array_equal(rows[vs.index], vs.vectors.astype(np.float32))
         assert vs.index[5] == vs.index[3] == vs.index[7] and vs.index[6] == vs.index[0]
         assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
-        for array in (rows, norms):
+        for array in (rows, norms, vs.rows, vs.index):
             with pytest.raises(ValueError):
                 array[0] = 1
 
