@@ -1,12 +1,23 @@
 """Time-aware retrieval: as-of snapshot filtering and recency-fused ranking.
 
-Scoring is exhaustive and exact: every event on or before the cutoff is
-scored, with no candidate pruning or approximation. The as-of cut is a
-binary search over the store's sorted timestamps, and selection partitions
-the scores around the k-th best, then sorts only the events that reach it,
-so the result equals a brute-force score-then-sort of the whole snapshot.
+Ranking is exact: the top k equal a brute-force score-then-sort of every
+event on or before the cutoff, in the order (score desc, ts desc, event_id
+asc). The as-of cut is a binary search over the store's sorted timestamps.
 Cosines are computed once per distinct vector and gathered per event, so
 byte-identical vectors score exactly alike and tie-break by (ts, event_id).
+
+Only the events whose vector can reach the top k are scored, the bound of
+Fagin, Lotem & Naor's threshold algorithm (PODS 2001). Every holder of a
+vector shares its cosine and the recency weight never falls as ts rises, so
+a vector's newest holder in the snapshot scores highest of its holders. The
+k-th best of those newest holders is a floor the k-th best event also
+reaches, so a vector whose newest holder scores below it holds no top-k
+event; the holders of every other vector are scored, partitioned around
+their k-th best and sorted. numpy's float64 power is not guaranteed
+monotone, so the floor is lowered by a few ulps of 1.0, which can only admit
+more candidates. Each hit field is read from the same numpy operations as a
+full scoring gives, so the hits are bit-identical to it.
+
 A VectorStore holds the distinct float16 rows and each event's index into
 them, as a TMV2 vector file does; their float32 copy and norms are built
 once per store and cached on it. Ranking needs nothing more of an event
@@ -32,6 +43,11 @@ from .events import EventStore, epoch_us, is_int_at_least
 SECONDS_PER_DAY = 86400.0
 
 MODES = ("fused", "cosine_only")
+
+# numpy's float64 power is not guaranteed monotone; a few ulps of 1.0 cover
+# that in the row bound, and a larger margin only admits more candidates.
+_POW_TOL = 8 * np.finfo(np.float64).eps
+_NO_TS = np.iinfo(np.int64).min  # below every epoch-µs a datetime can have
 
 
 @dataclass(frozen=True)
@@ -95,7 +111,7 @@ def rank(
     mode: str = "fused",
     as_of: datetime | None = None,
 ) -> list[RankedHit]:
-    """Score every (optionally as-of filtered) event and return the top-k.
+    """Return the top-k of the (optionally as-of filtered) events, as a full scoring would.
 
     Sort order is (score desc, ts desc, event_id asc); fused mode ranks by
     the blended score, cosine_only by similarity alone.
@@ -115,32 +131,55 @@ def rank(
         return []
 
     ts_us = store.ts_us[:n]
+    index = vecs.index[:n]
     rows, norms = vecs.scoring  # VectorStore holds no zero or non-finite row, so no norm is 0 or inf
-    cos = ((rows @ query) / (norms * qnorm))[vecs.index[:n]]
-    ages = (epoch_us(params.resolved_now()) - ts_us) / 1e6 / SECONDS_PER_DAY
-    future = int((ages < 0).sum())
+    row_cos = (rows @ query) / (norms * qnorm)
+    now_us = epoch_us(params.resolved_now())
+    future = n - int(np.searchsorted(ts_us, now_us, side="right"))
     if future:
         warnings.warn(f"{future} future-dated events clamped to age 0", stacklevel=2)
-        np.maximum(ages, 0.0, out=ages)
-    weights = recency_weight(ages, params.half_life_days)
-    fused = _blend(cos.astype(np.float64), weights, params.alpha)
+
+    def score(row, ts):
+        """(cos, ages, weights, fused, ranking score) of events holding ``row`` at epoch-µs ``ts``."""
+        cos = row_cos[row]
+        ages = (now_us - ts) / 1e6 / SECONDS_PER_DAY
+        if future:
+            np.maximum(ages, 0.0, out=ages)
+        weights = recency_weight(ages, params.half_life_days)
+        fused = _blend(cos.astype(np.float64), weights, params.alpha)
+        return cos, ages, weights, fused, (fused if mode == "fused" else cos)
+
+    # Every holder of a row shares its cosine and the recency weight never
+    # falls as ts rises, so a row's newest holder in the prefix scores
+    # highest of the row. The k-th best of those bounds the k-th best event
+    # from below (-inf when fewer than k rows are held): rows whose best is
+    # under it hold no top-k event. With more rows than half the events, the
+    # bound cannot halve the events scored, so every event is scored.
+    k = min(params.top_k, n)
+    if 2 * len(rows) > n:
+        cand = np.arange(n)
+    else:
+        newest = np.full(len(rows), _NO_TS)
+        np.maximum.at(newest, index, ts_us)
+        held = np.flatnonzero(newest != _NO_TS)
+        best = score(held, newest[held])[-1]
+        floor = np.partition(best, len(held) - k)[len(held) - k] if len(held) >= k else -np.inf
+        reach = np.zeros(len(rows), dtype=bool)
+        reach[held[best >= floor - _POW_TOL]] = True
+        cand = np.flatnonzero(reach[index])
 
     # Only scores at or above the k-th best can make the top k; those go
     # through the exact (score desc, ts desc, position asc) sort, and store
     # position orders equal-ts events by event_id.
-    score = fused if mode == "fused" else cos
-    k = min(params.top_k, n)
-    kth = np.partition(score, n - k)[n - k]
-    cand = np.flatnonzero(score >= kth)
-    top = cand[np.lexsort((cand, -ts_us[cand], -score[cand]))][:k]
+    ts = ts_us[cand]
+    cos, ages, weights, fused, key = score(index[cand], ts)
+    kth = np.partition(key, len(cand) - k)[len(cand) - k]
+    sel = np.flatnonzero(key >= kth)
+    top = sel[np.lexsort((cand[sel], -ts[sel], -key[sel]))][:k]
     return [
-        RankedHit(
-            event_id=event.event_id,
-            ts=event.ts,
-            cosine_sim=float(cos[i]),
-            age_days=float(ages[i]),
-            recency_weight=float(weights[i]),
-            fused=float(fused[i]),
+        RankedHit(event_id=event.event_id, ts=event.ts, cosine_sim=c, age_days=a, recency_weight=w, fused=f)
+        for event, c, a, w, f in zip(
+            map(store.events.__getitem__, cand[top].tolist()),
+            cos[top].tolist(), ages[top].tolist(), weights[top].tolist(), fused[top].tolist(),
         )
-        for i, event in zip(top, map(store.events.__getitem__, top))
     ]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from temporal_memory.embedding import HashEmbedder, VectorStore, encode_store, group_rows, read_vector_file
-from temporal_memory.events import Event, EventStore
+from temporal_memory.events import Event, EventStore, coerce_timestamp, epoch_us, parse_cutoff
 from temporal_memory.retrieval import (
     MODES,
+    SECONDS_PER_DAY,
+    RankedHit,
     RetrievalParams,
     fused_score,
     rank,
@@ -427,3 +431,125 @@ def test_rank_matches_oracle_under_exact_ties(mode, data):
     params = RetrievalParams(now=NOW, top_k=top_k)
     hits = rank(query, store, vecs, params, mode=mode, as_of=as_of)
     assert [h.event_id for h in hits] == [o[0] for o in full[:top_k]]
+
+
+def full_rank(query_vec, store, vecs, params, mode="fused", as_of=None):
+    """Reference: score every event of the as-of snapshot, then select and sort.
+
+    This is ``rank`` without its row bound, computing each field with the
+    same numpy operations over the whole snapshot; the bounded ``rank`` must
+    return exactly these hits, float for float.
+    """
+    query = np.asarray(query_vec, dtype=np.float32)
+    qnorm = float(np.linalg.norm(query))
+    n = len(store) if as_of is None else int(np.searchsorted(store.ts_us, epoch_us(as_of), side="right"))
+    if n == 0:
+        return []
+    ts_us = store.ts_us[:n]
+    rows, norms = vecs.scoring
+    cos = ((rows @ query) / (norms * qnorm))[vecs.index[:n]]
+    ages = (epoch_us(params.resolved_now()) - ts_us) / 1e6 / SECONDS_PER_DAY
+    future = int((ages < 0).sum())
+    if future:
+        warnings.warn(f"{future} future-dated events clamped to age 0", stacklevel=2)
+        np.maximum(ages, 0.0, out=ages)
+    weights = recency_weight(ages, params.half_life_days)
+    fused = params.alpha * cos.astype(np.float64) + (1.0 - params.alpha) * weights
+    score = fused if mode == "fused" else cos
+    k = min(params.top_k, n)
+    kth = np.partition(score, n - k)[n - k]
+    cand = np.flatnonzero(score >= kth)
+    top = cand[np.lexsort((cand, -ts_us[cand], -score[cand]))][:k]
+    return [
+        RankedHit(
+            event_id=store.events[i].event_id,
+            ts=store.events[i].ts,
+            cosine_sim=float(cos[i]),
+            age_days=float(ages[i]),
+            recency_weight=float(weights[i]),
+            fused=float(fused[i]),
+        )
+        for i in top
+    ]
+
+
+def assert_rank_is_full_rank(query, store, vecs, params, mode, as_of=None):
+    """``rank`` and ``full_rank`` give the same hits, the same JSON and the same warnings."""
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        hits = rank(query, store, vecs, params, mode=mode, as_of=as_of)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        reference = full_rank(query, store, vecs, params, mode, as_of)
+    assert hits == reference
+    assert [h.to_json() for h in hits] == [h.to_json() for h in reference]
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+
+
+_any_vecs = st.one_of(_int_vecs, st.lists(st.floats(-4, 4, width=16), min_size=4, max_size=4).filter(any))
+
+
+@st.composite
+def floor_stores(draw):
+    """Stores that stress the row bound.
+
+    A few distinct vectors held by many events, tie groups (one vector at
+    one instant under several ids), instants after NOW (future-dated) and
+    cutoffs that leave some vectors held only after the cut.
+    """
+    pool = draw(st.lists(_any_vecs, min_size=1, max_size=4))
+    minutes_before_now = draw(st.lists(st.integers(-3 * 24 * 60, 60 * 24 * 60), min_size=1, max_size=6, unique=True))
+    groups = draw(st.lists(
+        st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(minutes_before_now), st.integers(1, 4)),
+        min_size=1, max_size=10,
+    ))
+    ids = iter(draw(st.permutations([f"e{i:02d}" for i in range(sum(g[2] for g in groups))])))
+    events, row_of = [], {}
+    for vec, minutes, copies in groups:
+        for _ in range(copies):
+            event_id = next(ids)
+            events.append(Event(event_id=event_id, ts=NOW - timedelta(minutes=minutes)))
+            row_of[event_id] = pool[vec]
+    store = store_of(events)
+    rows = np.array([row_of[e.event_id] for e in store], dtype=np.float16)
+    return store, VectorStore(4, tuple(store.ids()), *group_rows(rows))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_rank_equals_full_rank(mode, data):
+    store, vecs = data.draw(floor_stores())
+    query = np.array(data.draw(_any_vecs), dtype=np.float32)
+    instants = sorted({e.ts for e in store})
+    as_of = data.draw(st.sampled_from([None, *instants, instants[0] - timedelta(microseconds=1)]))
+    n = len(store) if as_of is None else sum(e.ts <= as_of for e in store)
+    held = len(set(vecs.index[:n].tolist()))
+    top_k = data.draw(st.one_of(st.sampled_from([1, max(held, 1), len(store) + 1]), st.integers(1, len(store) + 1)))
+    params = RetrievalParams(
+        alpha=data.draw(st.sampled_from([0.0, 0.5, 0.7, 1.0])),
+        half_life_days=data.draw(st.sampled_from([14.0, 0.25])),
+        top_k=top_k,
+        now=NOW,
+    )
+    assert_rank_is_full_rank(query, store, vecs, params, mode, as_of)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rank_equals_full_rank_over_the_eval_suite(pipeline_ws, mode):
+    vecs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
+    store = EventStore.of_timeline(vecs.ids, vecs.ts_us)
+    config = json.loads((pipeline_ws / "logs" / "eval.json").read_text(encoding="utf-8"))
+    cutoffs = [None, store.events[0].ts, store.events[len(store) // 2].ts]
+    cutoffs += [parse_cutoff(q["cutoff"]) for q in config["queries"] if "cutoff" in q]
+    # The suite's now, and a now halfway through the stream (half the events future-dated).
+    nows = (coerce_timestamp(config["now"]), store.events[len(store) // 2].ts)
+    embedder = HashEmbedder(dim=vecs.dim)
+    for query in config["queries"]:
+        q = embedder.embed(query["text"])
+        for now in nows:
+            # top_k 1000 is more than the distinct vectors seed 7 has, so rank scores every event.
+            for alpha, top_k in ((0.7, 1), (0.7, 10), (0.7, 1000), (0.0, 10), (1.0, 10)):
+                params = RetrievalParams(alpha=alpha, top_k=top_k, now=now)
+                for cutoff in cutoffs:
+                    assert_rank_is_full_rank(q, store, vecs, params, mode, cutoff)
