@@ -380,13 +380,17 @@ _int_vecs = st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any)
 
 
 @st.composite
-def tie_stores(draw):
-    """A store of tie groups: one vector at one instant under 1-3 distinct ids."""
-    pool = draw(st.lists(_int_vecs, min_size=1, max_size=3))
-    minutes_before_now = draw(st.lists(st.integers(0, 60 * 24 * 30), min_size=1, max_size=4, unique=True))
+def tie_stores(draw, vectors=_int_vecs, max_pool=3, future_minutes=0, max_instants=4, max_groups=6, max_copies=3):
+    """A store of tie groups: one vector at one instant under 1 to ``max_copies`` distinct ids.
+
+    Instants lie up to 30 days before NOW and up to ``future_minutes`` after it.
+    """
+    pool = draw(st.lists(vectors, min_size=1, max_size=max_pool))
+    minutes_before_now = draw(st.lists(
+        st.integers(-future_minutes, 60 * 24 * 30), min_size=1, max_size=max_instants, unique=True))
     groups = draw(st.lists(
-        st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(minutes_before_now), st.integers(1, 3)),
-        min_size=1, max_size=6,
+        st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(minutes_before_now), st.integers(1, max_copies)),
+        min_size=1, max_size=max_groups,
     ))
     ids = iter(draw(st.permutations([f"e{i:02d}" for i in range(sum(g[2] for g in groups))])))
     events, row_of = [], {}
@@ -489,37 +493,14 @@ def assert_rank_is_full_rank(query, store, vecs, params, mode, as_of=None):
 _any_vecs = st.one_of(_int_vecs, st.lists(st.floats(-4, 4, width=16), min_size=4, max_size=4).filter(any))
 
 
-@st.composite
-def floor_stores(draw):
-    """Stores that stress the row bound.
-
-    A few distinct vectors held by many events, tie groups (one vector at
-    one instant under several ids), instants after NOW (future-dated) and
-    cutoffs that leave some vectors held only after the cut.
-    """
-    pool = draw(st.lists(_any_vecs, min_size=1, max_size=4))
-    minutes_before_now = draw(st.lists(st.integers(-3 * 24 * 60, 60 * 24 * 60), min_size=1, max_size=6, unique=True))
-    groups = draw(st.lists(
-        st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(minutes_before_now), st.integers(1, 4)),
-        min_size=1, max_size=10,
-    ))
-    ids = iter(draw(st.permutations([f"e{i:02d}" for i in range(sum(g[2] for g in groups))])))
-    events, row_of = [], {}
-    for vec, minutes, copies in groups:
-        for _ in range(copies):
-            event_id = next(ids)
-            events.append(Event(event_id=event_id, ts=NOW - timedelta(minutes=minutes)))
-            row_of[event_id] = pool[vec]
-    store = store_of(events)
-    rows = np.array([row_of[e.event_id] for e in store], dtype=np.float16)
-    return store, VectorStore(4, tuple(store.ids()), *group_rows(rows))
-
-
 @pytest.mark.parametrize("mode", MODES)
 @settings(deadline=None, max_examples=200)
 @given(data=st.data())
 def test_rank_equals_full_rank(mode, data):
-    store, vecs = data.draw(floor_stores())
+    # Few vectors with many holders, tie groups, future-dated events, and
+    # cutoffs that leave some vectors held only after the cut.
+    store, vecs = data.draw(tie_stores(
+        _any_vecs, max_pool=4, future_minutes=3 * 24 * 60, max_instants=6, max_groups=10, max_copies=4))
     query = np.array(data.draw(_any_vecs), dtype=np.float32)
     instants = sorted({e.ts for e in store})
     as_of = data.draw(st.sampled_from([None, *instants, instants[0] - timedelta(microseconds=1)]))
