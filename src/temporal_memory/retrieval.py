@@ -13,10 +13,12 @@ a vector's newest holder in the snapshot scores highest of its holders. The
 k-th best of those newest holders is a floor the k-th best event also
 reaches, so a vector whose newest holder scores below it holds no top-k
 event; the holders of every other vector are scored, partitioned around
-their k-th best and sorted. numpy's float64 power is not guaranteed
-monotone, so the floor is lowered by a few ulps of 1.0, which can only admit
-more candidates. Each hit field is read from the same numpy operations as a
-full scoring gives, so the hits are bit-identical to it.
+their k-th best and sorted. A store with more distinct vectors than half
+the snapshot's events is scored in full, as the bound could not halve the
+work. numpy's float64 power is not guaranteed monotone, so the floor is
+lowered by a few ulps of 1.0, which can only admit more candidates. Each hit
+field is read from the same numpy operations as a full scoring gives, so the
+hits are bit-identical to it.
 
 A VectorStore holds the distinct float16 rows and each event's index into
 them, as a TMV2 vector file does; their float32 copy and norms are built
