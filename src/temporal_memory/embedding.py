@@ -187,24 +187,21 @@ def group_rows(table: np.ndarray, rows_of: np.ndarray | None = None) -> tuple[np
 def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
     """Embed every event's text_repr, in store order, quantizing to float16.
 
-    Equal texts embed to equal vectors, so each distinct text is embedded
-    once, in first-seen order, and :func:`group_rows` merges the texts whose
-    float16 rows are equal. An unembeddable text raises ValueError naming the
-    first event that holds it, as does a vector with no cosine.
+    Equal texts embed to equal vectors, so each text of the store's table of
+    distinct texts is embedded once, in table order, and :func:`group_rows`
+    merges the texts whose float16 rows are equal. An unembeddable text
+    raises ValueError naming the first event that holds it, as does a vector
+    with no cosine.
     """
-    row_of: dict[str, int] = {}
-    index = np.fromiter(
-        (row_of.setdefault(event.text_repr, len(row_of)) for event in store), dtype=np.intp, count=len(store)
-    )
-    rows = np.empty((len(row_of), embedder.dim), dtype=np.float32)
-    for text, row in row_of.items():
+    rows = np.empty((len(store.texts), embedder.dim), dtype=np.float32)
+    for row, text in enumerate(store.texts):
         try:
             rows[row] = embedder.embed(text)
         except ValueError as exc:
-            first = next(event for event in store if event.text_repr == text)
-            raise ValueError(f"event {first.event_id}: {exc}") from exc
-    logger.info("embedded %d events from %d distinct texts", len(store), len(row_of))
-    return VectorStore(embedder.dim, tuple(store.ids()), *group_rows(rows.astype(np.float16), index))
+            first = store.event_ids[int(np.argmax(store.text_index == row))]
+            raise ValueError(f"event {first}: {exc}") from exc
+    logger.info("embedded %d events from %d distinct texts", len(store), len(store.texts))
+    return VectorStore(embedder.dim, store.event_ids, *group_rows(rows.astype(np.float16), store.text_index))
 
 
 def write_vector_file(vs: VectorStore, path: Path | str) -> None:
@@ -282,8 +279,7 @@ def _checked_store(path: Path | str, dim: int, ids: list[str], *fields) -> Vecto
 
 def check_alignment(store: EventStore, vs: VectorStore) -> None:
     """Require vectors to align index-for-index with the event store."""
-    store_ids = store.ids()
-    if list(vs.ids) != store_ids:
-        missing = set(store_ids).symmetric_difference(vs.ids)
+    if tuple(vs.ids) != store.event_ids:
+        missing = set(store.event_ids).symmetric_difference(vs.ids)
         detail = f"; {len(missing)} ids differ" if missing else "; same ids, different order"
         raise ValueError("vector store does not align with event store" + detail)

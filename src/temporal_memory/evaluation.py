@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embedding import HashEmbedder, VectorStore
-from .events import EventStore, atomic_write, coerce_timestamp, parse_cutoff
+from .events import EventStore, atomic_write, coerce_timestamp, from_epoch_us, parse_cutoff
 from .retrieval import RankedHit, RetrievalParams, rank
 from .tracking import DEFAULT_SEED, TrendParams, TrendRecord, WeekCluster, per_week_k, track
 
@@ -117,10 +117,11 @@ def latest_set_at_k(
     relevant = set(relevant_ids)
     if not relevant:
         raise ValueError("freshness query has no relevant events")
-    relevant_ts = {e.event_id: e.ts for e in store if e.event_id in relevant}
-    if not relevant_ts:
+    ids = store.event_ids  # sorted by ts, so the last relevant event holds the newest relevant ts
+    last = next((i for i in range(len(ids) - 1, -1, -1) if ids[i] in relevant), None)
+    if last is None:
         raise ValueError("no relevant event ids present in the store")
-    t_star = max(relevant_ts.values())
+    t_star = from_epoch_us(int(store.ts_us[last]))
     return int(any(h.event_id in relevant and h.ts == t_star for h in hits[:k]))
 
 
@@ -271,7 +272,7 @@ def run_eval(
     topics = ground_truth["topics"]
     topic_ids = {name: entry["event_ids"] for name, entry in topics.items()}
     truth = {name: entry["truth"] for name, entry in topics.items()}
-    store_ids = set(store.ids())
+    store_ids = set(store.event_ids)
     for name, ids in topic_ids.items():
         missing = len(set(ids) - store_ids)
         if missing:

@@ -1,13 +1,14 @@
 """Normalize raw JSONL/CSV log records into a canonical, deterministically ordered event store.
 
 Records are coerced to UTC, given stable ids, rendered into a compact text
-representation for embedding, and bucketed by ISO week.
+representation for embedding, and bucketed by ISO week. The store keeps them
+as columns (ids, epoch-µs timestamps, a table of distinct texts) and builds
+an Event only when one is read.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import json
 import logging
@@ -17,7 +18,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -137,6 +137,11 @@ def epoch_us(ts: datetime) -> int:
     return (ts - _EPOCH) // _ONE_US
 
 
+def from_epoch_us(us: int) -> datetime:
+    """The UTC instant ``us`` integer microseconds after the Unix epoch (the inverse of :func:`epoch_us`)."""
+    return _EPOCH + timedelta(microseconds=us)
+
+
 def coerce_timestamp(raw) -> datetime:
     """Coerce an ISO-8601 string or epoch seconds/milliseconds to a UTC instant.
 
@@ -207,86 +212,102 @@ def period_of(ts: datetime) -> WeekKey:
     return WeekKey(year, week)
 
 
-class _Timeline(Sequence[Event]):
-    """Read-only sequence of bare events, each an id and an epoch-µs ts, built on access; a slice is a tuple."""
-
-    __slots__ = ("_ids", "_ts_us")
-
-    def __init__(self, ids: tuple[str, ...], ts_us: np.ndarray) -> None:
-        self._ids = ids
-        self._ts_us = ts_us
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        return Event(self._ids[i], _EPOCH + timedelta(microseconds=int(self._ts_us[i])))
-
-
-@dataclass(frozen=True)
-class EventStore:
-    """Immutable, deterministically ordered collection of events.
+class EventStore(Sequence[Event]):
+    """Immutable, deterministically ordered collection of events, held as columns.
 
     Events are sorted by (ts, event_id) and deduplicated by event_id with
     the first occurrence under that ordering winning, so the store is
-    invariant under input-line shuffling.
+    invariant under input-line shuffling. Whichever way it is built, a store
+    holds the ``event_ids``, their int64 ``ts_us``, the distinct ``texts``
+    (text_repr) in first-seen order with each event's ``text_index`` into
+    them, and one shared record per distinct combination of the other fields:
+    (product, event_type, asset_id, msg, the tuple of context's items, tech,
+    attack, risk_tag). The stages read these columns; an :class:`Event` is
+    built only when the store is indexed or iterated, with its own context.
     """
 
-    events: Sequence[Event]
-    source_manifest: tuple[dict, ...] = ()
-    duplicates_dropped: int = 0
+    def __init__(self, events: Iterable[Event] = (), source_manifest: tuple = (), duplicates_dropped: int = 0) -> None:
+        self._hold_rows((e.event_id, epoch_us(e.ts), e.text_repr, (
+            e.product, e.event_type, e.asset_id, e.msg, tuple(e.context.items()), e.tech, e.attack, e.risk_tag,
+        )) for e in events)
+        self.source_manifest, self.duplicates_dropped = tuple(source_manifest), duplicates_dropped
 
-    def __len__(self) -> int:
-        return len(self.events)
+    def _hold_rows(self, rows: Iterable[tuple[str, int, str, tuple]]) -> None:
+        """Hold (event_id, epoch-µs ts, text_repr, record) rows; texts and records are numbered as first seen."""
+        ids, ts_us, text_index, record_index, texts, records = [], [], [], [], {}, {}
+        for event_id, us, text_repr, record in rows:
+            ids.append(event_id)
+            ts_us.append(us)
+            text_index.append(texts.setdefault(text_repr, len(texts)))
+            record_index.append(records.setdefault(record, len(records)))
+        self._hold(ids, ts_us, tuple(texts), text_index, tuple(records), record_index)
 
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
+    def _hold(self, ids, ts_us, texts: tuple[str, ...], text_index, records: tuple[tuple, ...], record_index) -> None:
+        self.event_ids, self.texts, self._records = tuple(ids), texts, records
+        self._ts_us = np.array(ts_us, dtype=np.int64)
+        self.text_index = np.array(text_index, dtype=np.intp)
+        self._record_index = np.array(record_index, dtype=np.intp)
+        self._ts_us.flags.writeable = self.text_index.flags.writeable = False
+        decreases = np.flatnonzero(np.diff(self._ts_us) < 0)
+        self._older_at = int(decreases[0]) + 1 if decreases.size else 0  # event 0 is never older
 
     @classmethod
     def of_timeline(cls, ids: Sequence[str], ts_us: np.ndarray) -> EventStore:
         """A store of bare events, each only an id and a ts, from an int64 epoch-µs column in store order.
 
-        Ranking reads nothing else of an event, and only of the top-k events,
-        so each event is built when it is read: ``events`` is a read-only
-        sequence over the ids and a copy of ``ts_us``. That copy becomes the
-        store's ``ts_us``, so it must not decrease and must hold one value per
-        id (ValueError otherwise).
+        Ranking reads nothing else of an event. The store holds one empty text
+        and one empty record, and a copy of ``ts_us``, which must hold one
+        value per id and must not decrease (ValueError otherwise).
         """
         if len(ids) != len(ts_us):
             raise ValueError(f"{len(ids)} ids but {len(ts_us)} timestamps")
-        ts = np.array(ts_us, dtype=np.int64)
-        store = cls(events=_Timeline(tuple(ids), ts))
-        store.__dict__["ts_us"] = store._checked_ts(ts)  # the slot cached_property fills
+        store, nothing = cls(), np.zeros(len(ids), dtype=np.intp)
+        store._hold(ids, ts_us, ("",), nothing, (("", "", "", "", (), (), (), ()),), nothing)
+        store.ts_us  # noqa: B018 - raises ValueError if ts decreases
         return store
 
-    def ids(self) -> list[str]:
-        return [e.event_id for e in self.events]
+    def __len__(self) -> int:
+        return len(self.event_ids)
 
-    @cached_property
+    def __getitem__(self, i):
+        """Event ``i`` built from the columns (a slice gives a tuple): the one place a store builds an Event."""
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        event_id = self.event_ids[i]
+        product, event_type, asset_id, msg, context, tech, attack, risk_tag = self._records[self._record_index[i]]
+        return Event(
+            event_id, from_epoch_us(int(self._ts_us[i])), product, event_type, asset_id, msg, dict(context),
+            tech, attack, risk_tag, self.texts[self.text_index[i]],
+        )
+
+    def __eq__(self, other) -> bool:
+        """Equal to a store, or a tuple, of equal events."""
+        return tuple(self) == (tuple(other) if isinstance(other, EventStore) else other)
+
+    @property
+    def events(self) -> EventStore:
+        """The store itself, a read-only sequence of events with tuple semantics."""
+        return self
+
+    def ids(self) -> list[str]:
+        return list(self.event_ids)
+
+    @property
     def ts_us(self) -> np.ndarray:
         """Read-only int64 epoch-microsecond timestamps, in store order.
 
         Raises ValueError if they decrease: the as-of cut in retrieval takes
         a prefix of the store and relies on the (ts, event_id) order.
         """
-        return self._checked_ts(
-            np.fromiter((epoch_us(e.ts) for e in self.events), dtype=np.int64, count=len(self.events))
-        )
-
-    def _checked_ts(self, ts: np.ndarray) -> np.ndarray:
-        decreases = np.flatnonzero(np.diff(ts) < 0)
-        if decreases.size:
-            event = self.events[decreases[0] + 1]
-            raise ValueError(f"event store is not sorted by ts: {event.event_id} is older than the event before it")
-        ts.flags.writeable = False
-        return ts
+        if self._older_at:
+            event_id = self.event_ids[self._older_at]
+            raise ValueError(f"event store is not sorted by ts: {event_id} is older than the event before it")
+        return self._ts_us
 
     def week_range(self) -> tuple[WeekKey, WeekKey] | None:
-        if not self.events:
+        if not len(self):
             return None
-        return period_of(self.events[0].ts), period_of(self.events[-1].ts)
+        return period_of(from_epoch_us(int(self._ts_us[0]))), period_of(from_epoch_us(int(self._ts_us[-1])))
 
     def manifest(self) -> dict:
         total_records = sum(f["records"] for f in self.source_manifest)
@@ -296,7 +317,7 @@ class EventStore:
         return {
             "files": list(self.source_manifest),
             "records": total_records,
-            "events": len(self.events),
+            "events": len(self),
             "skipped": total_skipped,
             "duplicates_dropped": self.duplicates_dropped,
             "naive_timestamps": naive,
@@ -472,38 +493,13 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
         raise IngestError("no parseable records in any input file")
 
     parsed.sort(key=Event.sort_key)
-    deduped: list[Event] = []
-    seen: set[str] = set()
+    first: dict[str, Event] = {}  # in sorted order, so the store's order
     for event in parsed:
-        if event.event_id in seen:
-            continue
-        seen.add(event.event_id)
-        deduped.append(event)
-    dropped = len(parsed) - len(deduped)
+        first.setdefault(event.event_id, event)
+    dropped = len(parsed) - len(first)
     if dropped:
         logger.info("dropped %d duplicate event ids", dropped)
-
-    return EventStore(
-        events=tuple(deduped),
-        source_manifest=tuple(manifest),
-        duplicates_dropped=dropped,
-    )
-
-
-@contextmanager
-def _cyclic_gc_paused() -> Iterator[None]:
-    """Pause cyclic garbage collection, then restore the caller's setting.
-
-    Building a store allocates many containers and no cycles, so a cyclic
-    collection meanwhile would only rescan them.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+    return EventStore(first.values(), tuple(manifest), dropped)
 
 
 @contextmanager
@@ -590,8 +586,11 @@ def _holds_non_str(items) -> bool:
     return False
 
 
-def _canonical_event(value) -> Event:
-    """The Event one events.jsonl line holds; ValueError says how the line breaks the format."""
+def _canonical_event(value) -> tuple[str, int, str, tuple]:
+    """(event_id, epoch-µs ts, text_repr, record) of one events.jsonl line.
+
+    ValueError says how the line breaks the format.
+    """
     if type(value) is not dict:
         raise ValueError(f"expected an object, got {type(value).__name__}")
     if value.keys() != _EVENT_FIELD_SET:
@@ -615,11 +614,8 @@ def _canonical_event(value) -> Event:
     if instant.utcoffset() != _ZERO:
         offset = "no UTC offset" if instant.tzinfo is None else "an offset other than UTC"
         raise ValueError(f"ts has {offset}: {ts!r}")
-    # Positional, in field order: keyword arguments cost twice as much here.
-    return Event(
-        event_id, instant, product, event_type, asset_id, msg, context,
-        tuple(tech), tuple(attack), tuple(risk_tag), text_repr,
-    )
+    record = (product, event_type, asset_id, msg, tuple(context.items()), tuple(tech), tuple(attack), tuple(risk_tag))
+    return event_id, epoch_us(instant), text_repr, record
 
 
 def load_events_jsonl(path: Path | str) -> EventStore:
@@ -630,29 +626,34 @@ def load_events_jsonl(path: Path | str) -> EventStore:
     strictly increase from line to line and no event_id may repeat. The first
     line that breaks a rule raises ``IngestError("<path>:<line>: ...")``, as
     does a file with no events. Nothing is re-normalized, re-sorted or dropped:
-    the store is the file. Its ``source_manifest`` is empty.
+    the store is the file, kept as columns. Its ``source_manifest`` is empty.
     """
     path = Path(path)
-    events: list[Event] = []
+    store = EventStore()
+    store._hold_rows(_canonical_rows(path))
+    if not len(store):
+        raise IngestError(f"{path}:1: no events")
+    return store
+
+
+def _canonical_rows(path: Path) -> Iterator[tuple[str, int, str, tuple]]:
+    """The :func:`_canonical_event` of each line of ``path``, checked against the lines before it."""
     seen: set[str] = set()
-    previous: tuple[datetime, str] | None = None
+    previous: tuple[int, str] | None = None
     line_no = 0
-    with _cyclic_gc_paused(), path.open("rb") as fh:
+    with path.open("rb") as fh:
         while lines := fh.readlines(_LOAD_CHUNK_BYTES):
             for value in _parse_lines(path, line_no + 1, lines):
                 line_no += 1
                 try:
-                    event = _canonical_event(value)
+                    row = _canonical_event(value)
                 except ValueError as exc:
                     raise IngestError(f"{path}:{line_no}: {exc}") from None
-                key = (event.ts, event.event_id)
+                key = row[1], row[0]
                 if previous is not None and key <= previous:
                     raise IngestError(f"{path}:{line_no}: (ts, event_id) is not after the previous line's")
-                if event.event_id in seen:
-                    raise IngestError(f"{path}:{line_no}: event_id {event.event_id!r} repeats an earlier line's")
-                seen.add(event.event_id)
+                if row[0] in seen:
+                    raise IngestError(f"{path}:{line_no}: event_id {row[0]!r} repeats an earlier line's")
+                seen.add(row[0])
                 previous = key
-                events.append(event)
-    if not events:
-        raise IngestError(f"{path}:1: no events")
-    return EventStore(events=tuple(events))
+                yield row

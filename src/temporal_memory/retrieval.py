@@ -22,11 +22,9 @@ hits are bit-identical to it.
 
 A VectorStore holds the distinct float16 rows and each event's index into
 them, as a TMV2 vector file does; their float32 copy and norms are built
-once per store and cached on it. Ranking needs nothing more of an event
-than its id and timestamp, so ``tmem query`` runs over
-``EventStore.of_timeline`` of the file's columns and never parses
-events.jsonl. That store builds an event only when it is read, and ranking
-reads only the top-k events, each once.
+once per store and cached on it. Ranking reads only the event store's ids
+and ``ts_us`` columns and builds no Event, so ``tmem query`` ranks over
+``EventStore.of_timeline`` of the vector file's columns: no events.jsonl.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .embedding import VectorStore
-from .events import EventStore, epoch_us, is_int_at_least
+from .events import EventStore, epoch_us, from_epoch_us, is_int_at_least
 
 SECONDS_PER_DAY = 86400.0
 
@@ -179,9 +177,9 @@ def rank(
     sel = np.flatnonzero(key >= kth)
     top = sel[np.lexsort((cand[sel], -ts[sel], -key[sel]))][:k]
     return [
-        RankedHit(event_id=event.event_id, ts=event.ts, cosine_sim=c, age_days=a, recency_weight=w, fused=f)
-        for event, c, a, w, f in zip(
-            map(store.events.__getitem__, cand[top].tolist()),
+        RankedHit(event_id=store.event_ids[i], ts=from_epoch_us(t), cosine_sim=c, age_days=a, recency_weight=w, fused=f)
+        for i, t, c, a, w, f in zip(
+            cand[top].tolist(), ts[top].tolist(),
             cos[top].tolist(), ages[top].tolist(), weights[top].tolist(), fused[top].tolist(),
         )
     ]

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import VectorStore, tokenize
-from .events import Event, EventStore, WeekKey, atomic_write, is_int_at_least, period_of
+from .events import EventStore, WeekKey, atomic_write, from_epoch_us, is_int_at_least, period_of
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +34,7 @@ STOPWORDS = frozenset(
 MAX_KMEANS_ITER = 100
 DEFAULT_SEED = 42
 TOP_TERMS = 8
+_US_PER_DAY = 86_400_000_000
 
 
 @dataclass(frozen=True)
@@ -313,9 +314,12 @@ def track(
     the next populated week is all-emergence.
     """
     params = params or TrendParams()
-    buckets: dict[WeekKey, list[int]] = {}
-    for idx, event in enumerate(store):
-        buckets.setdefault(period_of(event.ts), []).append(idx)
+    # The store is sorted by ts, so each week's events are one run of it.
+    days, day_starts = np.unique(store.ts_us // _US_PER_DAY, return_index=True)
+    week_starts: dict[WeekKey, int] = {}
+    for day, start in zip(days.tolist(), day_starts.tolist()):
+        week_starts.setdefault(period_of(from_epoch_us(day * _US_PER_DAY)), start)
+    buckets = dict(zip(week_starts, np.split(np.arange(len(store)), list(week_starts.values())[1:])))
     if not buckets:
         return [], []
 
@@ -331,7 +335,7 @@ def track(
         if indices is None:
             prev_clusters = []  # a silent week severs the chain
         else:
-            week_clusters = _cluster_period(period, indices, store.events, vecs, params, seed, terms_of)
+            week_clusters = _cluster_period(period, indices, store, vecs, params, seed, terms_of)
             matches = match_weeks(prev_clusters, week_clusters, params)
             for cluster in week_clusters:
                 prev_id, sim = matches.get(cluster.cluster_id, (None, None))
@@ -362,8 +366,8 @@ def track(
 
 def _cluster_period(
     period: WeekKey,
-    indices: list[int],
-    events: Sequence[Event],
+    indices: np.ndarray,
+    store: EventStore,
     vecs: VectorStore,
     params: TrendParams,
     seed: int,
@@ -378,14 +382,14 @@ def _cluster_period(
 
     out: list[WeekCluster] = []
     for c in range(k):
-        member_events = [events[indices[i]] for i in np.flatnonzero(assign == c)]
+        members = indices[assign == c].tolist()
         out.append(
             WeekCluster(
                 week=period,
                 cluster_id=c,
-                member_ids=tuple(e.event_id for e in member_events),
+                member_ids=tuple(store.event_ids[i] for i in members),
                 centroid=centroids[c],
-                top_terms=top_terms_for([e.text_repr for e in member_events], terms_of=terms_of),
+                top_terms=top_terms_for([store.texts[t] for t in store.text_index[members]], terms_of=terms_of),
             )
         )
     return out

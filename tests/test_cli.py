@@ -20,7 +20,7 @@ import pytest
 
 from temporal_memory import cli
 from temporal_memory.embedding import HashEmbedder, VectorStore, read_vector_file
-from temporal_memory.events import coerce_timestamp, load_events_jsonl, parse_cutoff
+from temporal_memory.events import EventStore, coerce_timestamp, load_events_jsonl, parse_cutoff
 from temporal_memory.retrieval import RetrievalParams, rank
 from temporal_memory.tracking import TrendParams
 
@@ -479,6 +479,29 @@ class TestQueryCommand:
         capsys.readouterr()
         assert run("--workspace", str(ws), "query", "--text", "okta auth_fail mfa denied") == 0
         assert len(capsys.readouterr().out.splitlines()) == RetrievalParams.top_k
+
+    def test_embed_trends_eval_and_query_build_no_event(self, pipeline_ws, tmp_path, capsys, monkeypatch):
+        query = ["query", "--text", "okta auth_fail mfa denied", "--now", "2025-06-30T00:00:00Z", "--k", "25"]
+        assert run("--workspace", str(pipeline_ws), *query) == 0
+        printed = capsys.readouterr().out
+
+        def refuse(store, i):
+            raise AssertionError(f"built event {i} of a store")
+
+        ws = tmp_path / "ws"
+        for rel in ("data/events.jsonl", "logs/eval.json", "logs/ground_truth.json"):
+            (ws / rel).parent.mkdir(parents=True, exist_ok=True)
+            (ws / rel).write_bytes((pipeline_ws / rel).read_bytes())
+        monkeypatch.setattr(EventStore, "__getitem__", refuse)
+        for command in ("embed", "trends", "eval"):
+            assert run("--workspace", str(ws), command) == 0
+        capsys.readouterr()
+        assert run("--workspace", str(ws), *query) == 0
+        assert capsys.readouterr().out == printed
+        written = sorted(p.relative_to(ws) for p in (ws / "results").iterdir()) + [Path("data/vectors.tmv")]
+        assert len(written) == 8
+        for rel in written:
+            assert (ws / rel).read_bytes() == (pipeline_ws / rel).read_bytes(), rel
 
 
 class TestStaleVectors:

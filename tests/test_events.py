@@ -439,6 +439,7 @@ class TestLoadCanonicalStore:
             write_events_jsonl(store, path)
             loaded = load_events_jsonl(path)
             assert loaded.events == store.events
+            assert loaded.texts == store.texts and loaded.text_index.tolist() == store.text_index.tolist()
             assert loaded.events == ingest([path]).events
             write_events_jsonl(loaded, again)
             assert again.read_bytes() == path.read_bytes()
@@ -538,6 +539,20 @@ class TestEventStore:
             events[len(bare)]
         with pytest.raises(TypeError):
             events[0] = bare[0]
+
+    def test_columns_hold_each_distinct_text_once_and_events_are_built_fresh(self, pipeline_ws):
+        loaded = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
+        events = tuple(loaded)
+        assert loaded.texts == tuple(dict.fromkeys(e.text_repr for e in events)) and len(loaded.texts) == 498
+        assert all(loaded.texts[t] == e.text_repr for t, e in zip(loaded.text_index, events))
+        assert not loaded.text_index.flags.writeable
+        rebuilt = EventStore(events=events)
+        assert rebuilt.event_ids == loaded.event_ids and rebuilt.texts == loaded.texts
+        assert np.array_equal(rebuilt.ts_us, loaded.ts_us) and np.array_equal(rebuilt.text_index, loaded.text_index)
+        assert rebuilt.events == loaded.events
+        loaded.events[0].context["edited"] = "yes"
+        next(iter(loaded)).context.clear()
+        assert loaded.events[0].context == events[0].context != {}
 
     @pytest.mark.parametrize("ids, ts_us, message", [
         (["a", "b"], [2, 1], "not sorted by ts: b is older"),
