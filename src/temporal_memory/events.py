@@ -85,13 +85,19 @@ class Event:
         return (self.ts, self.event_id)
 
     def to_json(self) -> str:
-        obj = {**vars(self), "ts": self.ts.isoformat(), "context": dict(self.context)}
-        return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+        """The event's events.jsonl line, without its newline, as :func:`write_events_jsonl` writes it."""
+        return next(_json_lines(EventStore((self,))))
 
 
 # Canonical field order for events.jsonl lines.
 EVENT_FIELDS = tuple(f.name for f in fields(Event))
 _EVENT_FIELD_SET = frozenset(EVENT_FIELDS)
+
+
+def _row(event_id, ts, product, event_type, asset_id, msg, context, tech, attack, risk_tag, text_repr) -> tuple:
+    """An event, given in Event's field order, as a store holds it: (event_id, epoch-µs ts, text_repr, record)."""
+    record = (product, event_type, asset_id, msg, tuple(context.items()), tuple(tech), tuple(attack), tuple(risk_tag))
+    return event_id, epoch_us(ts), text_repr, record
 
 
 def _parse_timestamp(raw) -> tuple[datetime, bool]:
@@ -215,21 +221,18 @@ def period_of(ts: datetime) -> WeekKey:
 class EventStore(Sequence[Event]):
     """Immutable, deterministically ordered collection of events, held as columns.
 
-    Events are sorted by (ts, event_id) and deduplicated by event_id with
-    the first occurrence under that ordering winning, so the store is
-    invariant under input-line shuffling. Whichever way it is built, a store
-    holds the ``event_ids``, their int64 ``ts_us``, the distinct ``texts``
-    (text_repr) in first-seen order with each event's ``text_index`` into
-    them, and one shared record per distinct combination of the other fields:
-    (product, event_type, asset_id, msg, the tuple of context's items, tech,
-    attack, risk_tag). The stages read these columns; an :class:`Event` is
-    built only when the store is indexed or iterated, with its own context.
+    Events are sorted by (ts, event_id) and deduplicated by event_id with the
+    first occurrence under that ordering winning, so the store is invariant
+    under input-line shuffling. However it is built, a store holds the
+    ``event_ids``, their int64 ``ts_us``, the distinct ``texts`` (text_repr) in
+    first-seen order with each event's ``text_index``, and one shared record
+    per distinct combination of the other fields (see :func:`_row`). The stages
+    read these columns; an :class:`Event` is built, with its own context, only
+    when the store is indexed or iterated.
     """
 
     def __init__(self, events: Iterable[Event] = (), source_manifest: tuple = (), duplicates_dropped: int = 0) -> None:
-        self._hold_rows((e.event_id, epoch_us(e.ts), e.text_repr, (
-            e.product, e.event_type, e.asset_id, e.msg, tuple(e.context.items()), e.tech, e.attack, e.risk_tag,
-        )) for e in events)
+        self._hold_rows(_row(*vars(e).values()) for e in events)
         self.source_manifest, self.duplicates_dropped = tuple(source_manifest), duplicates_dropped
 
     def _hold_rows(self, rows: Iterable[tuple[str, int, str, tuple]]) -> None:
@@ -253,10 +256,9 @@ class EventStore(Sequence[Event]):
 
     @classmethod
     def of_timeline(cls, ids: Sequence[str], ts_us: np.ndarray) -> EventStore:
-        """A store of bare events, each only an id and a ts, from an int64 epoch-µs column in store order.
+        """A store of bare events, each an id and a ts, with one empty text and one empty record.
 
-        Ranking reads nothing else of an event. The store holds one empty text
-        and one empty record, and a copy of ``ts_us``, which must hold one
+        ``ts_us`` is int64 epoch µs in store order, copied; it must hold one
         value per id and must not decrease (ValueError otherwise).
         """
         if len(ids) != len(ts_us):
@@ -294,11 +296,8 @@ class EventStore(Sequence[Event]):
 
     @property
     def ts_us(self) -> np.ndarray:
-        """Read-only int64 epoch-microsecond timestamps, in store order.
-
-        Raises ValueError if they decrease: the as-of cut in retrieval takes
-        a prefix of the store and relies on the (ts, event_id) order.
-        """
+        """Read-only int64 epoch-microsecond timestamps, in store order; ValueError if they decrease,
+        since the as-of cut in retrieval takes a prefix of the store and relies on its (ts, event_id) order."""
         if self._older_at:
             event_id = self.event_ids[self._older_at]
             raise ValueError(f"event store is not sorted by ts: {event_id} is older than the event before it")
@@ -345,8 +344,8 @@ def _coerce_list(value) -> tuple[str, ...]:
     raise RecordParseError(f"expected list or ';'-joined string, got {value!r}")
 
 
-def _build_event(fields: dict) -> tuple[Event, bool]:
-    """Build one Event from a mapping of canonical field names to raw values."""
+def _build_event(fields: dict) -> tuple[tuple, bool]:
+    """(:func:`_row`, ts was naive) of a mapping of canonical field names to raw values."""
     if "ts" not in fields or fields["ts"] in (None, ""):
         raise RecordParseError("missing ts")
     ts, was_naive = _parse_timestamp(fields["ts"])
@@ -386,20 +385,7 @@ def _build_event(fields: dict) -> tuple[Event, bool]:
         raise RecordParseError("text holds an invalid UTF-8 byte or a lone surrogate") from None
 
     event_id = derive_event_id(ts, product, event_type, asset_id, msg, explicit_id=explicit_id)
-    event = Event(
-        event_id=event_id,
-        ts=ts,
-        product=product,
-        event_type=event_type,
-        asset_id=asset_id,
-        msg=msg,
-        context=context,
-        tech=tech,
-        attack=attack,
-        risk_tag=risk_tag,
-        text_repr=text_repr,
-    )
-    return event, was_naive
+    return _row(event_id, ts, product, event_type, asset_id, msg, context, tech, attack, risk_tag, text_repr), was_naive
 
 
 def read_mapping(path: Path | str) -> dict[str, str]:
@@ -454,7 +440,7 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
     as ``path:line`` warnings and counted; zero usable events is fatal. CSV
     inputs require a column mapping.
     """
-    parsed: list[Event] = []
+    parsed: list[tuple] = []
     manifest: list[dict] = []
 
     for raw_path in paths:
@@ -470,12 +456,12 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
         for line_no, raw in record_iter:
             records += 1
             try:
-                event, was_naive = _build_event(to_fields(raw))
+                row, was_naive = _build_event(to_fields(raw))
             except RecordParseError as exc:
                 skipped += 1
                 logger.warning("%s:%d: skipping record: %s", path.name, line_no, exc)
                 continue
-            parsed.append(event)
+            parsed.append(row)
             naive_count += int(was_naive)
             kept += 1
 
@@ -492,14 +478,16 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
     if not parsed:
         raise IngestError("no parseable records in any input file")
 
-    parsed.sort(key=Event.sort_key)
-    first: dict[str, Event] = {}  # in sorted order, so the store's order
-    for event in parsed:
-        first.setdefault(event.event_id, event)
+    parsed.sort(key=operator.itemgetter(1, 0))  # (ts, event_id)
+    first: dict[str, tuple] = {}  # in sorted order, so the store's order
+    for row in parsed:
+        first.setdefault(row[0], row)
     dropped = len(parsed) - len(first)
     if dropped:
         logger.info("dropped %d duplicate event ids", dropped)
-    return EventStore(first.values(), tuple(manifest), dropped)
+    store = EventStore((), manifest, dropped)
+    store._hold_rows(first.values())
+    return store
 
 
 @contextmanager
@@ -532,9 +520,20 @@ def write_json(obj, path: Path | str, sort_keys: bool = True) -> None:
 
 def write_events_jsonl(store: EventStore, path: Path | str) -> None:
     with atomic_write(path) as fh:
-        for event in store:
-            fh.write(event.to_json())
-            fh.write("\n")
+        fh.writelines(line + "\n" for line in _json_lines(store))
+
+
+_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def _json_lines(store: EventStore) -> Iterator[str]:
+    """Each event's events.jsonl line, Event's fields in order; each distinct record and text is encoded once."""
+    records = [_JSON(dict(zip(EVENT_FIELDS[2:-1], (*r[:4], dict(r[4]), *r[5:]))))[1:-1] for r in store._records]
+    texts = list(map(_JSON, store.texts))
+    columns = store.event_ids, store._ts_us.tolist(), store._record_index.tolist(), store.text_index.tolist()
+    for event_id, ts_us, record, text in zip(*columns):
+        ts = from_epoch_us(ts_us).isoformat()
+        yield f'{{"event_id":{_JSON(event_id)},"ts":"{ts}",{records[record]},"text_repr":{texts[text]}}}'
 
 
 # Bytes of whole lines parsed per json.loads call while loading a store: as
@@ -614,8 +613,7 @@ def _canonical_event(value) -> tuple[str, int, str, tuple]:
     if instant.utcoffset() != _ZERO:
         offset = "no UTC offset" if instant.tzinfo is None else "an offset other than UTC"
         raise ValueError(f"ts has {offset}: {ts!r}")
-    record = (product, event_type, asset_id, msg, tuple(context.items()), tuple(tech), tuple(attack), tuple(risk_tag))
-    return event_id, epoch_us(instant), text_repr, record
+    return _row(event_id, instant, product, event_type, asset_id, msg, context, tech, attack, risk_tag, text_repr)
 
 
 def load_events_jsonl(path: Path | str) -> EventStore:
@@ -646,14 +644,14 @@ def _canonical_rows(path: Path) -> Iterator[tuple[str, int, str, tuple]]:
             for value in _parse_lines(path, line_no + 1, lines):
                 line_no += 1
                 try:
-                    row = _canonical_event(value)
+                    row = event_id, ts_us, _, _ = _canonical_event(value)
                 except ValueError as exc:
                     raise IngestError(f"{path}:{line_no}: {exc}") from None
-                key = row[1], row[0]
+                key = ts_us, event_id
                 if previous is not None and key <= previous:
                     raise IngestError(f"{path}:{line_no}: (ts, event_id) is not after the previous line's")
-                if row[0] in seen:
-                    raise IngestError(f"{path}:{line_no}: event_id {row[0]!r} repeats an earlier line's")
-                seen.add(row[0])
+                if event_id in seen:
+                    raise IngestError(f"{path}:{line_no}: event_id {event_id!r} repeats an earlier line's")
+                seen.add(event_id)
                 previous = key
                 yield row

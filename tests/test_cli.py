@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -480,7 +481,7 @@ class TestQueryCommand:
         assert run("--workspace", str(ws), "query", "--text", "okta auth_fail mfa denied") == 0
         assert len(capsys.readouterr().out.splitlines()) == RetrievalParams.top_k
 
-    def test_embed_trends_eval_and_query_build_no_event(self, pipeline_ws, tmp_path, capsys, monkeypatch):
+    def test_ingest_embed_trends_eval_and_query_build_no_event(self, pipeline_ws, tmp_path, capsys, monkeypatch):
         query = ["query", "--text", "okta auth_fail mfa denied", "--now", "2025-06-30T00:00:00Z", "--k", "25"]
         assert run("--workspace", str(pipeline_ws), *query) == 0
         printed = capsys.readouterr().out
@@ -489,17 +490,15 @@ class TestQueryCommand:
             raise AssertionError(f"built event {i} of a store")
 
         ws = tmp_path / "ws"
-        for rel in ("data/events.jsonl", "logs/eval.json", "logs/ground_truth.json"):
-            (ws / rel).parent.mkdir(parents=True, exist_ok=True)
-            (ws / rel).write_bytes((pipeline_ws / rel).read_bytes())
+        shutil.copytree(pipeline_ws / "logs", ws / "logs")
         monkeypatch.setattr(EventStore, "__getitem__", refuse)
-        for command in ("embed", "trends", "eval"):
+        for command in ("ingest", "embed", "trends", "eval"):
             assert run("--workspace", str(ws), command) == 0
         capsys.readouterr()
         assert run("--workspace", str(ws), *query) == 0
         assert capsys.readouterr().out == printed
-        written = sorted(p.relative_to(ws) for p in (ws / "results").iterdir()) + [Path("data/vectors.tmv")]
-        assert len(written) == 8
+        written = sorted(p.relative_to(ws) for d in ("data", "results") for p in (ws / d).iterdir())
+        assert len(written) == 11
         for rel in written:
             assert (ws / rel).read_bytes() == (pipeline_ws / rel).read_bytes(), rel
 
