@@ -92,6 +92,7 @@ class Event:
 # Canonical field order for events.jsonl lines.
 EVENT_FIELDS = tuple(f.name for f in fields(Event))
 _EVENT_FIELD_SET = frozenset(EVENT_FIELDS)
+_event_fields = operator.attrgetter(*EVENT_FIELDS)
 
 
 def _row(event_id, ts, product, event_type, asset_id, msg, context, tech, attack, risk_tag, text_repr) -> tuple:
@@ -232,7 +233,7 @@ class EventStore(Sequence[Event]):
     """
 
     def __init__(self, events: Iterable[Event] = (), source_manifest: tuple = (), duplicates_dropped: int = 0) -> None:
-        self._hold_rows(_row(*vars(e).values()) for e in events)
+        self._hold_rows(_row(*_event_fields(e)) for e in events)
         self.source_manifest, self.duplicates_dropped = tuple(source_manifest), duplicates_dropped
 
     def _hold_rows(self, rows: Iterable[tuple[str, int, str, tuple]]) -> None:
