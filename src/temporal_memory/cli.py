@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen", parents=[seed], help="generate the synthetic stream into <workspace>/logs")
 
     p_ing = sub.add_parser("ingest", help="normalize raw logs")
-    p_ing.add_argument("--input", nargs="*", default=None, help="files (default: <workspace>/logs/*)")
+    p_ing.add_argument("--input", nargs="*", default=None,
+                       help="files (default: every .jsonl and .csv file in <workspace>/logs, in name order)")
     p_ing.add_argument("--mapping", default=None, help="CSV column mapping file (field=column lines)")
 
     p_emb = sub.add_parser("embed", parents=[dim], help="embed the event store")
@@ -229,9 +230,7 @@ def _cmd_ingest(ws: Workspace, args) -> None:
         paths = [Path(p) for p in args.input]
     else:
         ws.require(ws.logs, "gen")
-        paths = sorted(ws.logs.glob("events-*.jsonl")) or sorted(
-            p for p in ws.logs.iterdir() if p.suffix in (".jsonl", ".csv")
-        )
+        paths = sorted(p for p in ws.logs.iterdir() if p.suffix in (".jsonl", ".csv"))
     if not paths:
         raise MissingArtifact(f"no input files under {ws.logs} (run 'tmem gen' or pass --input)")
     for p in paths:

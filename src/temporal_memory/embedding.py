@@ -205,14 +205,20 @@ def encode_store(store: EventStore, embedder: HashEmbedder) -> VectorStore:
 
 
 def write_vector_file(vs: VectorStore, path: Path | str) -> None:
-    """Write ``vs`` as TMV2; it must hold ``ts_us`` and ``events_sha256``."""
+    """Write ``vs`` as TMV2; it must hold ``ts_us`` and ``events_sha256``.
+
+    TMV2 ends each id at a newline, so an id that holds one raises ValueError
+    naming it, and nothing is written.
+    """
     if vs.ts_us is None or vs.events_sha256 is None:
         raise ValueError("a TMV2 file records each event's ts and the events.jsonl sha256; the store holds neither")
+    ids = "".join(event_id + "\n" for event_id in vs.ids)
+    if ids.count("\n") != len(vs.ids):
+        bad = next(event_id for event_id in vs.ids if "\n" in event_id)
+        raise ValueError(f"event {bad!r}: a TMV2 file ends each id at a newline, and this id holds one")
     with atomic_write(path, binary=True) as fh:
         fh.write(_TMV2_HEADER.pack(TMV2, vs.dim, len(vs.ids), len(vs.rows), bytes.fromhex(vs.events_sha256)))
-        for event_id in vs.ids:
-            fh.write(event_id.encode("utf-8"))
-            fh.write(b"\n")
+        fh.write(ids.encode("utf-8"))
         fh.write(vs.ts_us.astype("<i8").tobytes())
         fh.write(vs.index.astype("<u4").tobytes())
         fh.write(vs.rows.astype("<f2").tobytes())

@@ -59,11 +59,6 @@ class WeekKey:
         d = datetime.fromisocalendar(self.iso_year, self.iso_week, 1)
         return d.replace(tzinfo=timezone.utc)
 
-    def next(self) -> "WeekKey":
-        nxt = self.monday() + timedelta(days=7)
-        y, w, _ = nxt.isocalendar()
-        return WeekKey(y, w)
-
 
 @dataclass(frozen=True)
 class Event:
@@ -220,12 +215,15 @@ def period_of(ts: datetime) -> WeekKey:
 
 
 class EventStore(Sequence[Event]):
-    """Immutable, deterministically ordered collection of events, held as columns.
+    """Immutable collection of events in ts order, held as columns.
 
-    Events are sorted by (ts, event_id) and deduplicated by event_id with the
-    first occurrence under that ordering winning, so the store is invariant
-    under input-line shuffling. However it is built, a store holds the
-    ``event_ids``, their int64 ``ts_us``, the distinct ``texts`` (text_repr) in
+    A store whose ts would decrease from one event to the next cannot be built
+    (ValueError naming the event), since the as-of cut in retrieval takes a
+    prefix of the store and tracking takes each ISO week as one run of it.
+    ``ingest`` also sorts by (ts, event_id) and keeps the first event of each
+    event_id, so its store is invariant under input-line shuffling. However it
+    is built, a store holds the ``event_ids``, their read-only int64 ``ts_us``
+    (epoch µs), the distinct ``texts`` (text_repr) in
     first-seen order with each event's ``text_index``, and one shared record
     per distinct combination of the other fields (see :func:`_row`). The stages
     read these columns; an :class:`Event` is built, with its own context, only
@@ -248,12 +246,14 @@ class EventStore(Sequence[Event]):
 
     def _hold(self, ids, ts_us, texts: tuple[str, ...], text_index, records: tuple[tuple, ...], record_index) -> None:
         self.event_ids, self.texts, self._records = tuple(ids), texts, records
-        self._ts_us = np.array(ts_us, dtype=np.int64)
+        self.ts_us = np.array(ts_us, dtype=np.int64)
+        decreases = np.flatnonzero(np.diff(self.ts_us) < 0)
+        if decreases.size:
+            event_id = self.event_ids[decreases[0] + 1]
+            raise ValueError(f"event store is not sorted by ts: {event_id} is older than the event before it")
         self.text_index = np.array(text_index, dtype=np.intp)
         self._record_index = np.array(record_index, dtype=np.intp)
-        self._ts_us.flags.writeable = self.text_index.flags.writeable = False
-        decreases = np.flatnonzero(np.diff(self._ts_us) < 0)
-        self._older_at = int(decreases[0]) + 1 if decreases.size else 0  # event 0 is never older
+        self.ts_us.flags.writeable = self.text_index.flags.writeable = False
 
     @classmethod
     def of_timeline(cls, ids: Sequence[str], ts_us: np.ndarray) -> EventStore:
@@ -266,7 +266,6 @@ class EventStore(Sequence[Event]):
             raise ValueError(f"{len(ids)} ids but {len(ts_us)} timestamps")
         store, nothing = cls(), np.zeros(len(ids), dtype=np.intp)
         store._hold(ids, ts_us, ("",), nothing, (("", "", "", "", (), (), (), ()),), nothing)
-        store.ts_us  # noqa: B018 - raises ValueError if ts decreases
         return store
 
     def __len__(self) -> int:
@@ -279,7 +278,7 @@ class EventStore(Sequence[Event]):
         event_id = self.event_ids[i]
         product, event_type, asset_id, msg, context, tech, attack, risk_tag = self._records[self._record_index[i]]
         return Event(
-            event_id, from_epoch_us(int(self._ts_us[i])), product, event_type, asset_id, msg, dict(context),
+            event_id, from_epoch_us(int(self.ts_us[i])), product, event_type, asset_id, msg, dict(context),
             tech, attack, risk_tag, self.texts[self.text_index[i]],
         )
 
@@ -295,19 +294,10 @@ class EventStore(Sequence[Event]):
     def ids(self) -> list[str]:
         return list(self.event_ids)
 
-    @property
-    def ts_us(self) -> np.ndarray:
-        """Read-only int64 epoch-microsecond timestamps, in store order; ValueError if they decrease,
-        since the as-of cut in retrieval takes a prefix of the store and relies on its (ts, event_id) order."""
-        if self._older_at:
-            event_id = self.event_ids[self._older_at]
-            raise ValueError(f"event store is not sorted by ts: {event_id} is older than the event before it")
-        return self._ts_us
-
     def week_range(self) -> tuple[WeekKey, WeekKey] | None:
         if not len(self):
             return None
-        return period_of(from_epoch_us(int(self._ts_us[0]))), period_of(from_epoch_us(int(self._ts_us[-1])))
+        return period_of(from_epoch_us(int(self.ts_us[0]))), period_of(from_epoch_us(int(self.ts_us[-1])))
 
     def manifest(self) -> dict:
         total_records = sum(f["records"] for f in self.source_manifest)
@@ -531,7 +521,7 @@ def _json_lines(store: EventStore) -> Iterator[str]:
     """Each event's events.jsonl line, Event's fields in order; each distinct record and text is encoded once."""
     records = [_JSON(dict(zip(EVENT_FIELDS[2:-1], (*r[:4], dict(r[4]), *r[5:]))))[1:-1] for r in store._records]
     texts = list(map(_JSON, store.texts))
-    columns = store.event_ids, store._ts_us.tolist(), store._record_index.tolist(), store.text_index.tolist()
+    columns = store.event_ids, store.ts_us.tolist(), store._record_index.tolist(), store.text_index.tolist()
     for event_id, ts_us, record, text in zip(*columns):
         ts = from_epoch_us(ts_us).isoformat()
         yield f'{{"event_id":{_JSON(event_id)},"ts":"{ts}",{records[record]},"text_repr":{texts[text]}}}'

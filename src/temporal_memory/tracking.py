@@ -35,6 +35,7 @@ MAX_KMEANS_ITER = 100
 DEFAULT_SEED = 42
 TOP_TERMS = 8
 _US_PER_DAY = 86_400_000_000
+_US_PER_WEEK = 7 * _US_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -314,52 +315,41 @@ def track(
     the next populated week is all-emergence.
     """
     params = params or TrendParams()
-    # The store is sorted by ts, so each week's events are one run of it.
-    days, day_starts = np.unique(store.ts_us // _US_PER_DAY, return_index=True)
-    week_starts: dict[WeekKey, int] = {}
-    for day, start in zip(days.tolist(), day_starts.tolist()):
-        week_starts.setdefault(period_of(from_epoch_us(day * _US_PER_DAY)), start)
-    buckets = dict(zip(week_starts, np.split(np.arange(len(store)), list(week_starts.values())[1:])))
-    if not buckets:
-        return [], []
-
+    # ISO weeks start on Monday and 1970-01-01 was a Thursday, so this numbers
+    # the weeks consecutively; the store is sorted by ts, so each week is one run.
+    weeks, starts = np.unique((store.ts_us + 3 * _US_PER_DAY) // _US_PER_WEEK, return_index=True)
     terms_of: dict[str, list[str]] = {}
     clusters: list[WeekCluster] = []
     trends: list[TrendRecord] = []
     prev_clusters: list[WeekCluster] = []
+    prev_week = None
 
-    period = min(buckets)
-    last = max(buckets)
-    while True:
-        indices = buckets.get(period)
-        if indices is None:
+    for week, indices in zip(weeks.tolist(), np.split(np.arange(len(store)), starts[1:])):
+        if week - 1 != prev_week:
             prev_clusters = []  # a silent week severs the chain
-        else:
-            week_clusters = _cluster_period(period, indices, store, vecs, params, seed, terms_of)
-            matches = match_weeks(prev_clusters, week_clusters, params)
-            for cluster in week_clusters:
-                prev_id, sim = matches.get(cluster.cluster_id, (None, None))
-                previous = drift = None
-                if prev_id is not None:
-                    prev = prev_clusters[prev_id]  # a cluster's id is its index
-                    previous, drift = prev.size, drift_of(prev.centroid, cluster.centroid)
-                drifted = drift is not None and drift >= params.drift_threshold
-                trends.append(
-                    TrendRecord(
-                        week=cluster.week,
-                        cluster_id=cluster.cluster_id,
-                        label=label_trend(cluster.size, previous, drifted, params),
-                        size=cluster.size,
-                        matched_prev_id=prev_id,
-                        match_sim=sim,
-                        drift_value=drift,
-                    )
+        period = period_of(from_epoch_us(int(store.ts_us[indices[0]])))
+        week_clusters = _cluster_period(period, indices, store, vecs, params, seed, terms_of)
+        matches = match_weeks(prev_clusters, week_clusters, params)
+        for cluster in week_clusters:
+            prev_id, sim = matches.get(cluster.cluster_id, (None, None))
+            previous = drift = None
+            if prev_id is not None:
+                prev = prev_clusters[prev_id]  # a cluster's id is its index
+                previous, drift = prev.size, drift_of(prev.centroid, cluster.centroid)
+            drifted = drift is not None and drift >= params.drift_threshold
+            trends.append(
+                TrendRecord(
+                    week=cluster.week,
+                    cluster_id=cluster.cluster_id,
+                    label=label_trend(cluster.size, previous, drifted, params),
+                    size=cluster.size,
+                    matched_prev_id=prev_id,
+                    match_sim=sim,
+                    drift_value=drift,
                 )
-            clusters.extend(week_clusters)
-            prev_clusters = week_clusters
-        if period == last:
-            break
-        period = period.next()
+            )
+        clusters.extend(week_clusters)
+        prev_clusters, prev_week = week_clusters, week
 
     return clusters, trends
 

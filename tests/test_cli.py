@@ -157,6 +157,35 @@ class TestExitCodes:
         assert f"{name}:{len(good.splitlines()) + 1}: skipping record: " in caplog.text
         assert b"\xed" not in (ws / "data" / "events.jsonl").read_bytes()
 
+    def test_embed_exits_1_on_an_event_id_holding_a_newline(self, tmp_path, capsys):
+        # TMV2 ends each id at a newline, so such an id would shift every id after it.
+        src = tmp_path / "in.jsonl"
+        src.write_text(
+            '{"event_id": "a\\nb", "ts": "2025-04-01T10:00:00Z", "msg": "first"}\n'
+            '{"event_id": "c", "ts": "2025-04-02T10:00:00Z", "msg": "second"}\n',
+            encoding="utf-8",
+        )
+        ws = tmp_path / "ws"
+        assert run("--workspace", str(ws), "ingest", "--input", str(src)) == 0
+        vectors = ws / "data" / "vectors.tmv"
+        vectors.write_bytes(b"an earlier vector file")
+        capsys.readouterr()
+        assert run("--workspace", str(ws), "embed") == 1
+        assert capsys.readouterr().err.startswith("error: event 'a\\nb': ")
+        assert vectors.read_bytes() == b"an earlier vector file"
+        assert sorted(p.name for p in vectors.parent.iterdir()) == ["events.jsonl", "manifest.json", "vectors.tmv"]
+
+    def test_ingest_reads_every_jsonl_and_csv_file_in_logs(self, tmp_path):
+        logs = tmp_path / "ws" / "logs"
+        logs.mkdir(parents=True)
+        (logs / "events-2025-W14.jsonl").write_text('{"ts": "2025-04-01T10:00:00Z", "msg": "generated"}\n')
+        (logs / "other-source.jsonl").write_text('{"ts": "2025-04-02T10:00:00Z", "msg": "placed beside"}\n')
+        (logs / "ground_truth.json").write_text("{}\n")
+        assert run("--workspace", str(tmp_path / "ws"), "ingest") == 0
+        manifest = json.loads((tmp_path / "ws" / "data" / "manifest.json").read_text())
+        assert [f["path"] for f in manifest["files"]] == ["events-2025-W14.jsonl", "other-source.jsonl"]
+        assert manifest["events"] == 2
+
     @pytest.mark.parametrize("top_k", [2.7, True, "10"])
     def test_eval_config_top_k_must_be_a_positive_integer(self, tmp_path, pipeline_ws, capsys, top_k):
         ws = tmp_path / "ws"

@@ -350,10 +350,8 @@ class TestRank:
     def test_out_of_order_store_rejected(self):
         older = build_event("2025-05-01T00:00:00Z", "okta", "auth_fail", msg="first")
         newer = build_event("2025-05-02T00:00:00Z", "okta", "auth_fail", msg="second")
-        store = EventStore(events=(newer, older))
-        vecs = encode_store(store, HashEmbedder(dim=64))
         with pytest.raises(ValueError, match="not sorted"):
-            rank(HashEmbedder(dim=64).embed("okta"), store, vecs, RetrievalParams(now=NOW))
+            EventStore(events=(newer, older))
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_zero_or_non_finite_vector_row_rejected(self, indexed_corpus, bad):

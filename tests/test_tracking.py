@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from temporal_memory.embedding import HashEmbedder, encode_store, read_vector_file
-from temporal_memory.events import WeekKey, load_events_jsonl
+from temporal_memory.events import WeekKey, from_epoch_us, load_events_jsonl
 from temporal_memory import tracking
 from temporal_memory.tracking import (
     TrendParams,
@@ -502,6 +502,65 @@ class TestTrack:
             and label_by[(str(c.week), c.cluster_id)] == "growth"
         ]
         assert flagged  # the surge is visible to an operator even when labels are noisy
+
+
+
+def _walk(stamps):
+    """``track`` at k=1 over one event per stamp, all of one text, after checking
+    that every cluster holds exactly the events whose ``period_of`` is its week."""
+    store = store_of(
+        build_event(ts, "okta", "auth_fail", msg="mfa denied", event_id=f"e{i}") for i, ts in enumerate(stamps)
+    )
+    clusters, trends = track(store, encode_store(store, HashEmbedder(dim=64)), TrendParams(k=1))
+    week_of = {e.event_id: period_of(e.ts) for e in store}
+    assert sorted(m for c in clusters for m in c.member_ids) == sorted(week_of)
+    assert all(week_of[m] == c.week for c in clusters for m in c.member_ids)
+    assert [(t.week, t.cluster_id) for t in trends] == [(c.week, c.cluster_id) for c in clusters]
+    return clusters, trends
+
+
+def _consecutive(earlier: WeekKey, later: WeekKey) -> bool:
+    return (later.monday() - earlier.monday()).days == 7
+
+
+class TestWeekWalk:
+    """Weeks are found by ISO week number, and only consecutive weeks link."""
+
+    @pytest.mark.parametrize(
+        "stamps, weeks, linked",
+        [
+            (["2020-12-31T12:00:00Z", "2021-01-03T12:00:00Z", "2021-01-04T12:00:00Z"],
+             ["2020-W53", "2021-W01"], [False, True]),
+            (["2024-12-27T12:00:00Z", "2024-12-30T12:00:00Z", "2025-01-05T12:00:00Z"],
+             ["2024-W52", "2025-W01"], [False, True]),
+            (["1969-12-28T23:59:59.999999Z", "1969-12-29T00:00:00Z", "1969-12-31T23:59:59.999999Z",
+              "1970-01-01T00:00:00Z", "1970-01-04T23:59:59.999999Z", "1970-01-05T00:00:00Z"],
+             ["1969-W52", "1970-W01", "1970-W02"], [False, True, True]),
+            (["2025-04-06T23:59:59.999999Z", "2025-04-07T00:00:00Z"], ["2025-W14", "2025-W15"], [False, True]),
+            (["2025-04-01T12:00:00Z", "2025-04-15T12:00:00Z", "2025-04-22T12:00:00Z"],
+             ["2025-W14", "2025-W16", "2025-W17"], [False, False, True]),
+        ],
+        ids=["iso-year-53-weeks", "iso-year-starts-in-december", "unix-epoch-week", "sunday-to-monday", "skipped-week"],
+    )
+    def test_weeks_and_links(self, stamps, weeks, linked):
+        clusters, trends = _walk(stamps)
+        assert [str(c.week) for c in clusters] == weeks
+        assert [t.matched_prev_id is not None for t in trends] == linked
+        assert all(t.label == "emergence" for t, link in zip(trends, linked) if not link)
+
+    def test_the_epoch_week_starts_on_monday_before_the_epoch(self):
+        clusters, _ = _walk(["1969-12-29T00:00:00Z", "1970-01-01T00:00:00Z"])
+        assert [(str(c.week), c.size) for c in clusters] == [("1970-W01", 2)]
+        assert clusters[0].week.monday().isoformat() == "1969-12-29T00:00:00+00:00"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-400 * 86_400, 20_000 * 86_400), min_size=1, max_size=12, unique=True))
+    def test_links_exactly_the_consecutive_weeks(self, seconds):
+        stamps = [from_epoch_us(s * 1_000_000).isoformat() for s in seconds]
+        clusters, trends = _walk(stamps)
+        assert [c.week for c in clusters] == sorted({period_of(from_epoch_us(s * 1_000_000)) for s in seconds})
+        for i, trend in enumerate(trends):
+            assert (trend.matched_prev_id is not None) == (i > 0 and _consecutive(trends[i - 1].week, trend.week))
 
 
 class TestCsvArtifacts:
