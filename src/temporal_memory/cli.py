@@ -14,9 +14,12 @@ import fcntl
 import hashlib
 import logging
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import __version__
 from .embedding import (
@@ -182,10 +185,43 @@ class Workspace:
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 18)  # one reused buffer, as 3.11's hashlib.file_digest reads
+    view = memoryview(buffer)
+    with path.open("rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
+
+
+@contextmanager
+def _digest_beside(path: Path) -> Iterator[Callable[[], str]]:
+    """Yield a function returning ``path``'s sha256, which a second thread computes meanwhile.
+
+    hashlib releases the GIL while it hashes, so the block's own reads overlap
+    the hash. The function joins the thread and raises the error hashing met;
+    leaving the block always joins it.
+    """
+    outcome: list = []
+
+    def work() -> None:
+        try:
+            outcome.append(_sha256(path))
+        except Exception as exc:  # raised in the caller's thread by digest()
+            outcome.append(exc)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+
+    def digest() -> str:
+        thread.join()
+        if isinstance(outcome[0], Exception):
+            raise outcome[0]
+        return outcome[0]
+
+    try:
+        yield digest
+    finally:
+        thread.join()
 
 
 def _portable(ws: Workspace, value):
@@ -254,36 +290,47 @@ def _cmd_embed(ws: Workspace, args) -> None:
     elif not choice.startswith("external:") or choice == "external:":
         raise ValueError(f"unknown embedder {choice!r} (use 'hash' or 'external:<path>')")
     ws.require(ws.events, "ingest")
-    store = load_events_jsonl(ws.events)
-    if choice == "hash":
-        vs = encode_store(store, embedder)
-    else:
-        source = Path(choice.split(":", 1)[1])
-        ws.require(source, "an external embedding step")
-        vs = read_vector_file(source)
-        check_alignment(store, vs)
-    write_vector_file(replace(vs, ts_us=store.ts_us, events_sha256=_sha256(ws.events)), ws.vectors)
+    with _digest_beside(ws.events) as digest:
+        store = load_events_jsonl(ws.events)
+        if choice == "hash":
+            vs = encode_store(store, embedder)
+        else:
+            source = Path(choice.split(":", 1)[1])
+            ws.require(source, "an external embedding step")
+            vs = read_vector_file(source)
+            check_alignment(store, vs)
+        events_sha256 = digest()
+    write_vector_file(replace(vs, ts_us=store.ts_us, events_sha256=events_sha256), ws.vectors)
     print(f"embedded {len(vs)} events at dim {vs.dim} -> {ws.vectors}")
     _write_run_manifest(ws, "embed", {"dim": vs.dim, "embedder": choice}, [ws.vectors])
 
 
-def _load_vectors(ws: Workspace) -> VectorStore:
-    """The workspace's TMV2 vectors, required to be embedded from the events.jsonl beside them."""
+@contextmanager
+def _load_vectors(ws: Workspace) -> Iterator[VectorStore]:
+    """Yield the workspace's TMV2 vectors; leaving requires them to be embedded from the events.jsonl beside them.
+
+    events.jsonl is hashed on a second thread meanwhile. Errors come in this
+    order: the vector file's own (or TMV1's), then one met hashing
+    events.jsonl, then the stale digest, and only then the block's.
+    """
     ws.require(ws.events, "ingest")
     ws.require(ws.vectors, "embed")
-    vs = read_vector_file(ws.vectors)
-    if vs.events_sha256 is None:
-        raise VectorFileError(f"{ws.vectors} is a TMV1 file, which records no events.jsonl digest; "
-                              "re-run 'tmem embed'")
-    if vs.events_sha256 != _sha256(ws.events):
-        raise VectorFileError(f"{ws.vectors} was embedded from another version of {ws.events}; "
-                              "re-run 'tmem embed'")
-    return vs
+    with _digest_beside(ws.events) as digest:
+        vs = read_vector_file(ws.vectors)
+        if vs.events_sha256 is None:
+            raise VectorFileError(f"{ws.vectors} is a TMV1 file, which records no events.jsonl digest; "
+                                  "re-run 'tmem embed'")
+        try:
+            yield vs
+        finally:  # an error raised here replaces the block's
+            if vs.events_sha256 != digest():
+                raise VectorFileError(f"{ws.vectors} was embedded from another version of {ws.events}; "
+                                      "re-run 'tmem embed'")
 
 
 def _load_store_and_vectors(ws: Workspace):
-    vs = _load_vectors(ws)
-    return load_events_jsonl(ws.events), vs
+    with _load_vectors(ws) as vs:
+        return load_events_jsonl(ws.events), vs
 
 
 def _cmd_trends(ws: Workspace, args) -> None:
@@ -304,10 +351,10 @@ def _cmd_query(ws: Workspace, args) -> None:
     params = _params(RetrievalParams, args, now=coerce_timestamp(args.now) if args.now else None)
     mode = "cosine_only" if args.mode == "cosine" else "fused"
     cutoff = parse_cutoff(args.as_of) if args.as_of else None
-    vs = _load_vectors(ws)
-    store = EventStore.of_timeline(vs.ids, vs.ts_us)
-    query_vec = HashEmbedder(dim=vs.dim).embed(args.text)
-    hits = rank(query_vec, store, vs, params, mode=mode, as_of=cutoff)
+    with _load_vectors(ws) as vs:
+        store = EventStore.of_timeline(vs.ids, vs.ts_us)
+        query_vec = HashEmbedder(dim=vs.dim).embed(args.text)
+        hits = rank(query_vec, store, vs, params, mode=mode, as_of=cutoff)
     for hit in hits:
         print(hit.to_json())
     if not hits:

@@ -369,6 +369,8 @@ def _build_event(fields: dict) -> tuple[tuple, bool]:
     if not text_repr:
         text_repr = build_text_repr(product, event_type, asset_id, msg, tech, attack, risk_tag)
     explicit_id = str(fields.get("event_id") or "")
+    if "\n" in explicit_id:
+        raise RecordParseError(f"event_id {explicit_id!r} holds a newline, which ends an id in a TMV2 file")
     try:
         "".join([explicit_id, product, event_type, asset_id, msg, text_repr,
                  *tech, *attack, *risk_tag, *context, *context.values()]).encode()

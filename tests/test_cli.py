@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,7 +22,15 @@ import pytest
 
 from temporal_memory import cli
 from temporal_memory.embedding import HashEmbedder, VectorStore, read_vector_file
-from temporal_memory.events import EventStore, coerce_timestamp, load_events_jsonl, parse_cutoff
+from temporal_memory.events import (
+    Event,
+    EventStore,
+    coerce_timestamp,
+    load_events_jsonl,
+    parse_cutoff,
+    write_events_jsonl,
+    write_json,
+)
 from temporal_memory.retrieval import RetrievalParams, rank
 from temporal_memory.tracking import TrendParams
 
@@ -159,6 +168,23 @@ class TestExitCodes:
 
     def test_embed_exits_1_on_an_event_id_holding_a_newline(self, tmp_path, capsys):
         # TMV2 ends each id at a newline, so such an id would shift every id after it.
+        # ingest refuses the id, so the store is written directly.
+        store = EventStore(events=[
+            Event("a\nb", coerce_timestamp("2025-04-01T10:00:00Z"), msg="first", text_repr="first"),
+            Event("c", coerce_timestamp("2025-04-02T10:00:00Z"), msg="second", text_repr="second"),
+        ])
+        ws = tmp_path / "ws"
+        write_events_jsonl(store, ws / "data" / "events.jsonl")
+        write_json(store.manifest(), ws / "data" / "manifest.json")
+        vectors = ws / "data" / "vectors.tmv"
+        vectors.write_bytes(b"an earlier vector file")
+        capsys.readouterr()
+        assert run("--workspace", str(ws), "embed") == 1
+        assert capsys.readouterr().err.startswith("error: event 'a\\nb': ")
+        assert vectors.read_bytes() == b"an earlier vector file"
+        assert sorted(p.name for p in vectors.parent.iterdir()) == ["events.jsonl", "manifest.json", "vectors.tmv"]
+
+    def test_ingest_skips_an_event_id_holding_a_newline(self, tmp_path, caplog):
         src = tmp_path / "in.jsonl"
         src.write_text(
             '{"event_id": "a\\nb", "ts": "2025-04-01T10:00:00Z", "msg": "first"}\n'
@@ -167,13 +193,10 @@ class TestExitCodes:
         )
         ws = tmp_path / "ws"
         assert run("--workspace", str(ws), "ingest", "--input", str(src)) == 0
-        vectors = ws / "data" / "vectors.tmv"
-        vectors.write_bytes(b"an earlier vector file")
-        capsys.readouterr()
-        assert run("--workspace", str(ws), "embed") == 1
-        assert capsys.readouterr().err.startswith("error: event 'a\\nb': ")
-        assert vectors.read_bytes() == b"an earlier vector file"
-        assert sorted(p.name for p in vectors.parent.iterdir()) == ["events.jsonl", "manifest.json", "vectors.tmv"]
+        manifest = json.loads((ws / "data" / "manifest.json").read_text())
+        assert (manifest["events"], manifest["skipped"]) == (1, 1)
+        assert "in.jsonl:1: skipping record: event_id 'a\\nb' holds a newline" in caplog.text
+        assert [e.event_id for e in load_events_jsonl(ws / "data" / "events.jsonl")] == ["c"]
 
     def test_ingest_reads_every_jsonl_and_csv_file_in_logs(self, tmp_path):
         logs = tmp_path / "ws" / "logs"
@@ -579,6 +602,84 @@ class TestStaleVectors:
         assert run("--workspace", str(ws), "query", "--text", "okta auth_fail") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
+
+
+def _stale(ws: Path, append: str = "") -> Path:
+    """Edit the first event of ws's events.jsonl, and append ``append``; returns the file."""
+    events = ws / "data" / "events.jsonl"
+    lines = events.read_text(encoding="utf-8").splitlines(keepends=True)
+    event = json.loads(lines[0])
+    event["msg"] += " (edited)"
+    lines[0] = json.dumps(event, ensure_ascii=False, separators=(",", ":")) + "\n"
+    events.write_text("".join(lines) + append, encoding="utf-8")
+    return events
+
+
+def run_and_join(*argv: str) -> int:
+    """run(), checking that no thread it started outlives it."""
+    threads = threading.active_count()
+    code = run(*argv)
+    assert threading.active_count() == threads
+    return code
+
+
+class TestErrorOrder:
+    """The vector file's own error, then hashing's, then the stale digest, then the command's."""
+
+    def test_stale_beats_the_query_text_error(self, pipeline_ws, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        events = _stale(ws)
+        assert run_and_join("--workspace", str(ws), "query", "--text", "!!!") == 1
+        out, err = capsys.readouterr()
+        assert err == (f"error: {ws / 'data' / 'vectors.tmv'} was embedded from another version of {events}; "
+                       "re-run 'tmem embed'\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [["trends"], ["eval", "--eval-config", "{logs}/eval.json"]],
+                             ids=lambda argv: argv[0])
+    def test_stale_beats_the_loader_error(self, pipeline_ws, tmp_path, capsys, argv):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        events = _stale(ws, append="not json\n")
+        argv = [a.format(logs=pipeline_ws / "logs") for a in argv]
+        assert run_and_join("--workspace", str(ws), *argv) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"error: {ws / 'data' / 'vectors.tmv'} was embedded from another version of {events}; "
+                       "re-run 'tmem embed'\n")
+        assert out == ""
+        assert not (ws / "results").exists()
+
+    @pytest.mark.parametrize("defect", ["bad magic", "trailing bytes"])
+    def test_the_vector_file_error_beats_stale(self, pipeline_ws, tmp_path, capsys, defect):
+        build, message = TMV2_DEFECTS[defect]
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        _stale(ws)
+        path = ws / "data" / "vectors.tmv"
+        path.write_bytes(build())
+        assert run_and_join("--workspace", str(ws), "query", "--text", "okta auth_fail") == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {path}: ") and message in err and "another version" not in err
+        assert out == ""
+
+    def test_an_events_directory_exits_1_naming_it(self, pipeline_ws, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        events = ws / "data" / "events.jsonl"
+        events.unlink()
+        events.mkdir()
+        assert run_and_join("--workspace", str(ws), "query", "--text", "okta auth_fail") == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {events}: Is a directory\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [["query", "--text", "okta auth_fail"], ["trends"]], ids=lambda argv: argv[0])
+    def test_a_good_command_leaves_no_thread(self, pipeline_ws, tmp_path, capsys, argv):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        assert run_and_join("--workspace", str(ws), *argv) == 0
+        assert capsys.readouterr().out
 
 
 class TestEmbedOptions:

@@ -405,6 +405,7 @@ REJECTIONS = {
 _AWKWARD = '"\\\u2028\u2029\n\r\x00{}[],:é€😀'
 _TEXT = st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters(exclude_categories=("Cs",))), max_size=10)
 _NON_EMPTY = _TEXT.filter(bool)
+_ID = _NON_EMPTY.filter(lambda text: "\n" not in text)  # ingest skips a record whose event_id holds one
 _STRINGS = st.lists(_TEXT, max_size=3).map(tuple)
 
 
@@ -417,7 +418,7 @@ def _stores(draw) -> EventStore:
     ))
     events = draw(st.lists(
         st.builds(
-            Event, event_id=_NON_EMPTY, ts=st.sampled_from(instants), product=_TEXT, event_type=_TEXT,
+            Event, event_id=_ID, ts=st.sampled_from(instants), product=_TEXT, event_type=_TEXT,
             asset_id=_TEXT, msg=_TEXT, context=st.dictionaries(_TEXT, _TEXT, max_size=3),
             tech=_STRINGS, attack=_STRINGS, risk_tag=_STRINGS, text_repr=_NON_EMPTY,
         ),
