@@ -311,7 +311,9 @@ def _load_vectors(ws: Workspace) -> Iterator[VectorStore]:
 
     events.jsonl is hashed on a second thread meanwhile. Errors come in this
     order: the vector file's own (or TMV1's), then one met hashing
-    events.jsonl, then the stale digest, and only then the block's.
+    events.jsonl, then the stale digest, and only then the block's. A
+    KeyboardInterrupt or other BaseException passes through once the thread
+    is joined.
     """
     ws.require(ws.events, "ingest")
     ws.require(ws.vectors, "embed")
@@ -320,12 +322,18 @@ def _load_vectors(ws: Workspace) -> Iterator[VectorStore]:
         if vs.events_sha256 is None:
             raise VectorFileError(f"{ws.vectors} is a TMV1 file, which records no events.jsonl digest; "
                                   "re-run 'tmem embed'")
-        try:
-            yield vs
-        finally:  # an error raised here replaces the block's
+
+        def check() -> None:
             if vs.events_sha256 != digest():
                 raise VectorFileError(f"{ws.vectors} was embedded from another version of {ws.events}; "
                                       "re-run 'tmem embed'")
+
+        try:
+            yield vs
+        except Exception:
+            check()  # hashing's error or the stale one replaces the block's
+            raise
+        check()
 
 
 def _load_store_and_vectors(ws: Workspace):

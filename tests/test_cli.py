@@ -674,6 +674,16 @@ class TestErrorOrder:
         assert err == f"error: {events}: Is a directory\n"
         assert out == ""
 
+    def test_an_interrupt_in_the_block_is_not_replaced_by_stale(self, pipeline_ws, tmp_path):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        _stale(ws)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            with cli._load_vectors(cli.Workspace(ws)):
+                raise KeyboardInterrupt
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("argv", [["query", "--text", "okta auth_fail"], ["trends"]], ids=lambda argv: argv[0])
     def test_a_good_command_leaves_no_thread(self, pipeline_ws, tmp_path, capsys, argv):
         ws = tmp_path / "ws"

@@ -405,9 +405,6 @@ REJECTIONS = {
 _AWKWARD = '"\\\u2028\u2029\n\r\x00{}[],:é€😀'
 _TEXT = st.text(st.one_of(st.sampled_from(_AWKWARD), st.characters(exclude_categories=("Cs",))), max_size=10)
 _NON_EMPTY = _TEXT.filter(bool)
-# ingest skips a record whose event_id holds a newline, so ids are drawn without one.
-_ID = st.text(st.one_of(st.sampled_from(_AWKWARD.replace("\n", "")),
-                        st.characters(exclude_categories=("Cs",), exclude_characters="\n")), min_size=1, max_size=10)
 _STRINGS = st.lists(_TEXT, max_size=3).map(tuple)
 
 
@@ -420,7 +417,7 @@ def _stores(draw) -> EventStore:
     ))
     events = draw(st.lists(
         st.builds(
-            Event, event_id=_ID, ts=st.sampled_from(instants), product=_TEXT, event_type=_TEXT,
+            Event, event_id=_NON_EMPTY, ts=st.sampled_from(instants), product=_TEXT, event_type=_TEXT,
             asset_id=_TEXT, msg=_TEXT, context=st.dictionaries(_TEXT, _TEXT, max_size=3),
             tech=_STRINGS, attack=_STRINGS, risk_tag=_STRINGS, text_repr=_NON_EMPTY,
         ),
@@ -439,7 +436,13 @@ class TestLoadCanonicalStore:
             loaded = load_events_jsonl(path)
             assert loaded.events == store.events
             assert loaded.texts == store.texts and loaded.text_index.tolist() == store.text_index.tolist()
-            assert loaded.events == ingest([path]).events
+            # ingest skips a record whose event_id holds a newline; the loader keeps it.
+            kept = tuple(e for e in loaded.events if "\n" not in e.event_id)
+            if kept:
+                assert ingest([path]).events == kept
+            else:
+                with pytest.raises(IngestError, match="no parseable records"):
+                    ingest([path])
             write_events_jsonl(loaded, again)
             assert again.read_bytes() == path.read_bytes()
 
