@@ -14,12 +14,12 @@ import fcntl
 import hashlib
 import logging
 import sys
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import __version__
 from .embedding import (
@@ -193,37 +193,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@contextmanager
-def _digest_beside(path: Path) -> Iterator[Callable[[], str]]:
-    """Yield a function returning ``path``'s sha256, which a second thread computes meanwhile.
-
-    hashlib releases the GIL while it hashes, so the block's own reads overlap
-    the hash. The function joins the thread and raises the error hashing met;
-    leaving the block always joins it.
-    """
-    outcome: list = []
-
-    def work() -> None:
-        try:
-            outcome.append(_sha256(path))
-        except Exception as exc:  # raised in the caller's thread by digest()
-            outcome.append(exc)
-
-    thread = threading.Thread(target=work)
-    thread.start()
-
-    def digest() -> str:
-        thread.join()
-        if isinstance(outcome[0], Exception):
-            raise outcome[0]
-        return outcome[0]
-
-    try:
-        yield digest
-    finally:
-        thread.join()
-
-
 def _portable(ws: Workspace, value):
     """Render paths relative to the workspace so manifests are location-independent."""
     if isinstance(value, (list, tuple)):
@@ -290,17 +259,15 @@ def _cmd_embed(ws: Workspace, args) -> None:
     elif not choice.startswith("external:") or choice == "external:":
         raise ValueError(f"unknown embedder {choice!r} (use 'hash' or 'external:<path>')")
     ws.require(ws.events, "ingest")
-    with _digest_beside(ws.events) as digest:
-        store = load_events_jsonl(ws.events)
-        if choice == "hash":
-            vs = encode_store(store, embedder)
-        else:
-            source = Path(choice.split(":", 1)[1])
-            ws.require(source, "an external embedding step")
-            vs = read_vector_file(source)
-            check_alignment(store, vs)
-        events_sha256 = digest()
-    write_vector_file(replace(vs, ts_us=store.ts_us, events_sha256=events_sha256), ws.vectors)
+    store = load_events_jsonl(ws.events)
+    if choice == "hash":
+        vs = encode_store(store, embedder)
+    else:
+        source = Path(choice.split(":", 1)[1])
+        ws.require(source, "an external embedding step")
+        vs = read_vector_file(source)
+        check_alignment(store, vs)
+    write_vector_file(replace(vs, ts_us=store.ts_us, events_sha256=_sha256(ws.events)), ws.vectors)
     print(f"embedded {len(vs)} events at dim {vs.dim} -> {ws.vectors}")
     _write_run_manifest(ws, "embed", {"dim": vs.dim, "embedder": choice}, [ws.vectors])
 
@@ -309,22 +276,23 @@ def _cmd_embed(ws: Workspace, args) -> None:
 def _load_vectors(ws: Workspace) -> Iterator[VectorStore]:
     """Yield the workspace's TMV2 vectors; leaving requires them to be embedded from the events.jsonl beside them.
 
-    events.jsonl is hashed on a second thread meanwhile. Errors come in this
-    order: the vector file's own (or TMV1's), then one met hashing
-    events.jsonl, then the stale digest, and only then the block's. A
-    KeyboardInterrupt or other BaseException passes through once the thread
-    is joined.
+    events.jsonl is hashed on a worker thread meanwhile (hashlib releases the
+    GIL while it hashes). Errors come in this order: the vector file's own (or
+    TMV1's), then one met hashing events.jsonl, then the stale digest, and
+    only then the block's. A KeyboardInterrupt or other BaseException passes
+    through; leaving the pool joins the worker on every path.
     """
     ws.require(ws.events, "ingest")
     ws.require(ws.vectors, "embed")
-    with _digest_beside(ws.events) as digest:
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        digest = pool.submit(_sha256, ws.events)
         vs = read_vector_file(ws.vectors)
         if vs.events_sha256 is None:
             raise VectorFileError(f"{ws.vectors} is a TMV1 file, which records no events.jsonl digest; "
                                   "re-run 'tmem embed'")
 
         def check() -> None:
-            if vs.events_sha256 != digest():
+            if vs.events_sha256 != digest.result():
                 raise VectorFileError(f"{ws.vectors} was embedded from another version of {ws.events}; "
                                       "re-run 'tmem embed'")
 

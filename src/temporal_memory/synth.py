@@ -42,12 +42,15 @@ _TERMINAL_OFFSET = 6 * 86400 + 22 * 3600 + 40 * 60
 
 _PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 
-_USERS = ("alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi")
-_IPS = ("10.0.0.5", "10.0.1.17", "10.0.2.44", "172.16.4.9", "192.168.7.21")
-_DEVICES = ("pixel-9", "iphone-15", "thinkpad-x1", "macbook-m3")
-_SUBNETS = ("10.20.0.0/24", "10.21.0.0/24", "10.22.0.0/24")
-_BUCKETS = ("finance-data", "analytics-archive", "raw-events")
-_WAREHOUSES = ("finance-wh", "analytics-wh", "raw-events-wh")
+# The values each template placeholder draws from; {n} is drawn as a number instead.
+_POOLS = {
+    "user": ("alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi"),
+    "ip": ("10.0.0.5", "10.0.1.17", "10.0.2.44", "172.16.4.9", "192.168.7.21"),
+    "dev": ("pixel-9", "iphone-15", "thinkpad-x1", "macbook-m3"),
+    "net": ("10.20.0.0/24", "10.21.0.0/24", "10.22.0.0/24"),
+    "bkt": ("finance-data", "analytics-archive", "raw-events"),
+    "wh": ("finance-wh", "analytics-wh", "raw-events-wh"),
+}
 
 
 @dataclass(frozen=True)
@@ -232,21 +235,11 @@ class GenResult:
 def _fill(template: str, rng: random.Random) -> str:
     def draw(match: re.Match) -> str:
         key = match.group(1)
-        if key == "user":
-            return rng.choice(_USERS)
-        if key == "ip":
-            return rng.choice(_IPS)
-        if key == "dev":
-            return rng.choice(_DEVICES)
-        if key == "net":
-            return rng.choice(_SUBNETS)
-        if key == "bkt":
-            return rng.choice(_BUCKETS)
-        if key == "wh":
-            return rng.choice(_WAREHOUSES)
         if key == "n":
             return str(rng.randrange(1, 15))
-        raise KeyError(f"unknown placeholder {key!r}")
+        if key not in _POOLS:
+            raise KeyError(f"unknown placeholder {key!r}")
+        return rng.choice(_POOLS[key])
 
     return _PLACEHOLDER_RE.sub(draw, template)
 

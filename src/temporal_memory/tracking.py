@@ -416,16 +416,13 @@ def write_clusters_csv(
 
 def write_trends_summary_csv(trends: Sequence[TrendRecord], path: Path | str) -> None:
     weeks = sorted({str(t.week) for t in trends})
-    counts: dict[tuple[str, str], int] = {}
-    for t in trends:
-        key = (str(t.week), t.label)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter((str(t.week), t.label) for t in trends)
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["week", "label", "count"])
         for week in weeks:
             for label in LABELS:
-                writer.writerow([week, label, counts.get((week, label), 0)])
+                writer.writerow([week, label, counts[week, label]])
 
 
 def per_week_k(clusters: Iterable[WeekCluster]) -> dict[str, int]:

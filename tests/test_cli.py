@@ -604,6 +604,14 @@ class TestStaleVectors:
         assert err.startswith(f"error: {path}: ") and message in err
 
 
+@pytest.mark.parametrize("size", [0, 1, (1 << 18) - 1, 1 << 18, (1 << 18) + 1, 3 << 18])
+def test_sha256_reads_across_its_buffer_edges(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+
+
 def _stale(ws: Path, append: str = "") -> Path:
     """Edit the first event of ws's events.jsonl, and append ``append``; returns the file."""
     events = ws / "data" / "events.jsonl"
