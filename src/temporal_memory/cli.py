@@ -13,6 +13,8 @@ import argparse
 import fcntl
 import hashlib
 import logging
+import mmap
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -183,13 +185,26 @@ class Workspace:
         return path
 
 
+# hashlib releases the GIL for each slice it hashes, and each slice's pages leave
+# the process once hashed, so a hash adds at most one slice to its peak RSS. On a
+# 9.3 MB events.jsonl, 2 MiB hashed slower and 8 MiB cost ~3 MB more for no clear gain.
+_HASH_SLICE = 4 << 20
+
+
 def _sha256(path: Path) -> str:
+    """The file's sha256, hashed over a memory map one _HASH_SLICE at a time.
+
+    tmem replaces the files it writes by rename, so a mapped file never shrinks
+    under a tmem run; another program truncating it in place can raise SIGBUS.
+    """
     digest = hashlib.sha256()
-    buffer = bytearray(1 << 18)  # one reused buffer, as 3.11's hashlib.file_digest reads
-    view = memoryview(buffer)
     with path.open("rb", buffering=0) as fh:
-        while size := fh.readinto(buffer):
-            digest.update(view[:size])
+        if os.fstat(fh.fileno()).st_size:  # an empty file cannot be mapped
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+                for start in range(0, len(mapped), _HASH_SLICE):
+                    with memoryview(mapped)[start:start + _HASH_SLICE] as piece:
+                        digest.update(piece)
+                    mapped.madvise(mmap.MADV_DONTNEED, start, _HASH_SLICE)
     return digest.hexdigest()
 
 

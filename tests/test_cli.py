@@ -612,6 +612,33 @@ def test_sha256_reads_across_its_buffer_edges(tmp_path, size):
     assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
 
 
+_SLICE = cli._HASH_SLICE
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd to count open descriptors")
+@pytest.mark.parametrize("size", [0, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+def test_sha256_hashes_across_its_slice_edges_and_closes_the_file(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("argv", [["query", "--text", "okta auth_fail"], ["trends"]], ids=lambda argv: argv[0])
+def test_an_empty_events_file_is_stale(pipeline_ws, tmp_path, capsys, argv):
+    ws = tmp_path / "ws"
+    _copy_store(pipeline_ws, ws)
+    events = ws / "data" / "events.jsonl"
+    events.write_bytes(b"")
+    assert run("--workspace", str(ws), *argv) == 1
+    out, err = capsys.readouterr()
+    assert err == (f"error: {ws / 'data' / 'vectors.tmv'} was embedded from another version of {events}; "
+                   "re-run 'tmem embed'\n")
+    assert out == ""
+
+
 def _stale(ws: Path, append: str = "") -> Path:
     """Edit the first event of ws's events.jsonl, and append ``append``; returns the file."""
     events = ws / "data" / "events.jsonl"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from temporal_memory.events import (
     Event,
@@ -427,7 +427,9 @@ def _stores(draw) -> EventStore:
 
 
 class TestLoadCanonicalStore:
-    @settings(max_examples=50)  # each example draws up to 88 strings
+    # each example draws up to 88 strings; under CPU contention drawing them can trip the
+    # too_slow health check, which times input generation, not the code under test
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
     @given(_stores())
     def test_round_trip_is_exact(self, store):
         with tempfile.TemporaryDirectory() as tmp:
