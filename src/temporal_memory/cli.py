@@ -186,8 +186,9 @@ class Workspace:
 
 
 # hashlib releases the GIL for each slice it hashes, and each slice's pages leave
-# the process once hashed, so a hash adds at most one slice to its peak RSS. On a
-# 9.3 MB events.jsonl, 2 MiB hashed slower and 8 MiB cost ~3 MB more for no clear gain.
+# the process once hashed, so a hash adds at most one slice to its peak RSS. In the
+# cli-cold benchmark (a 9.3 MB events.jsonl on a 2-core host), 2 MiB slices were
+# slower and 8 MiB ones cost ~3 MB more peak RSS for no gain.
 _HASH_SLICE = 4 << 20
 
 
