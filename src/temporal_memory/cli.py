@@ -102,61 +102,95 @@ def _parse_k(value: str):
     return None if value == "auto" else _positive_int(value)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The tmem parser. A flag left unset (None) takes its parameter dataclass's default."""
+def _seed_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_seed, default=0, help="stream seed, an integer >= 0 (default %(default)s)")
+
+
+def _dim_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM, help="hash embedding size, >= 2 (default %(default)s)")
+
+
+def _recency_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--half-life-days", type=float)
+
+
+def _trend_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k", type=_parse_k, help="clusters per ISO week: a positive integer, or 'auto' (elbow)")
+    p.add_argument("--match-threshold", type=float)
+    p.add_argument("--growth-factor", type=float)
+    p.add_argument("--growth-min-events", type=int)
+    p.add_argument("--decay-factor", type=float)
+    p.add_argument("--drift-threshold", type=float)
+    p.add_argument("--cluster-seed", type=_seed, default=DEFAULT_SEED,
+                   help="k-means seed, an integer >= 0 (default %(default)s)")
+
+
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", nargs="*", default=None,
+                   help="files (default: every .jsonl and .csv file in <workspace>/logs, in name order)")
+    p.add_argument("--mapping", default=None, help="CSV column mapping file (field=column lines)")
+
+
+def _embed_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--embedder", default="hash", help="hash (default) or external:<path>")
+
+
+def _query_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--text", required=True)
+    p.add_argument("--as-of", default=None, help="cutoff date or instant (dates are inclusive)")
+    p.add_argument("--mode", choices=["fused", "cosine"], default="fused")
+    p.add_argument("--k", dest="top_k", type=_positive_int, help=f"hits to return (default {RetrievalParams.top_k})")
+    p.add_argument("--now", default=None, help="pin the reference instant (ISO-8601)")
+
+
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eval-config", default=None, help="query-suite config (default: <workspace>/logs/eval.json)")
+
+
+def _step_defaults(p: argparse.ArgumentParser) -> None:
+    """`all` runs the step handlers; the step flags it does not take keep their defaults."""
+    p.set_defaults(input=None, mapping=None, eval_config=None, embedder="hash")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The tmem parser; given a ``command``, the same parser with only that subcommand.
+
+    Its usage line still names every subcommand, so its usage errors read the
+    same as the whole parser's. A flag left unset (None) takes its parameter
+    dataclass's default.
+    """
     parser = _Parser(prog="tmem", description=__doc__)
     parser.add_argument("--workspace", default=".", help="workspace directory (default: .)")
     parser.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    seed = _Parser(add_help=False)
-    seed.add_argument("--seed", type=_seed, default=0, help="stream seed, an integer >= 0 (default %(default)s)")
-    dim = _Parser(add_help=False)
-    dim.add_argument("--dim", type=int, default=DEFAULT_DIM, help="hash embedding size, >= 2 (default %(default)s)")
-    recency = _Parser(add_help=False)
-    recency.add_argument("--alpha", type=float)
-    recency.add_argument("--half-life-days", type=float)
-    trend = _Parser(add_help=False)
-    trend.add_argument("--k", type=_parse_k,
-                       help="clusters per ISO week: a positive integer, or 'auto' (elbow)")
-    trend.add_argument("--match-threshold", type=float)
-    trend.add_argument("--growth-factor", type=float)
-    trend.add_argument("--growth-min-events", type=int)
-    trend.add_argument("--decay-factor", type=float)
-    trend.add_argument("--drift-threshold", type=float)
-    trend.add_argument("--cluster-seed", type=_seed, default=DEFAULT_SEED,
-                       help="k-means seed, an integer >= 0 (default %(default)s)")
-
-    sub.add_parser("gen", parents=[seed], help="generate the synthetic stream into <workspace>/logs")
-
-    p_ing = sub.add_parser("ingest", help="normalize raw logs")
-    p_ing.add_argument("--input", nargs="*", default=None,
-                       help="files (default: every .jsonl and .csv file in <workspace>/logs, in name order)")
-    p_ing.add_argument("--mapping", default=None, help="CSV column mapping file (field=column lines)")
-
-    p_emb = sub.add_parser("embed", parents=[dim], help="embed the event store")
-    p_emb.add_argument("--embedder", default="hash", help="hash (default) or external:<path>")
-
-    sub.add_parser("trends", parents=[trend], help="weekly clustering and trend labels")
-
-    p_q = sub.add_parser("query", parents=[recency], help="rank events for a query")
-    p_q.add_argument("--text", required=True)
-    p_q.add_argument("--as-of", default=None, help="cutoff date or instant (dates are inclusive)")
-    p_q.add_argument("--mode", choices=["fused", "cosine"], default="fused")
-    p_q.add_argument("--k", dest="top_k", type=_positive_int,
-                     help=f"hits to return (default {RetrievalParams.top_k})")
-    p_q.add_argument("--now", default=None, help="pin the reference instant (ISO-8601)")
-
-    p_ev = sub.add_parser("eval", parents=[recency, trend], help="run metric suite from eval config")
-    p_ev.add_argument("--eval-config", default=None,
-                      help="query-suite config (default: <workspace>/logs/eval.json)")
-
-    p_all = sub.add_parser("all", parents=[seed, dim, recency, trend],
-                           help="gen -> ingest -> embed -> trends -> eval")
-    # `all` runs the step handlers; the step flags it does not take keep their defaults.
-    p_all.set_defaults(input=None, mapping=None, eval_config=None,
-                       embedder=p_emb.get_default("embedder"))
+    # A metavar would rename the subcommand argument in the whole parser's errors, so only a part-built one has it.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
+    for name, (_, help, flag_groups) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help)
+            for add_flags in flag_groups:
+                add_flags(p)
     return parser
+
+
+def _command_in(argv: list[str]) -> str | None:
+    """The subcommand ``argv`` names when only plain top-level flags come before it, else None.
+
+    None sends ``argv`` to the whole parser, so what this scan cannot place
+    (help, ``--``, an unknown or abbreviated flag, a value starting with '-',
+    no or an unknown subcommand) gets the whole parser's help or usage error.
+    """
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-v", "--verbose") or arg.startswith("--workspace="):
+            continue
+        if arg == "--workspace":
+            if next(args, "-").startswith("-"):
+                return None
+            continue
+        return arg if arg in _COMMANDS else None
+    return None
 
 
 def _params(cls, args: argparse.Namespace, **extra):
@@ -398,19 +432,23 @@ def _timed(command, ws: Workspace, args) -> None:
     logger.info("tmem %s: %.3f s", command.__name__.removeprefix("_cmd_"), time.perf_counter() - start)
 
 
+# name: (handler, help, the flag groups `tmem <name> --help` lists, in order)
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "ingest": _cmd_ingest,
-    "embed": _cmd_embed,
-    "trends": _cmd_trends,
-    "query": _cmd_query,
-    "eval": _cmd_eval,
-    "all": _cmd_all,
+    "gen": (_cmd_gen, "generate the synthetic stream into <workspace>/logs", [_seed_flags]),
+    "ingest": (_cmd_ingest, "normalize raw logs", [_ingest_flags]),
+    "embed": (_cmd_embed, "embed the event store", [_dim_flags, _embed_flags]),
+    "trends": (_cmd_trends, "weekly clustering and trend labels", [_trend_flags]),
+    "query": (_cmd_query, "rank events for a query", [_recency_flags, _query_flags]),
+    "eval": (_cmd_eval, "run metric suite from eval config", [_recency_flags, _trend_flags, _eval_flags]),
+    "all": (_cmd_all, "gen -> ingest -> embed -> trends -> eval",
+            [_seed_flags, _dim_flags, _recency_flags, _trend_flags, _step_defaults]),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the subcommand's flags are built, so the stale check's hash starts sooner.
+    args = build_parser(_command_in(argv)).parse_args(argv)
     # basicConfig adds a stderr handler only if the root logger has none, so the
     # level goes on the package logger: -v then works for in-process callers too.
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
@@ -426,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError:
                 print(f"another run holds the workspace lock {lock_path}", file=sys.stderr)
                 return EXIT_ERROR
-            _timed(_COMMANDS[args.command], ws, args)
+            _timed(_COMMANDS[args.command][0], ws, args)
         return EXIT_OK
     except MissingArtifact as exc:
         print(str(exc), file=sys.stderr)

@@ -19,10 +19,11 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .events import EventStore, atomic_write, is_int_at_least
+from .events import EventStore, IdColumn, atomic_write, is_int_at_least
 
 logger = logging.getLogger(__name__)
 
@@ -112,11 +113,13 @@ class VectorStore:
     A store read from a TMV2 file also holds what that file records of the
     events.jsonl it was embedded from: each event's int64 epoch-µs ``ts_us``
     and the file's ``events_sha256`` (hex). Both are None otherwise, and
-    :func:`write_vector_file` needs both.
+    :func:`write_vector_file` needs both. A store read from either format
+    holds its ids as an :class:`~.events.IdColumn`, which decodes an id only
+    when it is read; other stores hold a tuple.
     """
 
     dim: int
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     rows: np.ndarray  # shape (distinct, dim), float16
     index: np.ndarray  # shape (count,), intp
     ts_us: np.ndarray | None = None
@@ -251,10 +254,12 @@ def read_vector_file(path: Path | str) -> VectorStore:
         raise VectorFileError(f"{path}: id section ended after {len(newlines)} of {count} declared ids")
     offset = header.size + int(newlines[-1]) + 1 if count else header.size
     payload = len(data) - offset
+    section = data[header.size:offset]  # each id with its newline
     try:
-        ids = data[header.size:offset - 1].decode("utf-8").split("\n") if count else []
+        str(memoryview(section)[:-1], "utf-8")  # checked once here; an id is decoded when it is read
     except UnicodeDecodeError as exc:
         raise VectorFileError(f"{path}: an event id is not UTF-8: {exc}") from None
+    ids = IdColumn(section, np.concatenate(([0], newlines + 1)))
     expected_bytes = count * dim * 2 if n_rows is None else count * 12 + n_rows * dim * 2
     if payload < expected_bytes:
         raise VectorFileError(f"{path}: payload has {payload} bytes, expected {expected_bytes}")
@@ -275,10 +280,10 @@ def read_vector_file(path: Path | str) -> VectorStore:
     return vs
 
 
-def _checked_store(path: Path | str, dim: int, ids: list[str], *fields) -> VectorStore:
+def _checked_store(path: Path | str, dim: int, ids: IdColumn, *fields) -> VectorStore:
     """The :class:`VectorStore` of a file's fields; one that breaks its invariant raises VectorFileError."""
     try:
-        return VectorStore(dim, tuple(ids), *fields)
+        return VectorStore(dim, ids, *fields)
     except ValueError as exc:
         raise VectorFileError(f"{path}: {exc}") from None
 

@@ -8,11 +8,16 @@ checked on the version CI runs.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from temporal_memory import cli
 
@@ -79,3 +84,72 @@ def test_usage_error_matches_its_golden_case(name, capsys):
     expected = (case["exit"], case["stdout"].encode("utf-8"), case["stderr"].encode("utf-8"))
     assert invoke(case["argv"], capsys) == expected
     assert case["exit"] == cli.EXIT_USAGE
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+TOP_LEVEL = ["--workspace", "--workspace=x", "-v", "--verbose", "-h", "--help", "--"]
+FLAGS = sorted({flag for p in _subcommands(cli.build_parser()).values() for a in p._actions for flag in a.option_strings})
+VALUES = ["x", "", "0", "1", "-1", "2.5", "nan", "auto", "fused", "cosine", "2025-05-01", "-", "bogus", "--alph", "--work"]
+TOKENS = [*COMMANDS, *TOP_LEVEL, *FLAGS, *VALUES]
+
+
+def parse(parser: argparse.ArgumentParser, argv: list[str]):
+    """(Namespace, None, "", "") of a parse, or (None, exit code, stdout, stderr) of argparse's exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv), None, "", ""
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+tokens = st.sampled_from(TOKENS)
+argvs = st.one_of(
+    st.lists(tokens, max_size=8),
+    st.builds(lambda head, command, tail: [*head, command, *tail],
+              st.lists(st.sampled_from(TOP_LEVEL + VALUES[:2]), max_size=3), st.sampled_from(COMMANDS),
+              st.lists(tokens, max_size=6)),
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs)
+def test_the_subcommand_parser_parses_as_the_whole_parser(argv):
+    assert parse(cli.build_parser(cli._command_in(argv)), argv) == parse(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["query", "--text", "x"], "query"),
+    (["--workspace", "w", "-v", "--verbose", "--workspace=", "all", "-h"], "all"),
+    (["--workspace", "query", "trends"], "trends"),
+    ([], None),
+    (["bogus", "query"], None),
+    (["-h", "query"], None),
+    (["--help", "query"], None),
+    (["--", "query"], None),
+    (["-vv", "query"], None),
+    (["--work", "w", "query"], None),
+    (["--workspace"], None),
+    (["--workspace", "-v", "query"], None),
+    (["--workspace", "-x", "query"], None),
+    (["--verbose=1", "query"], None),
+])
+def test_argv_the_scan_cannot_place_goes_to_the_whole_parser(argv, command):
+    assert cli._command_in(argv) == command
+
+
+def test_main_builds_only_the_named_subcommand(tmp_path, monkeypatch):
+    built = []
+
+    def spy(command=None):
+        parser = build_parser(command)
+        built.append(sorted(_subcommands(parser)))
+        return parser
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert cli.main(["--workspace", str(tmp_path), "query", "--text", "x"]) == cli.EXIT_MISSING_ARTIFACT
+    assert built == [["query"]]

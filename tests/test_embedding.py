@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Sequence
 from dataclasses import replace
 from datetime import timedelta
 
@@ -23,6 +24,7 @@ from temporal_memory.embedding import (
     tokenize,
     write_vector_file,
 )
+from temporal_memory.events import EventStore
 
 from conftest import TMV2_DEFECTS, corpus_events, store_of, tmv1_bytes, tmv2_bytes, tmv2_sample
 
@@ -435,6 +437,110 @@ class TestTMV2Reader:
             read_vector_file(path)
         assert str(exc.value).startswith(f"{path}: ")
         assert message in str(exc.value)
+
+
+# Ids a TMV file may hold: multibyte UTF-8 of 2, 3 and 4 bytes, an empty id, a space.
+_IDS = ("ev-0", "é", "日本語-id", "🦊", "", "x y", "ev-6")
+
+
+def _column_file(tmp_path, fmt: str, ids=_IDS, vectors=None, name="v") -> Path:
+    """A TMV1 or TMV2 file holding ``ids`` and ``vectors`` (default: one distinct unit row per id)."""
+    vectors = np.eye(len(ids), max(len(ids), 2), dtype=np.float16) if vectors is None else vectors
+    rows, index = group_rows(np.asarray(vectors, dtype=np.float16))
+    path = tmp_path / f"{name}.tmv"
+    if fmt == "TMV1":
+        path.write_bytes(tmv1_bytes(ids, vectors))
+    else:
+        path.write_bytes(tmv2_bytes(ids, 1_743_465_600_000_000 + np.arange(len(ids)), index, rows))
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["TMV1", "TMV2"])
+class TestIdColumn:
+    """A file's ids stay its bytes and offsets; each id is decoded when read."""
+
+    def test_iteration_equals_decoding_and_splitting_the_section(self, tmp_path, fmt):
+        path = _column_file(tmp_path, fmt)
+        data = path.read_bytes()
+        start = {"TMV1": 16, "TMV2": 56}[fmt]
+        end = start + sum(len(i.encode()) + 1 for i in _IDS)
+        ids = read_vector_file(path).ids
+        assert list(ids) == data[start:end - 1].decode("utf-8").split("\n") == list(_IDS)
+        assert len(ids) == len(_IDS) and isinstance(ids, Sequence)
+
+    def test_indexing_negative_indices_and_slices_match_a_tuple(self, tmp_path, fmt):
+        ids = read_vector_file(_column_file(tmp_path, fmt)).ids
+        n = len(_IDS)
+        assert [ids[i] for i in range(-n, n)] == [_IDS[i] for i in range(-n, n)]
+        assert ids[np.int64(2)] == _IDS[2]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                ids[bad]
+        for cut in (slice(None), slice(1, 4), slice(None, None, -1), slice(-2, None), slice(None, None, 2),
+                    slice(5, 1), slice(-100, 100), slice(6, 1, -2)):
+            assert ids[cut] == _IDS[cut] and isinstance(ids[cut], tuple)
+        assert "🦊" in ids and ids.index("") == 4 and ids.count("ev-0") == 1
+
+    def test_equality_with_a_tuple_and_with_another_column(self, tmp_path, fmt):
+        ids = read_vector_file(_column_file(tmp_path, fmt)).ids
+        assert ids == _IDS and _IDS == ids and not ids != _IDS
+        assert ids != _IDS[:-1] and ids != _IDS[::-1] and ids != list(_IDS)
+        assert ids == read_vector_file(_column_file(tmp_path, fmt, name="copy")).ids
+        assert ids != read_vector_file(_column_file(tmp_path, fmt, _IDS[:-1] + ("ev-7",), name="other")).ids
+
+    def test_no_ids(self, tmp_path, fmt):
+        vs = read_vector_file(_column_file(tmp_path, fmt, (), np.zeros((0, 4))))
+        assert len(vs.ids) == 0 and list(vs.ids) == [] and vs.ids == () and vs.ids[:] == ()
+        with pytest.raises(IndexError):
+            vs.ids[0]
+
+    def test_a_non_utf8_id_is_named_as_before(self, tmp_path, fmt):
+        path = _column_file(tmp_path, fmt)
+        data = path.read_bytes().replace("日本語".encode(), b"\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7", 1)
+        path.write_bytes(data)
+        with pytest.raises(VectorFileError) as exc:
+            read_vector_file(path)
+        assert str(exc.value) == (f"{path}: an event id is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 8: invalid start byte")
+
+    def test_a_last_id_cut_inside_a_character_reads_as_before(self, tmp_path, fmt):
+        path = _column_file(tmp_path, fmt, ("ok", "ab"))
+        # The check leaves out the section's final newline, so a cut there reads as the end of the data.
+        path.write_bytes(path.read_bytes().replace(b"ab\n", b"a\xc3\n", 1))
+        with pytest.raises(VectorFileError) as exc:
+            read_vector_file(path)
+        assert str(exc.value) == (f"{path}: an event id is not UTF-8: 'utf-8' codec can't decode byte 0xc3 "
+                                  "in position 4: unexpected end of data")
+
+    def test_row_and_vector_errors_name_a_multibyte_id(self, tmp_path, fmt):
+        vectors = np.eye(len(_IDS), dtype=np.float16)
+        vectors[2] = 0
+        with pytest.raises(VectorFileError, match=r": vector for 日本語-id has only zeros; cosine is undefined$"):
+            read_vector_file(_column_file(tmp_path, fmt, vectors=vectors))
+        if fmt == "TMV2":
+            path = tmp_path / "beyond.tmv"
+            path.write_bytes(tmv2_bytes(_IDS, np.arange(7), (0, 1, 2, 3, 4, 5, 7), np.eye(7, dtype=np.float16)))
+            with pytest.raises(VectorFileError, match=r": row index of ev-6 is 7, beyond the 7 rows$"):
+                read_vector_file(path)
+
+    def test_write_of_a_read_file_is_byte_identical(self, tmp_path, fmt):
+        path = _column_file(tmp_path, fmt)
+        vs = read_vector_file(path)
+        if fmt == "TMV1":  # the writer writes TMV2, which also records each ts and the digest
+            vs, path = replace(vs, ts_us=1_743_465_600_000_000 + np.arange(len(_IDS)), events_sha256=_DIGEST), None
+        out = tmp_path / "out.tmv"
+        write_vector_file(vs, out)
+        if path is not None:
+            assert out.read_bytes() == path.read_bytes()
+        again = tmp_path / "again.tmv"
+        write_vector_file(read_vector_file(out), again)
+        assert again.read_bytes() == out.read_bytes()
+
+
+def test_a_store_of_the_timeline_keeps_the_column(tmp_path):
+    vs = read_vector_file(_column_file(tmp_path, "TMV2"))
+    store = EventStore.of_timeline(vs.ids, vs.ts_us)
+    assert store.event_ids is vs.ids and store.ids() == list(_IDS)
 
 
 class TestExternalInjection:
