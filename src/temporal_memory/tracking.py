@@ -53,6 +53,11 @@ class TrendParams:
         thresholds = (self.match_threshold, self.growth_factor, self.decay_factor, self.drift_threshold)
         if not all(math.isfinite(t) and t > 0 for t in thresholds):
             raise ValueError(f"thresholds must be positive and finite, got {thresholds}")
+        # Centroids are unit vectors: a match similarity is at most 1, and a drift (1 - cosine) at most 2.
+        if self.match_threshold > 1:
+            raise ValueError(f"match_threshold must be <= 1, the highest centroid cosine, got {self.match_threshold}")
+        if self.drift_threshold > 2:
+            raise ValueError(f"drift_threshold must be <= 2, the highest 1 - cosine, got {self.drift_threshold}")
         if not self.growth_factor > 1 > self.decay_factor:
             raise ValueError("need growth_factor > 1 > decay_factor")
         if not is_int_at_least(self.growth_min_events, 0):

@@ -798,6 +798,28 @@ class TestTrendParamChecks:
         assert "finite" in capsys.readouterr().err
         assert not (ws / "results" / "clusters_weekly.csv").exists()
 
+    @pytest.mark.parametrize("command", ["trends", "eval"])
+    @pytest.mark.parametrize("flag, value", [("--match-threshold", "2"), ("--drift-threshold", "5")])
+    def test_a_threshold_no_cosine_can_reach_exits_1(self, tmp_path, pipeline_ws, capsys, command, flag, value):
+        ws = tmp_path / "ws"
+        _copy_store(pipeline_ws, ws)
+        (ws / "logs").mkdir()
+        (ws / "logs" / "eval.json").write_bytes((pipeline_ws / "logs" / "eval.json").read_bytes())
+        before = _tree(ws)
+        assert run("--workspace", str(ws), command, flag, value) == 1
+        out, err = capsys.readouterr()
+        name = flag[2:].replace("-", "_")
+        assert out == "" and err == f"error: {name} must be <= {int(name == 'drift_threshold') + 1}, " \
+            f"the highest {'1 - cosine' if name == 'drift_threshold' else 'centroid cosine'}, got {float(value)}\n"
+        assert _tree(ws) == before
+
+    @pytest.mark.parametrize("flag, value", [("--match-threshold", "2"), ("--drift-threshold", "5")])
+    def test_all_with_a_threshold_no_cosine_can_reach_exits_1_before_tracking(self, tmp_path, capsys, flag, value):
+        ws = tmp_path / "ws"
+        assert run("--workspace", str(ws), "all", flag, value) == 1
+        assert f"error: {flag[2:].replace('-', '_')} must be <= " in capsys.readouterr().err
+        assert not (ws / "results" / "clusters_weekly.csv").exists()
+
     def test_negative_growth_min_events_exits_1(self, tmp_path, pipeline_ws, capsys):
         ws = tmp_path / "ws"
         _copy_store(pipeline_ws, ws)

@@ -381,6 +381,16 @@ class TestTrendParams:
         with pytest.raises(ValueError, match="finite"):
             TrendParams(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [("match_threshold", 1.0000001), ("match_threshold", 2),
+                                             ("drift_threshold", 2.0000001), ("drift_threshold", 5)])
+    def test_a_threshold_no_cosine_can_reach_is_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be <= {int(name == 'drift_threshold') + 1}, "):
+            TrendParams(**{name: value})
+
+    def test_the_highest_reachable_thresholds_are_accepted(self):
+        params = TrendParams(match_threshold=1, drift_threshold=2)
+        assert (params.match_threshold, params.drift_threshold) == (1, 2)
+
     @pytest.mark.parametrize("k", [True, 2.5, "3", 0])
     def test_k_must_be_a_positive_integer(self, k):
         with pytest.raises(ValueError, match="k must be"):
