@@ -102,55 +102,46 @@ def _parse_k(value: str):
     return None if value == "auto" else _positive_int(value)
 
 
-def _seed_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=0, help="stream seed, an integer >= 0 (default %(default)s)")
+# Flags of more than one subcommand: flag -> add_argument options.
+_SEED = {"--seed": dict(type=_seed, default=0, help="stream seed, an integer >= 0 (default %(default)s)")}
+_DIM = {"--dim": dict(type=int, default=DEFAULT_DIM, help="hash embedding size, >= 2 (default %(default)s)")}
+_RECENCY = {"--alpha": dict(type=float), "--half-life-days": dict(type=float)}
+_TREND = {
+    "--k": dict(type=_parse_k, help="clusters per ISO week: a positive integer, or 'auto' (elbow)"),
+    "--match-threshold": dict(type=float),
+    "--growth-factor": dict(type=float),
+    "--growth-min-events": dict(type=int),
+    "--decay-factor": dict(type=float),
+    "--drift-threshold": dict(type=float),
+    "--cluster-seed": dict(type=_seed, default=DEFAULT_SEED, help="k-means seed, an integer >= 0 (default %(default)s)"),
+}
 
-
-def _dim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM, help="hash embedding size, >= 2 (default %(default)s)")
-
-
-def _recency_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--half-life-days", type=float)
-
-
-def _trend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=_parse_k, help="clusters per ISO week: a positive integer, or 'auto' (elbow)")
-    p.add_argument("--match-threshold", type=float)
-    p.add_argument("--growth-factor", type=float)
-    p.add_argument("--growth-min-events", type=int)
-    p.add_argument("--decay-factor", type=float)
-    p.add_argument("--drift-threshold", type=float)
-    p.add_argument("--cluster-seed", type=_seed, default=DEFAULT_SEED,
-                   help="k-means seed, an integer >= 0 (default %(default)s)")
-
-
-def _ingest_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", nargs="*", default=None,
-                   help="files (default: every .jsonl and .csv file in <workspace>/logs, in name order)")
-    p.add_argument("--mapping", default=None, help="CSV column mapping file (field=column lines)")
-
-
-def _embed_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--embedder", default="hash", help="hash (default) or external:<path>")
-
-
-def _query_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--text", required=True)
-    p.add_argument("--as-of", default=None, help="cutoff date or instant (dates are inclusive)")
-    p.add_argument("--mode", choices=["fused", "cosine"], default="fused")
-    p.add_argument("--k", dest="top_k", type=_positive_int, help=f"hits to return (default {RetrievalParams.top_k})")
-    p.add_argument("--now", default=None, help="pin the reference instant (ISO-8601)")
-
-
-def _eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eval-config", default=None, help="query-suite config (default: <workspace>/logs/eval.json)")
-
-
-def _step_defaults(p: argparse.ArgumentParser) -> None:
-    """`all` runs the step handlers; the step flags it does not take keep their defaults."""
-    p.set_defaults(input=None, mapping=None, eval_config=None, embedder="hash")
+# name: (help, flags in the order `tmem <name> --help` lists them)
+_SUBCOMMANDS = {
+    "gen": ("generate the synthetic stream into <workspace>/logs", _SEED),
+    "ingest": ("normalize raw logs", {
+        "--input": dict(nargs="*", default=None,
+                        help="files (default: every .jsonl and .csv file in <workspace>/logs, in name order)"),
+        "--mapping": dict(default=None, help="CSV column mapping file (field=column lines)"),
+    }),
+    "embed": ("embed the event store", {
+        **_DIM, "--embedder": dict(default="hash", help="hash (default) or external:<path>"),
+    }),
+    "trends": ("weekly clustering and trend labels", _TREND),
+    "query": ("rank events for a query", {
+        **_RECENCY,
+        "--text": dict(required=True),
+        "--as-of": dict(default=None, help="cutoff date or instant (dates are inclusive)"),
+        "--mode": dict(choices=["fused", "cosine"], default="fused"),
+        "--k": dict(dest="top_k", type=_positive_int, help=f"hits to return (default {RetrievalParams.top_k})"),
+        "--now": dict(default=None, help="pin the reference instant (ISO-8601)"),
+    }),
+    "eval": ("run metric suite from eval config", {
+        **_RECENCY, **_TREND,
+        "--eval-config": dict(default=None, help="query-suite config (default: <workspace>/logs/eval.json)"),
+    }),
+    "all": ("gen -> ingest -> embed -> trends -> eval", {**_SEED, **_DIM, **_RECENCY, **_TREND}),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -164,13 +155,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--workspace", default=".", help="workspace directory (default: .)")
     parser.add_argument("-v", "--verbose", action="store_true")
     # A metavar would rename the subcommand argument in the whole parser's errors, so only a part-built one has it.
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
-    for name, (_, help, flag_groups) in _COMMANDS.items():
+    for name, (help, flags) in _SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help)
-            for add_flags in flag_groups:
-                add_flags(p)
+            for flag, options in flags.items():
+                p.add_argument(flag, **options)
+    if "all" in sub.choices:
+        # `all` runs the step handlers; the step flags it does not take keep their defaults.
+        sub.choices["all"].set_defaults(input=None, mapping=None, eval_config=None, embedder="hash")
     return parser
 
 
@@ -189,7 +183,7 @@ def _command_in(argv: list[str]) -> str | None:
             if next(args, "-").startswith("-"):
                 return None
             continue
-        return arg if arg in _COMMANDS else None
+        return arg if arg in _SUBCOMMANDS else None
     return None
 
 
@@ -432,16 +426,14 @@ def _timed(command, ws: Workspace, args) -> None:
     logger.info("tmem %s: %.3f s", command.__name__.removeprefix("_cmd_"), time.perf_counter() - start)
 
 
-# name: (handler, help, the flag groups `tmem <name> --help` lists, in order)
 _COMMANDS = {
-    "gen": (_cmd_gen, "generate the synthetic stream into <workspace>/logs", [_seed_flags]),
-    "ingest": (_cmd_ingest, "normalize raw logs", [_ingest_flags]),
-    "embed": (_cmd_embed, "embed the event store", [_dim_flags, _embed_flags]),
-    "trends": (_cmd_trends, "weekly clustering and trend labels", [_trend_flags]),
-    "query": (_cmd_query, "rank events for a query", [_recency_flags, _query_flags]),
-    "eval": (_cmd_eval, "run metric suite from eval config", [_recency_flags, _trend_flags, _eval_flags]),
-    "all": (_cmd_all, "gen -> ingest -> embed -> trends -> eval",
-            [_seed_flags, _dim_flags, _recency_flags, _trend_flags, _step_defaults]),
+    "gen": _cmd_gen,
+    "ingest": _cmd_ingest,
+    "embed": _cmd_embed,
+    "trends": _cmd_trends,
+    "query": _cmd_query,
+    "eval": _cmd_eval,
+    "all": _cmd_all,
 }
 
 
@@ -464,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError:
                 print(f"another run holds the workspace lock {lock_path}", file=sys.stderr)
                 return EXIT_ERROR
-            _timed(_COMMANDS[args.command][0], ws, args)
+            _timed(_COMMANDS[args.command], ws, args)
         return EXIT_OK
     except MissingArtifact as exc:
         print(str(exc), file=sys.stderr)

@@ -233,9 +233,10 @@ class IdColumn(Sequence[str]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        i = operator.index(i)
-        i += len(self) if i < 0 else 0
-        if not 0 <= i < len(self):
+        n, i = len(self), operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
             raise IndexError("id index out of range")
         return self._data[self._offsets[i]:self._offsets[i + 1] - 1].decode("utf-8")
 
@@ -246,8 +247,6 @@ class IdColumn(Sequence[str]):
         if isinstance(other, IdColumn):
             return self._data == other._data
         return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"IdColumn({tuple(self)!r})"

@@ -72,7 +72,7 @@ def test_help_matches_its_golden_file(name, capsys):
 
 
 def test_every_command_has_a_help_golden_file():
-    assert set(cli._COMMANDS) == set(COMMANDS)
+    assert list(cli._SUBCOMMANDS) == list(cli._COMMANDS) == list(COMMANDS)
     assert {p.stem for p in (GOLDEN / "help").iterdir()} == set(HELP)
 
 
