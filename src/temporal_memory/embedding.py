@@ -255,10 +255,12 @@ def read_vector_file(path: Path | str) -> VectorStore:
     offset = header.size + int(newlines[-1]) + 1 if count else header.size
     payload = len(data) - offset
     section = data[header.size:offset]  # each id with its newline
-    try:
-        str(memoryview(section)[:-1], "utf-8")  # checked once here; an id is decoded when it is read
-    except UnicodeDecodeError as exc:
-        raise VectorFileError(f"{path}: an event id is not UTF-8: {exc}") from None
+    # Checked once here, where ASCII needs no decode; an id is decoded when it is read.
+    if not section.isascii():
+        try:
+            str(memoryview(section)[:-1], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise VectorFileError(f"{path}: an event id is not UTF-8: {exc}") from None
     ids = IdColumn(section, np.concatenate(([0], newlines + 1)))
     expected_bytes = count * dim * 2 if n_rows is None else count * 12 + n_rows * dim * 2
     if payload < expected_bytes:
