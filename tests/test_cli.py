@@ -789,6 +789,13 @@ def _per_week_k(ws) -> dict[str, int]:
     return per_week
 
 
+# Centroids are unit vectors: no match similarity exceeds 1 and no drift (1 - cosine) exceeds 2.
+_UNREACHABLE_THRESHOLDS = [
+    ("--match-threshold", "2", "match_threshold must be <= 1, the highest centroid cosine, got 2.0"),
+    ("--drift-threshold", "5", "drift_threshold must be <= 2, the highest 1 - cosine, got 5.0"),
+]
+
+
 class TestTrendParamChecks:
     @pytest.mark.parametrize("flag", ["--match-threshold", "--drift-threshold"])
     def test_nan_threshold_exits_1(self, tmp_path, pipeline_ws, capsys, flag):
@@ -799,25 +806,24 @@ class TestTrendParamChecks:
         assert not (ws / "results" / "clusters_weekly.csv").exists()
 
     @pytest.mark.parametrize("command", ["trends", "eval"])
-    @pytest.mark.parametrize("flag, value", [("--match-threshold", "2"), ("--drift-threshold", "5")])
-    def test_a_threshold_no_cosine_can_reach_exits_1(self, tmp_path, pipeline_ws, capsys, command, flag, value):
+    @pytest.mark.parametrize("flag, value, error", _UNREACHABLE_THRESHOLDS)
+    def test_a_threshold_no_cosine_can_reach_exits_1(
+            self, tmp_path, pipeline_ws, capsys, command, flag, value, error):
         ws = tmp_path / "ws"
         _copy_store(pipeline_ws, ws)
         (ws / "logs").mkdir()
         (ws / "logs" / "eval.json").write_bytes((pipeline_ws / "logs" / "eval.json").read_bytes())
         before = _tree(ws)
         assert run("--workspace", str(ws), command, flag, value) == 1
-        out, err = capsys.readouterr()
-        name = flag[2:].replace("-", "_")
-        assert out == "" and err == f"error: {name} must be <= {int(name == 'drift_threshold') + 1}, " \
-            f"the highest {'1 - cosine' if name == 'drift_threshold' else 'centroid cosine'}, got {float(value)}\n"
+        assert capsys.readouterr() == ("", f"error: {error}\n")
         assert _tree(ws) == before
 
-    @pytest.mark.parametrize("flag, value", [("--match-threshold", "2"), ("--drift-threshold", "5")])
-    def test_all_with_a_threshold_no_cosine_can_reach_exits_1_before_tracking(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag, value, error", _UNREACHABLE_THRESHOLDS)
+    def test_all_with_a_threshold_no_cosine_can_reach_exits_1_before_tracking(
+            self, tmp_path, capsys, flag, value, error):
         ws = tmp_path / "ws"
         assert run("--workspace", str(ws), "all", flag, value) == 1
-        assert f"error: {flag[2:].replace('-', '_')} must be <= " in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: {error}\n")
         assert not (ws / "results" / "clusters_weekly.csv").exists()
 
     def test_negative_growth_min_events_exits_1(self, tmp_path, pipeline_ws, capsys):

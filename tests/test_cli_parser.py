@@ -1,9 +1,10 @@
-"""The tmem parser's text: --help output and usage errors (exit 64), byte for byte.
+"""The tmem parser: --help output and usage errors (exit 64) byte for byte, and the part-built parser.
 
 The golden files under tests/golden/ hold what `COLUMNS=80 tmem --help`,
 `tmem <command> --help` and each usage error below print. argparse lays out
 help differently from one Python minor version to the next, so they are
-checked on the version CI runs.
+checked on the version CI runs. `cli.main` builds only the subcommand it
+finds in argv; a property checks that this parser parses as the whole one.
 """
 
 from __future__ import annotations
@@ -91,8 +92,10 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.Argument
 
 
 TOP_LEVEL = ["--workspace", "--workspace=x", "-v", "--verbose", "-h", "--help", "--"]
-FLAGS = sorted({flag for p in _subcommands(cli.build_parser()).values() for a in p._actions for flag in a.option_strings})
-VALUES = ["x", "", "0", "1", "-1", "2.5", "nan", "auto", "fused", "cosine", "2025-05-01", "-", "bogus", "--alph", "--work"]
+FLAGS = sorted({flag for p in _subcommands(cli.build_parser()).values()
+                 for a in p._actions for flag in a.option_strings})
+VALUES = ["x", "", "0", "1", "-1", "2.5", "nan", "auto", "fused", "cosine", "2025-05-01", "-", "bogus",
+          "--alph", "--work"]
 TOKENS = [*COMMANDS, *TOP_LEVEL, *FLAGS, *VALUES]
 
 
@@ -137,7 +140,7 @@ def test_the_subcommand_parser_parses_as_the_whole_parser(argv):
     (["--workspace", "-x", "query"], None),
     (["--verbose=1", "query"], None),
 ])
-def test_argv_the_scan_cannot_place_goes_to_the_whole_parser(argv, command):
+def test_the_scan_names_a_subcommand_only_after_plain_top_level_flags(argv, command):
     assert cli._command_in(argv) == command
 
 

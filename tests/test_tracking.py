@@ -381,10 +381,10 @@ class TestTrendParams:
         with pytest.raises(ValueError, match="finite"):
             TrendParams(**{name: value})
 
-    @pytest.mark.parametrize("name, value", [("match_threshold", 1.0000001), ("match_threshold", 2),
-                                             ("drift_threshold", 2.0000001), ("drift_threshold", 5)])
-    def test_a_threshold_no_cosine_can_reach_is_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be <= {int(name == 'drift_threshold') + 1}, "):
+    @pytest.mark.parametrize("name, value, bound", [("match_threshold", 1.0000001, 1), ("match_threshold", 2, 1),
+                                                    ("drift_threshold", 2.0000001, 2), ("drift_threshold", 5, 2)])
+    def test_a_threshold_no_cosine_can_reach_is_rejected(self, name, value, bound):
+        with pytest.raises(ValueError, match=f"^{name} must be <= {bound}, .*, got {value}$"):
             TrendParams(**{name: value})
 
     def test_the_highest_reachable_thresholds_are_accepted(self):
