@@ -16,7 +16,7 @@ import hashlib
 import logging
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -61,25 +61,34 @@ def _hash64(feature: str) -> int:
 
 @dataclass(frozen=True)
 class HashEmbedder:
-    """Unit-norm signed-bucket hashes of a text's unigrams and adjacent bigrams."""
+    """Unit-norm signed-bucket hashes of a text's unigrams and adjacent bigrams.
+
+    Each instance hashes a distinct feature once: ``_buckets`` maps it to its
+    (bucket, ±1 sign) for this ``dim`` and lives as long as the instance.
+    """
 
     dim: int = DEFAULT_DIM
+    _buckets: dict[str, tuple[int, float]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_int_at_least(self.dim, 2):
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
 
+    def _bucket(self, feature: str) -> tuple[int, float]:
+        h = _hash64(feature)
+        bucket = self._buckets[feature] = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
+        return bucket
+
     def embed(self, text: str) -> np.ndarray:
         tokens = tokenize(text)
         if not tokens:
             raise ValueError(f"no tokens in text: {text!r}")
-        vec = np.zeros(self.dim, dtype=np.float32)
         features = list(tokens)
         features.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-        for feature in features:
-            h = _hash64(feature)
-            sign = 1.0 if (h >> 63) & 1 else -1.0
-            vec[h % self.dim] += sign
+        known = self._buckets
+        buckets, signs = zip(*[known.get(f) or self._bucket(f) for f in features])
+        # Each bucket's sum of ±1 is an integer, exact in float64 and in float32.
+        vec = np.bincount(buckets, weights=signs, minlength=self.dim).astype(np.float32)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             # Possible only if colliding features cancel exactly.
@@ -248,8 +257,13 @@ def read_vector_file(path: Path | str) -> VectorStore:
     if dim < 2:
         raise VectorFileError(f"{path}: declared dim {dim} is invalid")
 
-    # The ids are the first ``count`` newline-terminated lines; the payload follows them.
-    newlines = np.flatnonzero(np.frombuffer(data, np.uint8, offset=header.size) == ord("\n"))[:count]
+    # The ids are the first ``count`` newline-terminated lines; the payload follows them. In a
+    # well-formed file they lie before the payload its header declares, so that much is
+    # scanned first; only a file whose ids do not fit there is scanned to its end.
+    expected_bytes = count * dim * 2 if n_rows is None else count * 12 + n_rows * dim * 2
+    newlines = _newlines(data, header.size, len(data) - expected_bytes)[:count]
+    if len(newlines) < count:
+        newlines = _newlines(data, header.size, len(data))[:count]
     if len(newlines) < count:
         raise VectorFileError(f"{path}: id section ended after {len(newlines)} of {count} declared ids")
     offset = header.size + int(newlines[-1]) + 1 if count else header.size
@@ -262,7 +276,6 @@ def read_vector_file(path: Path | str) -> VectorStore:
         except UnicodeDecodeError as exc:
             raise VectorFileError(f"{path}: an event id is not UTF-8: {exc}") from None
     ids = IdColumn(section, np.concatenate(([0], newlines + 1)))
-    expected_bytes = count * dim * 2 if n_rows is None else count * 12 + n_rows * dim * 2
     if payload < expected_bytes:
         raise VectorFileError(f"{path}: payload has {payload} bytes, expected {expected_bytes}")
     if payload > expected_bytes:
@@ -280,6 +293,11 @@ def read_vector_file(path: Path | str) -> VectorStore:
     if decreases.size:
         raise VectorFileError(f"{path}: ts of {ids[decreases[0] + 1]} is before the ts of the event before it")
     return vs
+
+
+def _newlines(data: bytes, start: int, stop: int) -> np.ndarray:
+    """Positions of the newline bytes in ``data[start:stop]`` (none if ``stop < start``), relative to ``start``."""
+    return np.flatnonzero(np.frombuffer(memoryview(data)[start:max(start, stop)], np.uint8) == ord("\n"))
 
 
 def _checked_store(path: Path | str, dim: int, ids: IdColumn, *fields) -> VectorStore:

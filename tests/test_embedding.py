@@ -79,6 +79,55 @@ class TestHashEmbed:
         assert mass.max() / mass.sum() <= 0.10
 
 
+def _embed_per_occurrence(text: str, dim: int) -> np.ndarray:
+    """The embedding hashed feature by feature and added bucket by bucket in float32, with no table."""
+    tokens = tokenize(text)
+    if not tokens:
+        raise ValueError(f"no tokens in text: {text!r}")
+    vec = np.zeros(dim, dtype=np.float32)
+    for feature in [*tokens, *(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))]:
+        h = int.from_bytes(hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(), "little")
+        vec[h % dim] += 1.0 if (h >> 63) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise ValueError(f"degenerate zero embedding for text: {text!r}")
+    return vec / norm
+
+
+def _outcome(embed, text: str):
+    """The vector's dtype and bytes, or the ValueError's message."""
+    try:
+        vec = embed(text)
+    except ValueError as exc:
+        return str(exc)
+    return vec.dtype, vec.tobytes()
+
+
+# Few words, so texts share features and small dims collide, and some cancel to zero.
+_WORDS = st.sampled_from(["okta", "auth_fail", "mfa", "denied", "s3", "bucket", "read", "é", "x1", "9"])
+_PHRASES = st.lists(_WORDS, min_size=1, max_size=8).map(" ".join)
+
+
+class TestFeatureTable:
+    """An embedder hashes each distinct feature once; what it embeds is what hashing every occurrence gives."""
+
+    @given(st.lists(st.one_of(texts, _PHRASES), min_size=1, max_size=12), st.sampled_from([2, 3, 16, 384]))
+    def test_a_reused_embedder_gives_a_fresh_embedders_bytes(self, batch, dim):
+        reused, other = HashEmbedder(dim=dim), HashEmbedder(dim=dim + 1)
+        for text in batch:
+            expected = _outcome(HashEmbedder(dim=dim).embed, text)
+            assert _outcome(reused.embed, text) == expected == _outcome(lambda t: _embed_per_occurrence(t, dim), text)
+            # An embedder of another dim, fed the same features in between, keeps its own buckets.
+            assert _outcome(other.embed, text) == _outcome(HashEmbedder(dim=dim + 1).embed, text)
+
+    def test_the_table_is_the_instances_own(self):
+        a, b = HashEmbedder(), HashEmbedder()
+        a.embed("okta auth_fail")
+        assert a == b and hash(a) == hash(b) and repr(a) == "HashEmbedder(dim=384)"
+        assert set(a._buckets) == {"okta", "auth_fail", "okta auth_fail"} and not b._buckets
+        assert not replace(a, dim=16)._buckets
+
+
 class TestCosine:
     def test_identity(self):
         v = HashEmbedder().embed("any text at all")
@@ -437,6 +486,37 @@ class TestTMV2Reader:
             read_vector_file(path)
         assert str(exc.value).startswith(f"{path}: ")
         assert message in str(exc.value)
+
+    # Twelve events whose row indices (10) and binary16 rows (0x0A0A + i) hold 0x0A bytes.
+    _NEWLINE_PAYLOAD = {
+        "ids": tuple(f"ev-{i}" for i in range(12)),
+        "ts_us": 1_743_465_600_000_000 + np.arange(12),
+        "index": np.arange(12) % 11,
+        "rows": np.array([[0x0A0A + i, 0x3C00] for i in range(11)], dtype=np.uint16).view(np.float16),
+    }
+
+    def test_newline_bytes_in_the_payload_leave_the_ids_as_they_are(self, tmp_path):
+        path = tmp_path / "v.tmv"
+        data = tmv2_bytes(**self._NEWLINE_PAYLOAD)
+        assert data[-(12 * 12 + 11 * 2 * 2):].count(b"\n") == 14  # in the ts, index and rows
+        path.write_bytes(data)
+        vs = read_vector_file(path)
+        assert vs.ids == self._NEWLINE_PAYLOAD["ids"]
+        assert np.array_equal(vs.index, self._NEWLINE_PAYLOAD["index"])
+        assert vs.rows.tobytes() == self._NEWLINE_PAYLOAD["rows"].tobytes()
+        assert np.array_equal(vs.ts_us, self._NEWLINE_PAYLOAD["ts_us"])
+
+    @pytest.mark.parametrize("count, message", [
+        # One id too many: the thirteenth "id" runs into the payload up to its first 0x0A byte.
+        (13, "an event id is not UTF-8: 'utf-8' codec can't decode byte 0xc4 in position 64: invalid continuation byte"),
+        (11, "18 trailing bytes beyond declared counts"),
+    ])
+    def test_a_count_off_by_one_is_reported_as_a_whole_scan_finds_it(self, tmp_path, count, message):
+        path = tmp_path / "v.tmv"
+        path.write_bytes(tmv2_bytes(**self._NEWLINE_PAYLOAD, count=count))
+        with pytest.raises(VectorFileError) as exc:
+            read_vector_file(path)
+        assert str(exc.value) == f"{path}: {message}"
 
 
 # Ids a TMV file may hold: multibyte UTF-8 of 2, 3 and 4 bytes, an empty id, a space.
