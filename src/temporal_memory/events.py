@@ -556,12 +556,31 @@ def write_events_jsonl(store: EventStore, path: Path | str) -> None:
         fh.writelines(line + "\n" for line in _json_lines(store))
 
 
+# Compact JSON that keeps non-ASCII text as it is; synth writes its raw log lines with it too.
 _JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# A record's fields as they sit between an events.jsonl line's ts and text_repr.
+_RECORD_JSON = ",".join(f'"{name}":{{}}' for name in EVENT_FIELDS[2:-1])
 
 
 def _json_lines(store: EventStore) -> Iterator[str]:
-    """Each event's events.jsonl line, Event's fields in order; each distinct record and text is encoded once."""
-    records = [_JSON(dict(zip(EVENT_FIELDS[2:-1], (*r[:4], dict(r[4]), *r[5:]))))[1:-1] for r in store._records]
+    """Each event's events.jsonl line, Event's fields in order.
+
+    Each distinct field value, record and text is encoded once per call, a
+    record's context aside (contexts rarely repeat), and the pieces are
+    spliced into each line.
+    """
+    encoded: dict[str | tuple[str, ...], str] = {}
+
+    def value_json(value: str | tuple[str, ...]) -> str:
+        text = encoded.get(value)
+        if text is None:
+            text = encoded[value] = _JSON(value)
+        return text
+
+    records = [
+        _RECORD_JSON.format(*map(value_json, r[:4]), _JSON(dict(r[4])), *map(value_json, r[5:]))
+        for r in store._records
+    ]
     texts = list(map(_JSON, store.texts))
     columns = store.event_ids, store.ts_us.tolist(), store._record_index.tolist(), store.text_index.tolist()
     for event_id, ts_us, record, text in zip(*columns):

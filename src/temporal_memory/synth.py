@@ -15,7 +15,6 @@ evaluation harness consumes.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import re
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .evaluation import DEFAULT_ALPHAS
-from .events import WeekKey, atomic_write, build_text_repr, derive_event_id, write_json
+from .events import _JSON, WeekKey, atomic_write, build_text_repr, derive_event_id, write_json
 from .retrieval import RetrievalParams
 from .tracking import TrendParams, label_trend
 
@@ -305,7 +304,7 @@ def generate_stream(seed: int, out_dir: Path | str) -> GenResult:
         path = out / f"events-{week}.jsonl"
         with atomic_write(path) as fh:
             for _, record in records:
-                fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
+                fh.write(_JSON(record))  # one encoder for every line; json.dumps would build one per call
                 fh.write("\n")
         log_files.append(path)
         total += len(records)

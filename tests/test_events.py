@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from temporal_memory.events import (
+    EVENT_FIELDS,
     Event,
     EventStore,
     IngestError,
@@ -424,6 +425,54 @@ def _stores(draw) -> EventStore:
         min_size=1, max_size=8, unique_by=lambda e: e.event_id,
     ))
     return EventStore(events=tuple(sorted(events, key=Event.sort_key)))
+
+
+@st.composite
+def _stores_sharing_values(draw) -> EventStore:
+    """Stores whose distinct records draw every field but context from one small pool of values."""
+    pool = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    value, values = st.sampled_from(pool), st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    ts = datetime(2025, 4, 1, tzinfo=UTC) + timedelta(microseconds=draw(st.integers(0, 10**12)))
+    events = draw(st.lists(
+        st.builds(
+            Event, event_id=_NON_EMPTY, ts=st.just(ts), product=value, event_type=value, asset_id=value,
+            msg=value, context=st.dictionaries(_TEXT, _TEXT, max_size=2), tech=values, attack=values,
+            risk_tag=values, text_repr=value,
+        ),
+        min_size=1, max_size=8, unique_by=lambda e: e.event_id,
+    ))
+    return EventStore(events=tuple(sorted(events, key=Event.sort_key)))
+
+
+def _dumps_each_event(store: EventStore) -> list[str]:
+    """Each event's fields, in Event's order, as json.dumps gives them."""
+    return [
+        json.dumps({**{name: getattr(e, name) for name in EVENT_FIELDS}, "ts": e.ts.isoformat()},
+                   ensure_ascii=False, separators=(",", ":"))
+        for e in store
+    ]
+
+
+class TestWriteEventsJsonl:
+    """The writer encodes each distinct value once; its lines are json.dumps of each event, byte for byte."""
+
+    _AWKWARD_STORE = EventStore(events=(
+        Event("q\"uote", datetime(2025, 4, 1, tzinfo=UTC), product='say "hi"', event_type="back\\slash",
+              asset_id="日本", msg="é€😀\u2028", context={}, tech=(), attack=("é", '"'), risk_tag=("\\",),
+              text_repr="\x00{}"),
+        Event("second", datetime(2025, 4, 1, 0, 0, 1, tzinfo=UTC), product="日本", event_type='say "hi"',
+              asset_id="back\\slash", msg="", context={"k\"": "v\\", "": ""}, tech=("日本", "日本"),
+              attack=(), risk_tag=("é",), text_repr="é€😀\u2028"),
+    ))
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(st.just(_AWKWARD_STORE), _stores(), _stores_sharing_values()))
+    def test_lines_are_json_dumps_of_each_event(self, store):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "events.jsonl"
+            write_events_jsonl(store, path)
+            assert path.read_bytes().decode("utf-8") == "".join(line + "\n" for line in _dumps_each_event(store))
+        assert [e.to_json() for e in store] == _dumps_each_event(store)
 
 
 class TestLoadCanonicalStore:
