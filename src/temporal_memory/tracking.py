@@ -109,6 +109,11 @@ def _pairwise_sq_dists(points: np.ndarray, p2: np.ndarray, centers: np.ndarray) 
     return d2
 
 
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """Each point's squared L2 norm, as a column."""
+    return (points * points).sum(axis=1)[:, None]
+
+
 def _kmeanspp_init(points: np.ndarray, p2: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding (Arthur & Vassilvitskii, 2007).
 
@@ -133,25 +138,29 @@ def _kmeanspp_init(points: np.ndarray, p2: np.ndarray, k: int, rng: np.random.Ge
 def _member_means(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     """Each cluster's member mean; an empty cluster's row is zero.
 
-    A stable sort lists the members cluster by cluster in index order, so each
-    float32 sum adds the same rows in the same order as
-    ``points[assign == c].mean(axis=0)``. That mean divides in float64 and
-    rounds, which gives the same float32 as one float32 division, so each row
-    equals it bit for bit.
+    A stable sort lists the members cluster by cluster in index order, and one
+    gather lays them out so; each cluster's float32 sum then adds the same rows
+    in the same order as ``points[assign == c].mean(axis=0)``. That mean
+    divides in float64 and rounds, which gives the same float32 as one float32
+    division, so each row equals it bit for bit.
     """
     counts = np.bincount(assign, minlength=k)
-    order = np.argsort(assign, kind="stable")
+    members = points[np.argsort(assign, kind="stable")]
     sums = np.zeros((k, points.shape[1]), dtype=points.dtype)
     start = 0
     for c, end in enumerate(np.cumsum(counts).tolist()):
         if end > start:
-            np.add.reduce(points[order[start:end]], axis=0, out=sums[c])
+            np.add.reduce(members[start:end], axis=0, out=sums[c])
         start = end
     return sums / np.maximum(counts, 1).astype(points.dtype)[:, None]
 
 
 def kmeans(
-    vectors: np.ndarray, k: int, seed: int = DEFAULT_SEED, init: np.ndarray | None = None
+    vectors: np.ndarray,
+    k: int,
+    seed: int = DEFAULT_SEED,
+    init: np.ndarray | None = None,
+    p2: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Seeded k-means++ with Lloyd iterations to an assignment fixpoint.
 
@@ -162,13 +171,16 @@ def kmeans(
     of the returned partition; deterministic for a fixed (vectors, k, seed).
     ``init`` replaces the seeding with given (k, d) centers; ``select_k``
     passes the first k rows of one seeding at its largest k, which is the
-    seeding ``seed`` gives for k.
+    seeding ``seed`` gives for k. ``p2`` is the points' squared norms as a
+    column, as :func:`_squared_norms` gives them; ``select_k`` computes them
+    once for all its fits.
     """
     points = np.asarray(vectors, dtype=np.float32)
     n = points.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
-    p2 = (points * points).sum(axis=1)[:, None]
+    if p2 is None:
+        p2 = _squared_norms(points)
     centers = _kmeanspp_init(points, p2, k, np.random.default_rng(seed)) if init is None else init
 
     d2 = _pairwise_sq_dists(points, p2, centers)
@@ -202,10 +214,10 @@ def kmeans(
         d2 = _pairwise_sq_dists(points, p2, centers)
     inertia = float(d2[np.arange(n), assign].sum())
     out_centers = np.empty_like(centers)
-    for c in range(k):
-        norm = float(np.linalg.norm(centers[c]))
+    for c, center in enumerate(centers):
+        norm = float(np.sqrt(center.dot(center)))  # exactly np.linalg.norm of one vector
         # Members that cancel out have no direction; the first member stands in.
-        out_centers[c] = points[np.argmax(assign == c)] if norm < 1e-12 else centers[c] / norm
+        out_centers[c] = points[np.argmax(assign == c)] if norm < 1e-12 else center / norm
     return assign, out_centers, inertia
 
 
@@ -223,12 +235,13 @@ def select_k(vectors: np.ndarray, seed: int = DEFAULT_SEED) -> int:
     k_max = min(9, math.isqrt(n), n - 1)
     if k_max < 3:
         return 1
-    init = _kmeanspp_init(points, (points * points).sum(axis=1)[:, None], k_max, np.random.default_rng(seed))
-    wcss = {1: kmeans(points, 1, init=init[:1])[2]}
+    p2 = _squared_norms(points)
+    init = _kmeanspp_init(points, p2, k_max, np.random.default_rng(seed))
+    wcss = {1: kmeans(points, 1, init=init[:1], p2=p2)[2]}
     if wcss[1] == 0.0:
         return 1  # all points identical; splitting cannot help
     for k in range(2, k_max + 1):
-        wcss[k] = kmeans(points, k, init=init[:k])[2]
+        wcss[k] = kmeans(points, k, init=init[:k], p2=p2)[2]
     best_k, best_score = 1, -math.inf
     for k in range(2, k_max):
         score = wcss[k - 1] - 2.0 * wcss[k] + wcss[k + 1]

@@ -134,8 +134,8 @@ class TestSeedingPrefix:
         points = TestPinnedFit.points()
         fits = []
 
-        def recording(vectors, k, seed=tracking.DEFAULT_SEED, init=None):
-            result = kmeans(vectors, k, seed, init=init)
+        def recording(vectors, k, seed=tracking.DEFAULT_SEED, init=None, p2=None):
+            result = kmeans(vectors, k, seed, init=init, p2=p2)
             fits.append((k, result))
             return result
 
