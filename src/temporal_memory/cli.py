@@ -415,6 +415,10 @@ def _cmd_eval(ws: Workspace, args) -> None:
 
 
 def _cmd_all(ws: Workspace, args) -> None:
+    # Each later step's settings are checked, in step order, before gen writes anything.
+    HashEmbedder(dim=args.dim)
+    _params(TrendParams, args)
+    _params(RetrievalParams, args)
     for step in (_cmd_gen, _cmd_ingest, _cmd_embed, _cmd_trends, _cmd_eval):
         _timed(step, ws, args)
 

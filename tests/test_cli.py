@@ -826,6 +826,19 @@ class TestTrendParamChecks:
         assert capsys.readouterr().err.endswith(f"error: {error}\n")
         assert not (ws / "results" / "clusters_weekly.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, error", [
+        *_UNREACHABLE_THRESHOLDS,
+        ("--match-threshold", "nan", "thresholds must be positive and finite, got (nan, 1.5, 0.5, 0.2)"),
+        ("--alpha", "2", "alpha must be in [0, 1], got 2.0"),
+        ("--half-life-days", "0", "half_life_days must be positive and finite, got 0.0"),
+        ("--dim", "1", "dim must be an integer >= 2, got 1"),
+    ])
+    def test_all_with_a_setting_no_step_takes_writes_nothing(self, tmp_path, capsys, flag, value, error):
+        ws = tmp_path / "ws"
+        assert run("--workspace", str(ws), "all", flag, value) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert [p.name for p in ws.iterdir()] == [".tmem.lock"]  # no logs/, data/ or results/
+
     def test_negative_growth_min_events_exits_1(self, tmp_path, pipeline_ws, capsys):
         ws = tmp_path / "ws"
         _copy_store(pipeline_ws, ws)
