@@ -55,16 +55,19 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _hash64(feature: str) -> int:
-    return int.from_bytes(hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest(), "little")
+# The unkeyed 8-byte BLAKE2b state before any input; copying it is cheaper than
+# building a new one, and each copy hashes one feature. Nothing updates it.
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
 
 
 @dataclass(frozen=True)
 class HashEmbedder:
     """Unit-norm signed-bucket hashes of a text's unigrams and adjacent bigrams.
 
-    Each instance hashes a distinct feature once: ``_buckets`` maps it to its
-    (bucket, ±1 sign) for this ``dim`` and lives as long as the instance.
+    A feature whose 64-bit hash is h adds +1 to bucket h % dim if h's top bit
+    is set, else -1. Each instance hashes a distinct feature once: ``_buckets``
+    maps it to its (bucket, ±1) for this ``dim`` and lives as long as the
+    instance.
     """
 
     dim: int = DEFAULT_DIM
@@ -74,22 +77,23 @@ class HashEmbedder:
         if not is_int_at_least(self.dim, 2):
             raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
 
-    def _bucket(self, feature: str) -> tuple[int, float]:
-        h = _hash64(feature)
-        bucket = self._buckets[feature] = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
-        return bucket
-
     def embed(self, text: str) -> np.ndarray:
         tokens = tokenize(text)
         if not tokens:
             raise ValueError(f"no tokens in text: {text!r}")
         features = list(tokens)
         features.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-        known = self._buckets
-        buckets, signs = zip(*[known.get(f) or self._bucket(f) for f in features])
-        # Each bucket's sum of ±1 is an integer, exact in float64 and in float32.
-        vec = np.bincount(buckets, weights=signs, minlength=self.dim).astype(np.float32)
-        norm = float(np.linalg.norm(vec))
+        buckets, dim = self._buckets, self.dim
+        for feature in features:
+            if feature not in buckets:
+                blake2b = _BLAKE2B_8.copy()
+                blake2b.update(feature.encode("utf-8"))
+                h = int.from_bytes(blake2b.digest(), "little")
+                buckets[feature] = (h % dim, 1.0 if h >> 63 else -1.0)
+        vec = np.zeros(dim, dtype=np.float32)
+        for bucket, sign in map(buckets.__getitem__, features):
+            vec[bucket] += sign
+        norm = float(np.sqrt(vec.dot(vec)))  # exactly np.linalg.norm of one vector, without its checks
         if norm == 0.0:
             # Possible only if colliding features cancel exactly.
             raise ValueError(f"degenerate zero embedding for text: {text!r}")
