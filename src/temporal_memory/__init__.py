@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .events import Event, EventStore, WeekKey
-from .embedding import HashEmbedder, VectorStore, cosine
+from .embedding import HashEmbedder, VectorStore
 from .tracking import TrendParams, WeekCluster, TrendRecord
 from .retrieval import RetrievalParams, RankedHit, rank
 
@@ -13,7 +13,6 @@ __all__ = [
     "WeekKey",
     "HashEmbedder",
     "VectorStore",
-    "cosine",
     "TrendParams",
     "WeekCluster",
     "TrendRecord",

@@ -116,34 +116,6 @@ _TREND = {
     "--cluster-seed": dict(type=_seed, default=DEFAULT_SEED, help="k-means seed, an integer >= 0 (default %(default)s)"),
 }
 
-# name: (help, flags in the order `tmem <name> --help` lists them)
-_SUBCOMMANDS = {
-    "gen": ("generate the synthetic stream into <workspace>/logs", _SEED),
-    "ingest": ("normalize raw logs", {
-        "--input": dict(nargs="*", default=None,
-                        help="files (default: every .jsonl and .csv file in <workspace>/logs, in name order)"),
-        "--mapping": dict(default=None, help="CSV column mapping file (field=column lines)"),
-    }),
-    "embed": ("embed the event store", {
-        **_DIM, "--embedder": dict(default="hash", help="hash (default) or external:<path>"),
-    }),
-    "trends": ("weekly clustering and trend labels", _TREND),
-    "query": ("rank events for a query", {
-        **_RECENCY,
-        "--text": dict(required=True),
-        "--as-of": dict(default=None, help="cutoff date or instant (dates are inclusive)"),
-        "--mode": dict(choices=["fused", "cosine"], default="fused"),
-        "--k": dict(dest="top_k", type=_positive_int, help=f"hits to return (default {RetrievalParams.top_k})"),
-        "--now": dict(default=None, help="pin the reference instant (ISO-8601)"),
-    }),
-    "eval": ("run metric suite from eval config", {
-        **_RECENCY, **_TREND,
-        "--eval-config": dict(default=None, help="query-suite config (default: <workspace>/logs/eval.json)"),
-    }),
-    "all": ("gen -> ingest -> embed -> trends -> eval", {**_SEED, **_DIM, **_RECENCY, **_TREND}),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The tmem parser; given a ``command``, the same parser with only that subcommand.
 
@@ -157,7 +129,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # A metavar would rename the subcommand argument in the whole parser's errors, so only a part-built one has it.
     metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
-    for name, (help, flags) in _SUBCOMMANDS.items():
+    for name, (_, help, flags) in _SUBCOMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help)
             for flag, options in flags.items():
@@ -430,14 +402,31 @@ def _timed(command, ws: Workspace, args) -> None:
     logger.info("tmem %s: %.3f s", command.__name__.removeprefix("_cmd_"), time.perf_counter() - start)
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "ingest": _cmd_ingest,
-    "embed": _cmd_embed,
-    "trends": _cmd_trends,
-    "query": _cmd_query,
-    "eval": _cmd_eval,
-    "all": _cmd_all,
+# name: (handler, help, flags in the order `tmem <name> --help` lists them)
+_SUBCOMMANDS = {
+    "gen": (_cmd_gen, "generate the synthetic stream into <workspace>/logs", _SEED),
+    "ingest": (_cmd_ingest, "normalize raw logs", {
+        "--input": dict(nargs="*", default=None,
+                        help="files (default: every .jsonl and .csv file in <workspace>/logs, in name order)"),
+        "--mapping": dict(default=None, help="CSV column mapping file (field=column lines)"),
+    }),
+    "embed": (_cmd_embed, "embed the event store", {
+        **_DIM, "--embedder": dict(default="hash", help="hash (default) or external:<path>"),
+    }),
+    "trends": (_cmd_trends, "weekly clustering and trend labels", _TREND),
+    "query": (_cmd_query, "rank events for a query", {
+        **_RECENCY,
+        "--text": dict(required=True),
+        "--as-of": dict(default=None, help="cutoff date or instant (dates are inclusive)"),
+        "--mode": dict(choices=["fused", "cosine"], default="fused"),
+        "--k": dict(dest="top_k", type=_positive_int, help=f"hits to return (default {RetrievalParams.top_k})"),
+        "--now": dict(default=None, help="pin the reference instant (ISO-8601)"),
+    }),
+    "eval": (_cmd_eval, "run metric suite from eval config", {
+        **_RECENCY, **_TREND,
+        "--eval-config": dict(default=None, help="query-suite config (default: <workspace>/logs/eval.json)"),
+    }),
+    "all": (_cmd_all, "gen -> ingest -> embed -> trends -> eval", {**_SEED, **_DIM, **_RECENCY, **_TREND}),
 }
 
 
@@ -460,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError:
                 print(f"another run holds the workspace lock {lock_path}", file=sys.stderr)
                 return EXIT_ERROR
-            _timed(_COMMANDS[args.command], ws, args)
+            _timed(_SUBCOMMANDS[args.command][0], ws, args)
         return EXIT_OK
     except MissingArtifact as exc:
         print(str(exc), file=sys.stderr)

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import operator
 import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .events import EventStore, IdColumn, atomic_write, is_int_at_least
+from .events import EventStore, atomic_write, is_int_at_least
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +44,44 @@ TMV1 = b"TMV1"
 TMV2 = b"TMV2"
 _TMV1_HEADER = struct.Struct("<4sIQ")  # magic, u32 dim, u64 count
 _TMV2_HEADER = struct.Struct("<4sIQQ32s")  # magic, u32 dim, u64 count, u64 rows, sha256 of events.jsonl
+
+
+class IdColumn(Sequence[str]):
+    """A vector file's event ids, read-only, kept as their newline-terminated UTF-8 bytes; each is decoded when read.
+
+    ``offsets`` holds each id's start and, last, ``len(data)``, so id i is
+    ``data[offsets[i]:offsets[i + 1] - 1]``: the Apache Arrow variable-size
+    binary layout, with the newline kept after each id. ``data`` must be valid
+    UTF-8. A slice gives a tuple; a column equals a tuple, or a column, of the
+    same ids.
+    """
+
+    def __init__(self, data: bytes, offsets: np.ndarray) -> None:
+        self._data, self._offsets = data, offsets
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        n, i = len(self), operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("id index out of range")
+        return self._data[self._offsets[i]:self._offsets[i + 1] - 1].decode("utf-8")
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._data.decode("utf-8").split("\n")[:-1])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, IdColumn):
+            return self._data == other._data
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"IdColumn({tuple(self)!r})"
 
 
 class VectorFileError(RuntimeError):
@@ -100,19 +139,6 @@ class HashEmbedder:
         return vec / norm
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; symmetric by construction, errors on zero vectors."""
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    if a.shape != b.shape:
-        raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 @dataclass(frozen=True)
 class VectorStore:
     """Event vectors quantized to half precision, index-aligned with their ids.
@@ -127,7 +153,7 @@ class VectorStore:
     events.jsonl it was embedded from: each event's int64 epoch-µs ``ts_us``
     and the file's ``events_sha256`` (hex). Both are None otherwise, and
     :func:`write_vector_file` needs both. A store read from either format
-    holds its ids as an :class:`~.events.IdColumn`, which decodes an id only
+    holds its ids as an :class:`IdColumn`, which decodes an id only
     when it is read; other stores hold a tuple.
     """
 

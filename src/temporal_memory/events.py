@@ -76,9 +76,6 @@ class Event:
     risk_tag: tuple[str, ...] = ()
     text_repr: str = ""
 
-    def sort_key(self) -> tuple[datetime, str]:
-        return (self.ts, self.event_id)
-
     def to_json(self) -> str:
         """The event's events.jsonl line, without its newline, as :func:`write_events_jsonl` writes it."""
         return next(_json_lines(EventStore((self,))))
@@ -214,44 +211,6 @@ def period_of(ts: datetime) -> WeekKey:
     return WeekKey(year, week)
 
 
-class IdColumn(Sequence[str]):
-    """Read-only event ids kept as their newline-terminated UTF-8 bytes; each is decoded when read.
-
-    ``offsets`` holds each id's start and, last, ``len(data)``, so id i is
-    ``data[offsets[i]:offsets[i + 1] - 1]``: the Apache Arrow variable-size
-    binary layout, with the newline kept after each id. ``data`` must be valid
-    UTF-8. A slice gives a tuple; a column equals a tuple, or a column, of the
-    same ids.
-    """
-
-    def __init__(self, data: bytes, offsets: np.ndarray) -> None:
-        self._data, self._offsets = data, offsets
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        n, i = len(self), operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("id index out of range")
-        return self._data[self._offsets[i]:self._offsets[i + 1] - 1].decode("utf-8")
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._data.decode("utf-8").split("\n")[:-1])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IdColumn):
-            return self._data == other._data
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"IdColumn({tuple(self)!r})"
-
-
 class EventStore(Sequence[Event]):
     """Immutable collection of events in ts order, held as columns.
 
@@ -260,8 +219,8 @@ class EventStore(Sequence[Event]):
     prefix of the store and tracking takes each ISO week as one run of it.
     ``ingest`` also sorts by (ts, event_id) and keeps the first event of each
     event_id, so its store is invariant under input-line shuffling. However it
-    is built, a store holds the ``event_ids`` (a tuple, or the :class:`IdColumn`
-    given to :meth:`of_timeline`), their read-only int64 ``ts_us`` (epoch µs), the distinct ``texts`` (text_repr) in
+    is built, a store holds the ``event_ids`` (a tuple, or the sequence given
+    to :meth:`of_timeline`), their read-only int64 ``ts_us`` (epoch µs), the distinct ``texts`` (text_repr) in
     first-seen order with each event's ``text_index``, and one shared record
     per distinct combination of the other fields (see :func:`_row`). The stages
     read these columns; an :class:`Event` is built, with its own context, only
@@ -280,11 +239,10 @@ class EventStore(Sequence[Event]):
             ts_us.append(us)
             text_index.append(texts.setdefault(text_repr, len(texts)))
             record_index.append(records.setdefault(record, len(records)))
-        self._hold(ids, ts_us, tuple(texts), text_index, tuple(records), record_index)
+        self._hold(tuple(ids), ts_us, tuple(texts), text_index, tuple(records), record_index)
 
     def _hold(self, ids, ts_us, texts: tuple[str, ...], text_index, records: tuple[tuple, ...], record_index) -> None:
-        self.event_ids = ids if isinstance(ids, IdColumn) else tuple(ids)
-        self.texts, self._records = texts, records
+        self.event_ids, self.texts, self._records = ids, texts, records
         self.ts_us = np.array(ts_us, dtype=np.int64)
         decreases = np.flatnonzero(np.diff(self.ts_us) < 0)
         if decreases.size:
@@ -298,8 +256,9 @@ class EventStore(Sequence[Event]):
     def of_timeline(cls, ids: Sequence[str], ts_us: np.ndarray) -> EventStore:
         """A store of bare events, each an id and a ts, with one empty text and one empty record.
 
-        An :class:`IdColumn` of ``ids`` is kept as it is, so no id is decoded
-        before it is read. ``ts_us`` is int64 epoch µs in store order, copied; it
+        ``ids`` is kept as it is, uncopied, so a column that decodes each id
+        when it is read (a vector file's) decodes only the ids read from the
+        store. ``ts_us`` is int64 epoch µs in store order, copied; it
         must hold one value per id and must not decrease (ValueError otherwise).
         """
         if len(ids) != len(ts_us):
@@ -325,14 +284,6 @@ class EventStore(Sequence[Event]):
     def __eq__(self, other) -> bool:
         """Equal to a store, or a tuple, of equal events."""
         return tuple(self) == (tuple(other) if isinstance(other, EventStore) else other)
-
-    @property
-    def events(self) -> EventStore:
-        """The store itself, a read-only sequence of events with tuple semantics."""
-        return self
-
-    def ids(self) -> list[str]:
-        return list(self.event_ids)
 
     def week_range(self) -> tuple[WeekKey, WeekKey] | None:
         if not len(self):

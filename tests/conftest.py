@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import struct
 
 import numpy as np
@@ -43,8 +44,12 @@ def build_event(
     )
 
 
+# A store's event order.
+ts_order = operator.attrgetter("ts", "event_id")
+
+
 def store_of(events) -> EventStore:
-    ordered = tuple(sorted(events, key=Event.sort_key))
+    ordered = tuple(sorted(events, key=ts_order))
     ids = [e.event_id for e in ordered]
     assert len(set(ids)) == len(ids), "fixture events must have unique ids"
     return EventStore(events=ordered)

@@ -147,7 +147,7 @@ class TestAtomicWrites:
         path = tmp_path / "events.jsonl"
         path.write_text("stale\n", encoding="utf-8")
         write_events_jsonl(store, path)
-        assert load_events_jsonl(path).events == store.events
+        assert load_events_jsonl(path) == store
         assert [p.name for p in tmp_path.iterdir()] == ["events.jsonl"]
 
     def test_pipeline_workspace_holds_only_its_artifacts(self, pipeline_ws):

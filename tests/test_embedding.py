@@ -1,4 +1,4 @@
-"""Hash embedder, cosine, half-precision store, and TMV2/TMV1 file integrity."""
+"""Hash embedder, half-precision store, and TMV2/TMV1 file integrity."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from temporal_memory.embedding import (
     VectorFileError,
     VectorStore,
     check_alignment,
-    cosine,
     encode_store,
     group_rows,
     read_vector_file,
@@ -61,7 +60,7 @@ class TestHashEmbed:
         query = HashEmbedder().embed("okta auth fail mfa")
         near = HashEmbedder().embed("okta auth failure mfa")
         far = HashEmbedder().embed("s3 bucket read")
-        assert cosine(query, near) > cosine(query, far)
+        assert query @ near > query @ far  # unit vectors: each dot product is their cosine
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
@@ -128,47 +127,16 @@ class TestFeatureTable:
         assert not replace(a, dim=16)._buckets
 
 
-class TestCosine:
-    def test_identity(self):
-        v = HashEmbedder().embed("any text at all")
-        assert cosine(v, v) == pytest.approx(1.0, abs=1e-6)
-
-    def test_orthogonal_basis(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_analytic_45_degrees(self):
-        r = 2**0.5 / 2
-        assert cosine(np.array([1.0, 0.0]), np.array([r, r])) == pytest.approx(0.7071, abs=1e-4)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(3), np.ones(3))
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(np.ones(3), np.ones(4))
-
-    @given(
-        st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-        st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-    )
-    def test_symmetry_is_exact(self, a, b):
-        va, vb = np.array(a, dtype=np.float32), np.array(b, dtype=np.float32)
-        if not (np.linalg.norm(va) and np.linalg.norm(vb)):
-            return
-        assert cosine(va, vb) == cosine(vb, va)
-
-
 class TestEncodeStore:
     def test_shape_and_order(self, corpus_store):
         vs = encode_store(corpus_store, HashEmbedder(dim=384))
         assert vs.dim == 384
         assert len(vs) == len(corpus_store)
-        assert list(vs.ids) == corpus_store.ids()
+        assert vs.ids == corpus_store.event_ids
 
     def test_id_sets_match_exactly(self, corpus_store):
         vs = encode_store(corpus_store, HashEmbedder())
-        assert set(vs.ids) == set(corpus_store.ids())
+        assert set(vs.ids) == set(corpus_store.event_ids)
 
     def test_encoding_twice_is_byte_identical(self, corpus_store, tmp_path):
         a, b = tmp_path / "a.tmv", tmp_path / "b.tmv"
@@ -185,7 +153,7 @@ class TestEncodeStore:
     def test_embed_failure_names_the_event(self, corpus_store):
         from temporal_memory.events import Event
 
-        bad = Event(event_id="bad-one", ts=corpus_store.events[0].ts, text_repr="|||")
+        bad = Event(event_id="bad-one", ts=corpus_store[0].ts, text_repr="|||")
         from temporal_memory.events import EventStore
 
         store = EventStore(events=(bad,))
@@ -224,7 +192,7 @@ class TestEncodeStore:
                 return vec
 
         assert NearEmbedder().embed("a").tobytes() != NearEmbedder().embed("b").tobytes()
-        start = corpus_store.events[0].ts
+        start = corpus_store[0].ts
         store = EventStore(events=tuple(
             Event(event_id=f"e{i}", ts=start + timedelta(seconds=i), text_repr=text)
             for i, text in enumerate(["c", "a", "b", "c", "b"])
@@ -238,7 +206,7 @@ class TestEncodeStore:
     def test_an_all_distinct_store_gives_each_event_its_own_row(self, corpus_store):
         from temporal_memory.events import Event, EventStore
 
-        start = corpus_store.events[0].ts
+        start = corpus_store[0].ts
         store = EventStore(events=tuple(
             Event(event_id=f"e{i:03d}", ts=start + timedelta(seconds=i), text_repr=f"host{i} auth_fail user{i % 7}")
             for i in range(120)
@@ -258,7 +226,7 @@ class TestEncodeStore:
             def embed(self, text):
                 return np.array([7e4, 0, 0, 0] if text == "loud" else [0, 1, 0, 0], dtype=np.float32)
 
-        start = corpus_store.events[0].ts
+        start = corpus_store[0].ts
         store = EventStore(events=tuple(
             Event(event_id=f"e{i}", ts=start + timedelta(seconds=i), text_repr=text)
             for i, text in enumerate(["quiet", "loud", "quiet", "loud"])
@@ -270,7 +238,7 @@ class TestEncodeStore:
     def test_repeated_unembeddable_text_names_its_first_event(self, corpus_store):
         from temporal_memory.events import Event, EventStore
 
-        start = corpus_store.events[0].ts
+        start = corpus_store[0].ts
         texts = ["okta auth_fail", "|||", "--", "|||"]
         store = EventStore(events=tuple(
             Event(event_id=f"e{i}", ts=start + timedelta(seconds=i), text_repr=text) for i, text in enumerate(texts)
@@ -620,7 +588,7 @@ class TestIdColumn:
 def test_a_store_of_the_timeline_keeps_the_column(tmp_path):
     vs = read_vector_file(_column_file(tmp_path, "TMV2"))
     store = EventStore.of_timeline(vs.ids, vs.ts_us)
-    assert store.event_ids is vs.ids and store.ids() == list(_IDS)
+    assert store.event_ids is vs.ids and store.event_ids == _IDS
 
 
 class TestExternalInjection:
@@ -639,7 +607,7 @@ class TestExternalInjection:
 
     def test_externally_built_file_feeds_the_pipeline(self, corpus_store, tmp_path):
         path = tmp_path / "external.tmv"
-        self._independent_writer(path, corpus_store.ids(), 384)
+        self._independent_writer(path, corpus_store.event_ids, 384)
         vs = read_vector_file(path)
         assert vs.dim == 384
         check_alignment(corpus_store, vs)
@@ -647,7 +615,7 @@ class TestExternalInjection:
 
     def test_misaligned_ids_rejected(self, corpus_store, tmp_path):
         path = tmp_path / "external.tmv"
-        ids = corpus_store.ids()
+        ids = list(corpus_store.event_ids)
         ids[0], ids[1] = ids[1], ids[0]
         self._independent_writer(path, ids, 384)
         with pytest.raises(ValueError, match="align"):

@@ -264,7 +264,7 @@ class TestAgainstIndependentScorer:
         params = RetrievalParams(alpha=0.7, now=NOW, top_k=10)
         q = HashEmbedder(dim=128).embed("okta mfa challenge denied")
         hits = rank(q, store, vecs, params)
-        relevant = store.ids()
+        relevant = store.event_ids
         # manual: newest relevant timestamp, then linear scan of the top 10
         newest = max(e.ts for e in store)
         manual = 0

@@ -32,7 +32,7 @@ from temporal_memory.events import (
     write_events_jsonl,
 )
 
-from conftest import build_event, store_of
+from conftest import build_event, store_of, ts_order
 
 UTC = timezone.utc
 
@@ -233,7 +233,7 @@ class TestIngest:
         _write_jsonl(src, JSONL_FIXTURE)
         once = ingest([src])
         twice = ingest([src, src])
-        assert twice.events == once.events
+        assert twice == once
         assert twice.duplicates_dropped == 3
 
     def test_shuffling_lines_changes_nothing(self, tmp_path):
@@ -244,7 +244,7 @@ class TestIngest:
             src = tmp_path / f"in{i}.jsonl"
             _write_jsonl(src, records)
             stores.append(ingest([src]))
-        assert all(s.events == stores[0].events for s in stores)
+        assert all(s == stores[0] for s in stores)
 
     def test_reingesting_canonical_output_is_identity(self, tmp_path):
         src = tmp_path / "in.jsonl"
@@ -253,7 +253,7 @@ class TestIngest:
         out = tmp_path / "events.jsonl"
         write_events_jsonl(store, out)
         again = load_events_jsonl(out)
-        assert again.events == store.events
+        assert again == store
         out2 = tmp_path / "events2.jsonl"
         write_events_jsonl(again, out2)
         assert out.read_bytes() == out2.read_bytes()
@@ -424,7 +424,7 @@ def _stores(draw) -> EventStore:
         ),
         min_size=1, max_size=8, unique_by=lambda e: e.event_id,
     ))
-    return EventStore(events=tuple(sorted(events, key=Event.sort_key)))
+    return EventStore(events=tuple(sorted(events, key=ts_order)))
 
 
 @st.composite
@@ -441,7 +441,7 @@ def _stores_sharing_values(draw) -> EventStore:
         ),
         min_size=1, max_size=8, unique_by=lambda e: e.event_id,
     ))
-    return EventStore(events=tuple(sorted(events, key=Event.sort_key)))
+    return EventStore(events=tuple(sorted(events, key=ts_order)))
 
 
 def _dumps_each_event(store: EventStore) -> list[str]:
@@ -485,12 +485,12 @@ class TestLoadCanonicalStore:
             path, again = Path(tmp) / "events.jsonl", Path(tmp) / "again.jsonl"
             write_events_jsonl(store, path)
             loaded = load_events_jsonl(path)
-            assert loaded.events == store.events
+            assert loaded == store
             assert loaded.texts == store.texts and loaded.text_index.tolist() == store.text_index.tolist()
             # ingest skips a record whose event_id holds a newline; the loader keeps it.
-            kept = tuple(e for e in loaded.events if "\n" not in e.event_id)
+            kept = tuple(e for e in loaded if "\n" not in e.event_id)
             if kept:
-                assert ingest([path]).events == kept
+                assert ingest([path]) == kept
             else:
                 with pytest.raises(IngestError, match="no parseable records"):
                     ingest([path])
@@ -499,7 +499,7 @@ class TestLoadCanonicalStore:
 
     def test_pipeline_store_loads_as_ingest_reads_it(self, pipeline_ws):
         path = pipeline_ws / "data" / "events.jsonl"
-        assert load_events_jsonl(path).events == ingest([path]).events
+        assert load_events_jsonl(path) == ingest([path])
 
     @pytest.mark.parametrize("case", REJECTIONS)
     def test_rejects_a_broken_line_naming_it(self, tmp_path, case):
@@ -562,10 +562,10 @@ class TestEventStore:
 
     def test_of_timeline_holds_each_events_id_and_exact_ts(self, pipeline_ws):
         loaded = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
-        bare = EventStore.of_timeline(loaded.ids(), np.array(loaded.ts_us))
+        bare = EventStore.of_timeline(loaded.event_ids, np.array(loaded.ts_us))
         assert [(e.event_id, e.ts) for e in bare] == [(e.event_id, e.ts) for e in loaded]
         assert [e.ts.isoformat() for e in bare] == [e.ts.isoformat() for e in loaded]
-        assert bare.events[0] == Event(loaded.events[0].event_id, loaded.events[0].ts)
+        assert bare[0] == Event(loaded[0].event_id, loaded[0].ts)
         assert np.array_equal(bare.ts_us, loaded.ts_us) and not bare.ts_us.flags.writeable
 
     def test_of_timeline_copies_the_callers_array(self):
@@ -580,18 +580,17 @@ class TestEventStore:
     def test_of_timeline_events_read_as_the_tuple_of_bare_events(self, pipeline_ws):
         loaded = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
         bare = tuple(Event(e.event_id, e.ts) for e in loaded)
-        store = EventStore.of_timeline(loaded.ids(), loaded.ts_us)
-        events = store.events
-        assert len(events) == len(store) == len(bare)
-        assert events[0] == bare[0] and events[-1] == bare[-1] and events[np.int64(5)] == bare[5]
+        store = EventStore.of_timeline(loaded.event_ids, loaded.ts_us)
+        assert len(store) == len(bare)
+        assert store[0] == bare[0] and store[-1] == bare[-1] and store[np.int64(5)] == bare[5]
         for part in (slice(5, 17), slice(None, None, -400), slice(3, 3), slice(-2, None)):
-            assert events[part] == bare[part]
-        assert tuple(events) == tuple(store) == bare
+            assert store[part] == bare[part]
+        assert tuple(store) == bare
         assert store.week_range() == loaded.week_range()
         with pytest.raises(IndexError):
-            events[len(bare)]
+            store[len(bare)]
         with pytest.raises(TypeError):
-            events[0] = bare[0]
+            store[0] = bare[0]
 
     def test_columns_hold_each_distinct_text_once_and_events_are_built_fresh(self, pipeline_ws):
         loaded = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
@@ -602,10 +601,10 @@ class TestEventStore:
         rebuilt = EventStore(events=events)
         assert rebuilt.event_ids == loaded.event_ids and rebuilt.texts == loaded.texts
         assert np.array_equal(rebuilt.ts_us, loaded.ts_us) and np.array_equal(rebuilt.text_index, loaded.text_index)
-        assert rebuilt.events == loaded.events
-        loaded.events[0].context["edited"] = "yes"
+        assert rebuilt == loaded
+        loaded[0].context["edited"] = "yes"
         next(iter(loaded)).context.clear()
-        assert loaded.events[0].context == events[0].context != {}
+        assert loaded[0].context == events[0].context != {}
 
     @pytest.mark.parametrize("ids, ts_us, message", [
         (["a", "b"], [2, 1], "not sorted by ts: b is older"),

@@ -139,22 +139,22 @@ def _as_of(store, vecs, cutoff) -> list:
 class TestAsOfFilter:
     def test_cutoff_before_first_event_is_empty(self, indexed_corpus):
         store, vecs = indexed_corpus
-        assert _as_of(store, vecs, store.events[0].ts - timedelta(seconds=1)) == []
+        assert _as_of(store, vecs, store[0].ts - timedelta(seconds=1)) == []
 
     def test_cutoff_at_last_event_keeps_everything(self, indexed_corpus):
         store, vecs = indexed_corpus
-        assert len(_as_of(store, vecs, store.events[-1].ts)) == len(store)
+        assert len(_as_of(store, vecs, store[-1].ts)) == len(store)
 
     def test_mid_stream_cutoff_matches_brute_force(self, indexed_corpus):
         store, vecs = indexed_corpus
-        cutoff = store.events[len(store) // 2].ts
-        expected = sorted(e.event_id for e in store.events if e.ts <= cutoff)
+        cutoff = store[len(store) // 2].ts
+        expected = sorted(e.event_id for e in store if e.ts <= cutoff)
         assert sorted(h.event_id for h in _as_of(store, vecs, cutoff)) == expected
 
     @given(st.integers(0, 49))
     def test_every_survivor_is_on_or_before_cutoff(self, indexed_corpus, idx):
         store, vecs = indexed_corpus
-        cutoff = store.events[idx].ts
+        cutoff = store[idx].ts
         assert all(h.ts <= cutoff for h in _as_of(store, vecs, cutoff))
 
 
@@ -253,7 +253,7 @@ class TestRank:
 
     def test_oracle_agreement_under_as_of(self, indexed_corpus):
         store, vecs = indexed_corpus
-        cutoff = store.events[30].ts
+        cutoff = store[30].ts
         params = RetrievalParams(alpha=0.7, now=NOW, top_k=10)
         q = HashEmbedder(dim=384).embed("scan completed on subnet")
         hits = rank(q, store, vecs, params, as_of=cutoff)
@@ -272,7 +272,7 @@ class TestRank:
 
     def test_empty_result_when_cutoff_precedes_stream(self, indexed_corpus):
         store, vecs = indexed_corpus
-        cutoff = store.events[0].ts - timedelta(days=1)
+        cutoff = store[0].ts - timedelta(days=1)
         q = HashEmbedder(dim=384).embed("anything")
         assert rank(q, store, vecs, RetrievalParams(now=NOW), as_of=cutoff) == []
 
@@ -293,7 +293,7 @@ class TestRank:
 
     def test_future_events_warn_and_clamp(self, indexed_corpus):
         store, vecs = indexed_corpus
-        early_now = store.events[10].ts  # later events are "future" from here
+        early_now = store[10].ts  # later events are "future" from here
         params = RetrievalParams(now=early_now, top_k=len(store))
         with pytest.warns(UserWarning, match="clamped"):
             hits = rank(HashEmbedder(dim=384).embed("okta"), store, vecs, params)
@@ -306,7 +306,7 @@ class TestRank:
 
     def test_top_k_at_or_above_candidates_returns_all_in_order(self, indexed_corpus):
         store, vecs = indexed_corpus
-        cutoff = store.events[20].ts
+        cutoff = store[20].ts
         n = sum(e.ts <= cutoff for e in store)
         q = HashEmbedder(dim=384).embed("okta auth_fail mfa challenge denied")
         for k in (n, n + 1, 10 * n):
@@ -334,11 +334,11 @@ class TestRank:
             q = rng.standard_normal(384).astype(np.float32)
             hits = rank(q, store, vecs, params, mode="cosine_only")
             assert len({h.cosine_sim for h in hits}) == 1
-            assert [h.event_id for h in hits] == [e.event_id for e in reversed(store.events)]
+            assert [h.event_id for h in hits] == [e.event_id for e in reversed(store)]
 
     def test_as_of_equal_to_an_event_ts_is_inclusive(self, indexed_corpus):
         store, vecs = indexed_corpus
-        target = store.events[17]
+        target = store[17]
         q = HashEmbedder(dim=384).embed("anything")
         params = RetrievalParams(now=NOW, top_k=len(store))
         hits = rank(q, store, vecs, params, as_of=target.ts)
@@ -363,11 +363,13 @@ class TestRank:
         with pytest.raises(ValueError, match=f"^vector for {vecs.ids[3]} has .*; cosine is undefined$"):
             VectorStore(vecs.dim, vecs.ids, *group_rows(rows))
 
-    def test_non_finite_query_rejected(self, indexed_corpus):
+    @pytest.mark.parametrize("component, value", [(5, np.nan), (5, np.inf), (slice(None), 3e19)],
+                             ids=["nan", "inf", "squared-norm-overflows"])
+    def test_non_finite_query_rejected(self, indexed_corpus, component, value):
         store, vecs = indexed_corpus
         q = np.ones(384, dtype=np.float32)
-        q[5] = np.nan
-        with pytest.raises(ValueError, match="norm"):
+        q[component] = value
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm"):
             rank(q, store, vecs, RetrievalParams(now=NOW))
 
 
@@ -399,7 +401,7 @@ def tie_stores(draw, vectors=_int_vecs, max_pool=3, future_minutes=0, max_instan
             row_of[event_id] = pool[vec]
     store = store_of(events)
     rows = np.array([row_of[e.event_id] for e in store], dtype=np.float16)
-    return store, VectorStore(4, tuple(store.ids()), *group_rows(rows))
+    return store, VectorStore(4, store.event_ids, *group_rows(rows))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -464,8 +466,8 @@ def full_rank(query_vec, store, vecs, params, mode="fused", as_of=None):
     top = cand[np.lexsort((cand, -ts_us[cand], -score[cand]))][:k]
     return [
         RankedHit(
-            event_id=store.events[i].event_id,
-            ts=store.events[i].ts,
+            event_id=store[i].event_id,
+            ts=store[i].ts,
             cosine_sim=float(cos[i]),
             age_days=float(ages[i]),
             recency_weight=float(weights[i]),
@@ -519,10 +521,10 @@ def test_rank_equals_full_rank_over_the_eval_suite(pipeline_ws, mode):
     vecs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
     store = EventStore.of_timeline(vecs.ids, vecs.ts_us)
     config = json.loads((pipeline_ws / "logs" / "eval.json").read_text(encoding="utf-8"))
-    cutoffs = [None, store.events[0].ts, store.events[len(store) // 2].ts]
+    cutoffs = [None, store[0].ts, store[len(store) // 2].ts]
     cutoffs += [parse_cutoff(q["cutoff"]) for q in config["queries"] if "cutoff" in q]
     # The suite's now, and a now halfway through the stream (half the events future-dated).
-    nows = (coerce_timestamp(config["now"]), store.events[len(store) // 2].ts)
+    nows = (coerce_timestamp(config["now"]), store[len(store) // 2].ts)
     embedder = HashEmbedder(dim=vecs.dim)
     for query in config["queries"]:
         q = embedder.embed(query["text"])

@@ -115,7 +115,7 @@ class TestStreamShape:
         assert store.duplicates_dropped == 0
         assert len(store) == result.total_events
         truth = json.loads(result.ground_truth_path.read_text())
-        store_ids = set(store.ids())
+        store_ids = set(store.event_ids)
         for entry in truth["topics"].values():
             assert set(entry["event_ids"]) <= store_ids
 
