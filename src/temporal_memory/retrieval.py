@@ -122,7 +122,7 @@ def rank(
     query = np.asarray(query_vec, dtype=np.float32)
     if query.shape != (vecs.dim,):
         raise ValueError(f"query dim {query.shape} does not match store dim {vecs.dim}")
-    qnorm = float(np.linalg.norm(query))
+    qnorm = float(np.sqrt(query.dot(query)))
     if qnorm == 0.0 or not np.isfinite(qnorm):
         raise ValueError(f"query vector has norm {qnorm}")
 
