@@ -192,6 +192,17 @@ def _neg_id(event_id: str):
     return tuple(-b for b in event_id.encode())
 
 
+def _cosines(query, rows) -> list[float]:
+    """rank's cosine_only similarity of ``query`` to each float16 row, in row order."""
+    rows = np.array(rows, dtype=np.float16)
+    store = store_of(Event(event_id=f"e{i:02d}", ts=NOW - timedelta(days=i)) for i in range(len(rows)))
+    vecs = VectorStore(rows.shape[1], store.event_ids, *group_rows(rows[::-1]))
+    hits = rank(np.asarray(query, dtype=np.float32), store, vecs,
+                RetrievalParams(now=NOW, top_k=len(rows)), mode="cosine_only")
+    cos_of = {hit.event_id: hit.cosine_sim for hit in hits}
+    return [cos_of[f"e{i:02d}"] for i in range(len(rows))]
+
+
 class TestRank:
     def test_equal_cosine_newer_wins_under_fused(self):
         old = datetime(2025, 4, 1, tzinfo=UTC)
@@ -275,6 +286,17 @@ class TestRank:
         cutoff = store[0].ts - timedelta(days=1)
         q = HashEmbedder(dim=384).embed("anything")
         assert rank(q, store, vecs, RetrievalParams(now=NOW), as_of=cutoff) == []
+
+    def test_cosine_of_a_row_with_itself_is_one(self):
+        row = HashEmbedder().embed("any text at all").astype(np.float16)
+        assert _cosines(row, [row]) == [pytest.approx(1.0, abs=1e-6)]
+
+    def test_orthogonal_rows_score_cosine_zero(self):
+        assert _cosines([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]) == [1.0, 0.0]
+
+    def test_row_at_45_degrees_scores_cosine_sqrt_half(self):
+        r = 2**0.5 / 2
+        assert _cosines([1.0, 0.0], [[r, r]]) == [pytest.approx(0.7071, abs=1e-4)]
 
     def test_dim_mismatch_rejected(self, indexed_corpus):
         store, vecs = indexed_corpus
@@ -377,6 +399,11 @@ class TestRank:
 # exact, so rows with equal (dot, squared norm) score bit-identically in
 # rank and in the oracle, and exact ties are ties in both.
 _int_vecs = st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any)
+
+
+@given(_int_vecs, _int_vecs)
+def test_rank_cosine_is_symmetric_in_query_and_row(a, b):
+    assert _cosines(a, [b]) == _cosines(b, [a])
 
 
 @st.composite
