@@ -210,17 +210,15 @@ def _sha256(path: Path) -> str:
 
 
 def _portable(ws: Workspace, value):
-    """Render paths relative to the workspace so manifests are location-independent."""
+    """A Path under the workspace relative to it, any other Path absolute, and any other value as it is."""
     if isinstance(value, (list, tuple)):
         return [_portable(ws, v) for v in value]
-    if isinstance(value, Path):
-        value = str(value)
-    if isinstance(value, str):
-        try:
-            return str(Path(value).resolve().relative_to(ws.root.resolve()))
-        except ValueError:
-            return value
-    return value
+    if not isinstance(value, Path):
+        return value
+    try:
+        return str(value.resolve().relative_to(ws.root.resolve()))
+    except ValueError:
+        return os.path.abspath(value)
 
 
 def _write_run_manifest(ws: Workspace, command: str, params: dict, outputs: list[Path]) -> None:
@@ -241,14 +239,16 @@ def _cmd_gen(ws: Workspace, args) -> None:
     result = generate_stream(args.seed, ws.logs)
     print(f"generated {result.total_events} events across {len(result.log_files)} weekly files in {ws.logs}")
     _write_run_manifest(
-        ws, "gen", {"seed": args.seed, "out": str(ws.logs)},
+        ws, "gen", {"seed": args.seed, "out": ws.logs},
         [*result.log_files, result.ground_truth_path, result.eval_config_path],
     )
 
 
 def _cmd_ingest(ws: Workspace, args) -> None:
-    if args.input:
+    if args.input is not None:
         paths = [Path(p) for p in args.input]
+        if not paths:
+            raise MissingArtifact("--input names no files (name one or more, or leave --input out)")
     else:
         ws.require(ws.logs, "gen")
         paths = sorted(p for p in ws.logs.iterdir() if p.suffix in (".jsonl", ".csv"))
@@ -265,7 +265,7 @@ def _cmd_ingest(ws: Workspace, args) -> None:
     write_json(m, ws.manifest)
     print(f"ingested {m['events']} events ({m['skipped']} skipped, "
           f"{m['duplicates_dropped']} duplicates) weeks {m['week_range']}")
-    _write_run_manifest(ws, "ingest", {"inputs": [str(p) for p in paths]}, [ws.events, ws.manifest])
+    _write_run_manifest(ws, "ingest", {"inputs": paths}, [ws.events, ws.manifest])
 
 
 def _cmd_embed(ws: Workspace, args) -> None:
@@ -379,7 +379,7 @@ def _cmd_eval(ws: Workspace, args) -> None:
     print(write_report_md(report, ws.report_md))
     _write_run_manifest(
         ws, "eval",
-        {"eval_config": str(config_path), "alpha": recency.alpha,
+        {"eval_config": config_path, "alpha": recency.alpha,
          "half_life_days": recency.half_life_days, "cluster_seed": args.cluster_seed,
          **asdict(trend_params)},
         [ws.report_json, ws.report_md],

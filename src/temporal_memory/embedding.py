@@ -52,8 +52,7 @@ class IdColumn(Sequence[str]):
     ``offsets`` holds each id's start and, last, ``len(data)``, so id i is
     ``data[offsets[i]:offsets[i + 1] - 1]``: the Apache Arrow variable-size
     binary layout, with the newline kept after each id. ``data`` must be valid
-    UTF-8. A slice gives a tuple; a column equals a tuple, or a column, of the
-    same ids.
+    UTF-8.
     """
 
     def __init__(self, data: bytes, offsets: np.ndarray) -> None:
@@ -63,8 +62,6 @@ class IdColumn(Sequence[str]):
         return len(self._offsets) - 1
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
         n, i = len(self), operator.index(i)
         if i < 0:
             i += n
@@ -74,14 +71,6 @@ class IdColumn(Sequence[str]):
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._data.decode("utf-8").split("\n")[:-1])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IdColumn):
-            return self._data == other._data
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"IdColumn({tuple(self)!r})"
 
 
 class VectorFileError(RuntimeError):

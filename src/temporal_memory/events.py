@@ -76,10 +76,6 @@ class Event:
     risk_tag: tuple[str, ...] = ()
     text_repr: str = ""
 
-    def to_json(self) -> str:
-        """The event's events.jsonl line, without its newline, as :func:`write_events_jsonl` writes it."""
-        return next(_json_lines(EventStore((self,))))
-
 
 # Canonical field order for events.jsonl lines.
 EVENT_FIELDS = tuple(f.name for f in fields(Event))
@@ -271,19 +267,13 @@ class EventStore(Sequence[Event]):
         return len(self.event_ids)
 
     def __getitem__(self, i):
-        """Event ``i`` built from the columns (a slice gives a tuple): the one place a store builds an Event."""
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        """Event ``i`` built from the columns: the one place a store builds an Event."""
         event_id = self.event_ids[i]
         product, event_type, asset_id, msg, context, tech, attack, risk_tag = self._records[self._record_index[i]]
         return Event(
             event_id, from_epoch_us(int(self.ts_us[i])), product, event_type, asset_id, msg, dict(context),
             tech, attack, risk_tag, self.texts[self.text_index[i]],
         )
-
-    def __eq__(self, other) -> bool:
-        """Equal to a store, or a tuple, of equal events."""
-        return tuple(self) == (tuple(other) if isinstance(other, EventStore) else other)
 
     def week_range(self) -> tuple[WeekKey, WeekKey] | None:
         if not len(self):
@@ -373,9 +363,9 @@ def _build_event(fields: dict) -> tuple[tuple, bool]:
 
 
 def read_mapping(path: Path | str) -> dict[str, str]:
-    """Read a CSV column mapping file of `field=column` lines."""
+    """Read a CSV column mapping file of `field=column` lines (a leading UTF-8 byte-order mark is dropped)."""
     mapping: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -387,9 +377,10 @@ def read_mapping(path: Path | str) -> dict[str, str]:
 
 
 # Raw inputs are decoded with surrogateescape, so an invalid UTF-8 byte becomes
-# a lone surrogate in its record, which _build_event then rejects.
+# a lone surrogate in its record, which _build_event then rejects; utf-8-sig drops
+# a leading byte-order mark, which would otherwise begin the first line or CSV header.
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, str]]:
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open(encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
@@ -407,7 +398,7 @@ def _json_object(line: str) -> dict:
 
 
 def _iter_csv(path: Path, mapping: dict[str, str]) -> Iterator[tuple[int, dict]]:
-    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with path.open(encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         for line_no, row in enumerate(reader, start=2):  # header is line 1
             fields = {}

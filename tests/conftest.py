@@ -15,6 +15,7 @@ from temporal_memory.events import (
     build_text_repr,
     coerce_timestamp,
     derive_event_id,
+    write_events_jsonl,
 )
 
 
@@ -53,6 +54,12 @@ def store_of(events) -> EventStore:
     ids = [e.event_id for e in ordered]
     assert len(set(ids)) == len(ids), "fixture events must have unique ids"
     return EventStore(events=ordered)
+
+
+def events_jsonl_line(event: Event, path) -> str:
+    """The line, without its newline, that write_events_jsonl writes to ``path`` for a store of ``event`` alone."""
+    write_events_jsonl(EventStore((event,)), path)
+    return path.read_text(encoding="utf-8").removesuffix("\n")
 
 
 # Deterministic 50-event corpus: five near-duplicate families at distinct

@@ -14,11 +14,11 @@ from temporal_memory.events import Event, EventStore, WeekKey, load_events_jsonl
 from temporal_memory.retrieval import RankedHit
 from temporal_memory.tracking import TrendRecord, WeekCluster, write_clusters_csv
 
-from conftest import corpus_events, store_of
+from conftest import corpus_events, events_jsonl_line, store_of
 
 
 class TestRecordLayouts:
-    def test_event_json_line(self):
+    def test_event_json_line(self, tmp_path):
         event = Event(
             event_id="ev-1",
             ts=datetime(2025, 3, 4, 5, 6, 7, 890123, tzinfo=timezone.utc),
@@ -31,7 +31,7 @@ class TestRecordLayouts:
             attack=("credential access", "brute force"),
             text_repr="okta | auth_fail | idp-01 | Anmeldung für Jörg",
         )
-        assert event.to_json() == (
+        assert events_jsonl_line(event, tmp_path / "events.jsonl") == (
             '{"event_id":"ev-1","ts":"2025-03-04T05:06:07.890123+00:00","product":"okta",'
             '"event_type":"auth_fail","asset_id":"idp-01","msg":"Anmeldung für Jörg — blockiert \\"x\\"",'
             '"context":{"zone":"eu-west","weight":"1.5"},"tech":["T1110"],'
@@ -147,7 +147,7 @@ class TestAtomicWrites:
         path = tmp_path / "events.jsonl"
         path.write_text("stale\n", encoding="utf-8")
         write_events_jsonl(store, path)
-        assert load_events_jsonl(path) == store
+        assert tuple(load_events_jsonl(path)) == tuple(store)
         assert [p.name for p in tmp_path.iterdir()] == ["events.jsonl"]
 
     def test_pipeline_workspace_holds_only_its_artifacts(self, pipeline_ws):

@@ -209,6 +209,14 @@ class TestExitCodes:
         assert [f["path"] for f in manifest["files"]] == ["events-2025-W14.jsonl", "other-source.jsonl"]
         assert manifest["events"] == 2
 
+    def test_ingest_with_an_empty_input_list_exits_2_and_reads_no_logs(self, tmp_path, capsys):
+        logs = tmp_path / "ws" / "logs"
+        logs.mkdir(parents=True)
+        (logs / "events-2025-W14.jsonl").write_text('{"ts": "2025-04-01T10:00:00Z", "msg": "generated"}\n')
+        assert run("--workspace", str(tmp_path / "ws"), "ingest", "--input") == 2
+        assert "--input" in capsys.readouterr().err
+        assert not (tmp_path / "ws" / "data").exists()
+
     @pytest.mark.parametrize("top_k", [2.7, True, "10"])
     def test_eval_config_top_k_must_be_a_positive_integer(self, tmp_path, pipeline_ws, capsys, top_k):
         ws = tmp_path / "ws"
@@ -432,6 +440,30 @@ class TestPipelineArtifacts:
         params = json.loads((ws / "results" / "run_eval.json").read_text())["params"]
         assert params == {**asdict(TrendParams(k=3)), "eval_config": config, "alpha": RetrievalParams.alpha,
                           "half_life_days": RetrievalParams.half_life_days, "cluster_seed": 42}
+
+    def test_manifest_keeps_a_parameter_that_is_no_path_as_it_is(self, tmp_path, monkeypatch):
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"ts": "2025-04-01T10:00:00Z", "msg": "one"}\n', encoding="utf-8")
+        ws = tmp_path / "ws"
+        assert run("--workspace", str(ws), "ingest", "--input", str(src)) == 0
+        (ws / "sub").mkdir()
+        monkeypatch.chdir(ws / "sub")
+        assert run("--workspace", "..", "embed") == 0
+        params = json.loads((ws / "results" / "run_embed.json").read_text())["params"]
+        assert params == {"dim": 384, "embedder": "hash"}
+
+    def test_manifest_paths_are_workspace_relative_inside_it_and_absolute_outside(self, tmp_path, monkeypatch):
+        lines = ['{"ts": "2025-04-01T10:00:00Z", "msg": "a"}\n', '{"ts": "2025-04-02T10:00:00Z", "msg": "b"}\n']
+        (tmp_path / "in").mkdir()
+        (tmp_path / "ws" / "logs").mkdir(parents=True)
+        (tmp_path / "in" / "a.jsonl").write_text(lines[0], encoding="utf-8")
+        (tmp_path / "ws" / "logs" / "b.jsonl").write_text(lines[1], encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run("--workspace", "ws", "ingest", "--input", "in/a.jsonl", "ws/logs/b.jsonl") == 0
+        inputs = json.loads((tmp_path / "ws" / "results" / "run_ingest.json").read_text())["params"]["inputs"]
+        assert inputs == [str(tmp_path / "in" / "a.jsonl"), "logs/b.jsonl"]
+        monkeypatch.chdir(tmp_path / "ws")  # read from the workspace, each names the file ingested
+        assert [Path(p).read_text(encoding="utf-8") for p in inputs] == lines
 
     def test_trends_and_eval_manifests_agree_on_every_trend_parameter(self, pipeline_ws):
         def params(command):
@@ -738,7 +770,7 @@ class TestEmbedOptions:
         code = run("--workspace", str(ws), "embed", "--embedder", f"external:{external}")
         assert code == 0
         written, given = read_vector_file(ws / "data" / "vectors.tmv"), read_vector_file(external)
-        assert written.ids == given.ids
+        assert tuple(written.ids) == tuple(given.ids)
         assert written.vectors.tobytes() == given.vectors.tobytes()
         assert np.array_equal(written.ts_us, vs.ts_us) and written.events_sha256 == vs.events_sha256
         assert run("--workspace", str(ws), "query", "--text", "okta auth_fail") == 0
