@@ -491,11 +491,11 @@ class TestTMV2Reader:
 _IDS = ("ev-0", "é", "日本語-id", "🦊", "", "x y", "ev-6")
 
 
-def _column_file(tmp_path, fmt: str, ids=_IDS, vectors=None, name="v") -> Path:
+def _column_file(tmp_path, fmt: str, ids=_IDS, vectors=None) -> Path:
     """A TMV1 or TMV2 file holding ``ids`` and ``vectors`` (default: one distinct unit row per id)."""
     vectors = np.eye(len(ids), max(len(ids), 2), dtype=np.float16) if vectors is None else vectors
     rows, index = group_rows(np.asarray(vectors, dtype=np.float16))
-    path = tmp_path / f"{name}.tmv"
+    path = tmp_path / "v.tmv"
     if fmt == "TMV1":
         path.write_bytes(tmv1_bytes(ids, vectors))
     else:
@@ -516,7 +516,7 @@ class TestIdColumn:
         assert list(ids) == data[start:end - 1].decode("utf-8").split("\n") == list(_IDS)
         assert len(ids) == len(_IDS) and isinstance(ids, Sequence)
 
-    def test_indexing_and_negative_indices_match_a_tuple(self, tmp_path, fmt):
+    def test_indexing_negative_indices_and_slices_match_a_tuple(self, tmp_path, fmt):
         ids = read_vector_file(_column_file(tmp_path, fmt)).ids
         n = len(_IDS)
         assert [ids[i] for i in range(-n, n)] == [_IDS[i] for i in range(-n, n)]

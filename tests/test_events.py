@@ -608,6 +608,8 @@ class TestEventStore:
         with pytest.raises(IndexError):
             store[len(bare)]
         with pytest.raises(TypeError):
+            store[5:17]
+        with pytest.raises(TypeError):
             store[0] = bare[0]
 
     def test_columns_hold_each_distinct_text_once_and_events_are_built_fresh(self, pipeline_ws):
