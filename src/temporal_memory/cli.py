@@ -265,7 +265,8 @@ def _cmd_ingest(ws: Workspace, args) -> None:
     write_json(m, ws.manifest)
     print(f"ingested {m['events']} events ({m['skipped']} skipped, "
           f"{m['duplicates_dropped']} duplicates) weeks {m['week_range']}")
-    _write_run_manifest(ws, "ingest", {"inputs": paths}, [ws.events, ws.manifest])
+    params = {"inputs": paths, **({"mapping": Path(args.mapping)} if args.mapping else {})}
+    _write_run_manifest(ws, "ingest", params, [ws.events, ws.manifest])
 
 
 def _cmd_embed(ws: Workspace, args) -> None:
@@ -283,6 +284,7 @@ def _cmd_embed(ws: Workspace, args) -> None:
         ws.require(source, "an external embedding step")
         vs = read_vector_file(source)
         check_alignment(store, vs)
+        choice = f"external:{_portable(ws, source)}"  # its path recorded as every manifest path is
     write_vector_file(replace(vs, ts_us=store.ts_us, events_sha256=_sha256(ws.events)), ws.vectors)
     print(f"embedded {len(vs)} events at dim {vs.dim} -> {ws.vectors}")
     _write_run_manifest(ws, "embed", {"dim": vs.dim, "embedder": choice}, [ws.vectors])

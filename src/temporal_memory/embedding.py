@@ -18,7 +18,7 @@ import operator
 import re
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -88,14 +88,24 @@ def tokenize(text: str) -> list[str]:
 _BLAKE2B_8 = hashlib.blake2b(digest_size=8)
 
 
+@lru_cache(maxsize=1 << 16)
+def _feature_hash(feature: str) -> int:
+    """The feature's unkeyed 8-byte BLAKE2b digest as a little-endian int, cached for the process."""
+    blake2b = _BLAKE2B_8.copy()
+    blake2b.update(feature.encode("utf-8"))
+    return int.from_bytes(blake2b.digest(), "little")
+
+
 @dataclass(frozen=True)
 class HashEmbedder:
     """Unit-norm signed-bucket hashes of a text's unigrams and adjacent bigrams.
 
     A feature whose 64-bit hash is h adds +1 to bucket h % dim if h's top bit
-    is set, else -1. Each instance hashes a distinct feature once: ``_buckets``
-    maps it to its (bucket, ±1) for this ``dim`` and lives as long as the
-    instance.
+    is set, else -1. ``_buckets`` maps each distinct feature an instance has
+    seen to its (bucket, ±1) for this ``dim`` and lives as long as the
+    instance; it is filled from :func:`_feature_hash`, which every instance
+    shares, so a fresh instance hashes only features no instance has hashed
+    lately.
     """
 
     dim: int = DEFAULT_DIM
@@ -114,9 +124,7 @@ class HashEmbedder:
         buckets, dim = self._buckets, self.dim
         for feature in features:
             if feature not in buckets:
-                blake2b = _BLAKE2B_8.copy()
-                blake2b.update(feature.encode("utf-8"))
-                h = int.from_bytes(blake2b.digest(), "little")
+                h = _feature_hash(feature)
                 buckets[feature] = (h % dim, 1.0 if h >> 63 else -1.0)
         vec = np.zeros(dim, dtype=np.float32)
         for bucket, sign in map(buckets.__getitem__, features):
@@ -202,6 +210,22 @@ class VectorStore:
         norms = np.linalg.norm(rows, axis=1)
         rows.flags.writeable = norms.flags.writeable = False
         return rows, norms
+
+    @cached_property
+    def holders(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts): each event position grouped by its row, and each row's start in ``order``.
+
+        Row r's holders are ``order[starts[r]:starts[r + 1]]``, in ascending
+        position (a stable argsort of ``index``); ``starts`` ends with
+        ``len(order)``. Every row is held, so no range is empty. Both arrays
+        are read-only.
+        """
+        # numpy sorts 8- and 16-bit keys stably by radix, ~10x faster than intp at 20k events.
+        order = np.argsort(self.index.astype(np.min_scalar_type(len(self.rows) - 1)), kind="stable")
+        starts = np.zeros(len(self.rows) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.index, minlength=len(self.rows)), out=starts[1:])
+        order.flags.writeable = starts.flags.writeable = False
+        return order, starts
 
 
 def group_rows(table: np.ndarray, rows_of: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

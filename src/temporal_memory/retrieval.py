@@ -22,9 +22,11 @@ hits are bit-identical to it.
 
 A VectorStore holds the distinct float16 rows and each event's index into
 them, as a TMV2 vector file does; their float32 copy and norms are built
-once per store and cached on it. Ranking reads only the event store's ids
-and ``ts_us`` columns and builds no Event, so ``tmem query`` ranks over
-``EventStore.of_timeline`` of the vector file's columns: no events.jsonl.
+once per store and cached on it, and so are the holders of each row, which a
+snapshot of the whole store reads in place of two passes over its events.
+Ranking reads only the event store's ids and ``ts_us`` columns and builds no
+Event, so ``tmem query`` ranks over ``EventStore.of_timeline`` of the vector
+file's columns: no events.jsonl.
 """
 
 from __future__ import annotations
@@ -103,6 +105,11 @@ def _as_of_count(store: EventStore, cutoff: datetime | None) -> int:
     return int(np.searchsorted(store.ts_us, epoch_us(cutoff), side="right"))
 
 
+def _floor(best: np.ndarray, k: int) -> float:
+    """The k-th best of ``best``, or -inf when it holds fewer than k scores."""
+    return np.partition(best, len(best) - k)[len(best) - k] if len(best) >= k else -np.inf
+
+
 def rank(
     query_vec: np.ndarray,
     store: EventStore,
@@ -158,14 +165,23 @@ def rank(
     k = min(params.top_k, n)
     if 2 * len(rows) > n:
         cand = np.arange(n)
+    elif n == len(vecs):
+        # The whole store: every row is held, and the store is in ts order,
+        # so each row's last holder in the cached layout is its newest.
+        order, starts = vecs.holders
+        best = score(slice(None), ts_us[order[starts[1:] - 1]])[-1]
+        reach = np.flatnonzero(best >= _floor(best, k) - _POW_TOL)
+        # The holders of the reached rows: each row's range of ``order``, laid end to end.
+        lo, sizes = starts[reach], starts[reach + 1] - starts[reach]
+        ends = np.cumsum(sizes)
+        cand = order[np.arange(ends[-1]) + np.repeat(lo - ends + sizes, sizes)]
     else:
         newest = np.full(len(rows), _NO_TS)
         np.maximum.at(newest, index, ts_us)
         held = np.flatnonzero(newest != _NO_TS)
         best = score(held, newest[held])[-1]
-        floor = np.partition(best, len(held) - k)[len(held) - k] if len(held) >= k else -np.inf
         reach = np.zeros(len(rows), dtype=bool)
-        reach[held[best >= floor - _POW_TOL]] = True
+        reach[held[best >= _floor(best, k) - _POW_TOL]] = True
         cand = np.flatnonzero(reach[index])
 
     # Only scores at or above the k-th best can make the top k; those go

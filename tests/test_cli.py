@@ -465,6 +465,34 @@ class TestPipelineArtifacts:
         monkeypatch.chdir(tmp_path / "ws")  # read from the workspace, each names the file ingested
         assert [Path(p).read_text(encoding="utf-8") for p in inputs] == lines
 
+    def test_a_csv_ingest_reruns_from_its_manifest(self, tmp_path, monkeypatch):
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "a.csv").write_text("when,text\n2025-04-01T10:00:00Z,okta auth_fail\n", encoding="utf-8")
+        (tmp_path / "in" / "map.cfg").write_text("ts=when\nmsg=text\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run("--workspace", "ws", "ingest", "--input", "in/a.csv", "--mapping", "in/map.cfg") == 0
+        params = json.loads((tmp_path / "ws" / "results" / "run_ingest.json").read_text())["params"]
+        assert params == {"inputs": [str(tmp_path / "in" / "a.csv")], "mapping": str(tmp_path / "in" / "map.cfg")}
+        events = (tmp_path / "ws" / "data" / "events.jsonl").read_bytes()
+        monkeypatch.chdir(tmp_path / "ws")  # the manifest alone, read from another cwd, redoes the ingest
+        assert run("--workspace", ".", "ingest", "--input", *params["inputs"], "--mapping", params["mapping"]) == 0
+        assert (tmp_path / "ws" / "data" / "events.jsonl").read_bytes() == events
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["outside", "inside"])
+    def test_an_external_embedder_path_is_recorded_as_a_path(self, pipeline_ws, tmp_path, monkeypatch, inside):
+        ws = tmp_path / "ws"
+        (ws / "data").mkdir(parents=True)
+        (ws / "data" / "events.jsonl").write_bytes((pipeline_ws / "data" / "events.jsonl").read_bytes())
+        external = (ws / "ext" if inside else tmp_path / "ext") / "vectors.tmv"
+        external.parent.mkdir()
+        shutil.copyfile(pipeline_ws / "data" / "vectors.tmv", external)
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        typed = os.path.relpath(external)
+        assert run("--workspace", "../ws", "embed", "--embedder", f"external:{typed}") == 0
+        params = json.loads((ws / "results" / "run_embed.json").read_text())["params"]
+        assert params["embedder"] == "external:" + ("ext/vectors.tmv" if inside else str(external))
+
     def test_trends_and_eval_manifests_agree_on_every_trend_parameter(self, pipeline_ws):
         def params(command):
             return json.loads((pipeline_ws / "results" / f"run_{command}.json").read_text())["params"]

@@ -16,6 +16,7 @@ from temporal_memory.embedding import (
     HashEmbedder,
     VectorFileError,
     VectorStore,
+    _feature_hash,
     check_alignment,
     encode_store,
     group_rows,
@@ -125,6 +126,15 @@ class TestFeatureTable:
         assert a == b and hash(a) == hash(b) and repr(a) == "HashEmbedder(dim=384)"
         assert set(a._buckets) == {"okta", "auth_fail", "okta auth_fail"} and not b._buckets
         assert not replace(a, dim=16)._buckets
+
+    def test_fresh_embedders_of_two_dims_share_each_features_hash(self):
+        text = "shared hash cache"  # 3 unigrams and 2 bigrams
+        assert _outcome(HashEmbedder(dim=16).embed, text) == _outcome(lambda t: _embed_per_occurrence(t, 16), text)
+        before = _feature_hash.cache_info()
+        assert _outcome(HashEmbedder(dim=384).embed, text) == _outcome(lambda t: _embed_per_occurrence(t, 384), text)
+        after = _feature_hash.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
+        assert after.maxsize == 1 << 16
 
 
 class TestEncodeStore:

@@ -561,3 +561,75 @@ def test_rank_equals_full_rank_over_the_eval_suite(pipeline_ws, mode):
                 params = RetrievalParams(alpha=alpha, top_k=top_k, now=now)
                 for cutoff in cutoffs:
                     assert_rank_is_full_rank(q, store, vecs, params, mode, cutoff)
+
+
+def _grouped_store(groups):
+    """A store of (row, minutes before NOW, copies) groups over a fixed pool of four int rows."""
+    pool = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 2], [-1, 2, 2, 0]]
+    events, row_of = [], {}
+    for row, minutes, copies in groups:
+        for _ in range(copies):
+            event_id = f"e{len(events):02d}"
+            events.append(Event(event_id=event_id, ts=NOW - timedelta(minutes=minutes)))
+            row_of[event_id] = pool[row]
+    store = store_of(events)
+    return store, VectorStore(4, store.event_ids, *group_rows(np.array([row_of[e.event_id] for e in store], np.float16)))
+
+
+# Four rows, each held two to three times, so the row bound applies. Rows 0 and
+# 1 have their newest holders at the same instant, row 2 two holders at its
+# newest instant, and row 3 its newest holder at the newest instant of all.
+# Rows 0 and 3 also have holders weeks older, which score well below their newest.
+_WHOLE = [(0, 40 * 24 * 60, 2), (1, 600, 1), (2, 500, 1), (0, 300, 1), (1, 300, 2), (2, 200, 2),
+          (3, 20 * 24 * 60, 1), (3, 100, 1)]
+
+
+class TestWholeStoreRank:
+    """A snapshot holding every event ranks from the store's cached holder layout."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("as_of", [None, 0, 1], ids=["no-cutoff", "at-newest", "after-newest"])
+    @pytest.mark.parametrize("top_k", [1, 3, 5, 12, 50], ids=lambda k: f"k{k}")
+    def test_equals_full_rank_and_the_oracle(self, mode, as_of, top_k):
+        store, vecs = _grouped_store(_WHOLE)
+        assert len(vecs.rows) == 4 and 2 * len(vecs.rows) <= len(store)
+        if as_of is not None:
+            as_of = store[len(store) - 1].ts + timedelta(days=as_of)
+        params = RetrievalParams(now=NOW, top_k=top_k)
+        assert "holders" not in vars(vecs)
+        for query in ([1, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0], [-1, 0, 0, -1]):
+            query = np.array(query, dtype=np.float32)
+            assert_rank_is_full_rank(query, store, vecs, params, mode, as_of)
+            hits = rank(query, store, vecs, params, mode=mode, as_of=as_of)
+            assert [h.event_id for h in hits] == [o[0] for o in brute_force_rank(query, store, vecs, params, mode, as_of)]
+        assert "holders" in vars(vecs)  # the whole-store branch ran
+
+    def test_a_cutoff_before_the_newest_event_builds_no_layout(self):
+        store, vecs = _grouped_store(_WHOLE)
+        query = np.ones(4, dtype=np.float32)
+        assert_rank_is_full_rank(query, store, vecs, RetrievalParams(now=NOW, top_k=3), "fused", store[len(store) - 2].ts)
+        assert "holders" not in vars(vecs)
+
+
+class TestHolderLayout:
+    @given(tie_stores(max_pool=4, max_groups=10, max_copies=4))
+    def test_each_row_holds_its_positions_in_ascending_order_newest_last(self, drawn):
+        store, vecs = drawn
+        order, starts = vecs.holders
+        assert vecs.holders is vecs.holders
+        assert not order.flags.writeable and not starts.flags.writeable
+        assert sorted(order.tolist()) == list(range(len(store)))  # every position once
+        assert starts[0] == 0 and starts[-1] == len(store) and len(starts) == len(vecs.rows) + 1
+        for row in range(len(vecs.rows)):
+            held = order[starts[row]:starts[row + 1]]
+            assert held.tolist() == np.flatnonzero(vecs.index == row).tolist()  # non-empty and ascending
+            assert store.ts_us[held[-1]] == store.ts_us[vecs.index == row].max()
+
+    @pytest.mark.parametrize("n_rows", [3, 300, 70_000])  # 8-, 16- and 32-bit sort keys
+    def test_order_is_the_stable_argsort_of_the_index(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        index = rng.permutation(np.concatenate([np.arange(n_rows), rng.integers(0, n_rows, n_rows)]))
+        vecs = VectorStore(2, [f"e{i}" for i in range(len(index))], np.ones((n_rows, 2), np.float16), index)
+        order, starts = vecs.holders
+        assert order.tolist() == np.argsort(index, kind="stable").tolist()
+        assert starts.tolist() == [0, *np.cumsum(np.bincount(index)).tolist()]
