@@ -265,7 +265,9 @@ def _cmd_ingest(ws: Workspace, args) -> None:
     write_json(m, ws.manifest)
     print(f"ingested {m['events']} events ({m['skipped']} skipped, "
           f"{m['duplicates_dropped']} duplicates) weeks {m['week_range']}")
-    params = {"inputs": paths, **({"mapping": Path(args.mapping)} if args.mapping else {})}
+    params = {"inputs": paths}
+    if args.mapping:  # recorded only when given, so a JSONL ingest's manifest keeps its bytes
+        params["mapping"] = Path(args.mapping)
     _write_run_manifest(ws, "ingest", params, [ws.events, ws.manifest])
 
 

@@ -573,7 +573,8 @@ def _grouped_store(groups):
             events.append(Event(event_id=event_id, ts=NOW - timedelta(minutes=minutes)))
             row_of[event_id] = pool[row]
     store = store_of(events)
-    return store, VectorStore(4, store.event_ids, *group_rows(np.array([row_of[e.event_id] for e in store], np.float16)))
+    rows = np.array([row_of[e.event_id] for e in store], dtype=np.float16)
+    return store, VectorStore(4, store.event_ids, *group_rows(rows))
 
 
 # Four rows, each held two to three times, so the row bound applies. Rows 0 and
@@ -601,13 +602,14 @@ class TestWholeStoreRank:
             query = np.array(query, dtype=np.float32)
             assert_rank_is_full_rank(query, store, vecs, params, mode, as_of)
             hits = rank(query, store, vecs, params, mode=mode, as_of=as_of)
-            assert [h.event_id for h in hits] == [o[0] for o in brute_force_rank(query, store, vecs, params, mode, as_of)]
+            oracle = brute_force_rank(query, store, vecs, params, mode, as_of)
+            assert [h.event_id for h in hits] == [o[0] for o in oracle]
         assert "holders" in vars(vecs)  # the whole-store branch ran
 
     def test_a_cutoff_before_the_newest_event_builds_no_layout(self):
         store, vecs = _grouped_store(_WHOLE)
-        query = np.ones(4, dtype=np.float32)
-        assert_rank_is_full_rank(query, store, vecs, RetrievalParams(now=NOW, top_k=3), "fused", store[len(store) - 2].ts)
+        query, cutoff = np.ones(4, dtype=np.float32), store[len(store) - 2].ts
+        assert_rank_is_full_rank(query, store, vecs, RetrievalParams(now=NOW, top_k=3), "fused", cutoff)
         assert "holders" not in vars(vecs)
 
 
