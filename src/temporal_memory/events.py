@@ -1,14 +1,15 @@
 """Normalize raw JSONL/CSV log records into a canonical, deterministically ordered event store.
 
-Records are coerced to UTC, given stable ids, rendered into a compact text
-representation for embedding, and bucketed by ISO week. The store keeps them
-as columns (ids, epoch-µs timestamps, a table of distinct texts) and builds
-an Event only when one is read.
+Records are coerced to UTC, given stable ids and rendered into a compact text
+representation for embedding. The store keeps them as columns (ids, epoch-µs
+timestamps, a table of distinct texts) and builds an Event only when one is
+read; ``tracking`` buckets them by ISO week.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import logging
@@ -91,20 +92,17 @@ def _row(event_id, ts, product, event_type, asset_id, msg, context, tech, attack
 
 def _parse_timestamp(raw) -> tuple[datetime, bool]:
     """Parse a raw timestamp; returns (UTC instant, was_naive)."""
-    if isinstance(raw, bool):
-        raise RecordParseError(f"not a timestamp: {raw!r}")
-    if isinstance(raw, (int, float)):
-        return _from_epoch(raw), False
     if isinstance(raw, str):
         text = raw.strip()
         if not text:
             raise RecordParseError("empty timestamp")
-        try:
-            seconds = float(text)
-        except ValueError:
-            pass
-        else:
-            return _from_epoch(seconds), False
+        if ":" not in text:  # float() accepts no string holding ":", so an ISO time skips the attempt
+            try:
+                seconds = float(text)
+            except ValueError:
+                pass
+            else:
+                return _from_epoch(seconds), False
         iso = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
         try:
             dt = datetime.fromisoformat(iso)
@@ -114,6 +112,8 @@ def _parse_timestamp(raw) -> tuple[datetime, bool]:
             # Naive timestamps are taken to already be UTC.
             return dt.replace(tzinfo=timezone.utc), True
         return dt.astimezone(timezone.utc), False
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return _from_epoch(raw), False
     raise RecordParseError(f"not a timestamp: {raw!r}")
 
 
@@ -195,7 +195,7 @@ def build_text_repr(
     parts.extend(tech)
     parts.extend(attack)
     parts.extend(risk_tag)
-    joined = " | ".join(p for p in parts if p)
+    joined = " | ".join(filter(None, parts))
     if not joined:
         raise RecordParseError("all text fields empty; event is unembeddable")
     return joined
@@ -306,31 +306,48 @@ def _coerce_scalar(value) -> str:
     return json.dumps(value, sort_keys=True, ensure_ascii=False)
 
 
+def _coerce_text(value) -> str:
+    """A text field's value: "" for None, and any other value as :func:`_coerce_scalar` gives it ("" stays "")."""
+    return "" if value is None else _coerce_scalar(value)
+
+
+def _holds_non_str(items) -> bool:
+    """True when any item is not a str (``str.join`` checks each item's type in C)."""
+    try:
+        "".join(items)
+    except TypeError:
+        return True
+    return False
+
+
 def _coerce_list(value) -> tuple[str, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_coerce_scalar, value)) if _holds_non_str(value) else tuple(value)
     if value is None or value == "":
         return ()
     if isinstance(value, str):
-        return tuple(part.strip() for part in value.split(";") if part.strip())
-    if isinstance(value, (list, tuple)):
-        return tuple(_coerce_scalar(v) for v in value)
+        return tuple(filter(None, map(str.strip, value.split(";"))))
     raise RecordParseError(f"expected list or ';'-joined string, got {value!r}")
+
+
+_TEXT_FIELDS = ("product", "event_type", "asset_id", "msg", "event_id", "text_repr")
+_LIST_FIELDS = ("tech", "attack", "risk_tag")
+_NO_TEXTS = ("",) * len(_TEXT_FIELDS)
 
 
 def _build_event(fields: dict) -> tuple[tuple, bool]:
     """(:func:`_row`, ts was naive) of a mapping of canonical field names to raw values."""
-    if "ts" not in fields or fields["ts"] in (None, ""):
+    raw_ts = fields.get("ts")
+    if raw_ts in (None, ""):
         raise RecordParseError("missing ts")
-    ts, was_naive = _parse_timestamp(fields["ts"])
+    ts, was_naive = _parse_timestamp(raw_ts)
 
-    product = str(fields.get("product") or "")
-    event_type = str(fields.get("event_type") or "")
-    asset_id = str(fields.get("asset_id") or "")
-    msg = str(fields.get("msg") or "")
-    tech = _coerce_list(fields.get("tech"))
-    attack = _coerce_list(fields.get("attack"))
-    risk_tag = _coerce_list(fields.get("risk_tag"))
+    texts = list(map(fields.get, _TEXT_FIELDS, _NO_TEXTS))  # a missing field reads ""
+    if _holds_non_str(texts):  # a null, number, bool, list or object among them
+        texts = map(_coerce_text, map(fields.get, _TEXT_FIELDS))
+    product, event_type, asset_id, msg, explicit_id, text_repr = texts
+    tech, attack, risk_tag = map(_coerce_list, map(fields.get, _LIST_FIELDS))
 
-    context: dict[str, str] = {}
     raw_context = fields.get("context") or {}
     if isinstance(raw_context, str):
         try:
@@ -339,17 +356,14 @@ def _build_event(fields: dict) -> tuple[tuple, bool]:
             raise RecordParseError(f"bad context JSON: {raw_context!r}") from exc
     if not isinstance(raw_context, dict):
         raise RecordParseError(f"context must be an object, got {raw_context!r}")
-    for key, value in raw_context.items():
-        context[str(key)] = _coerce_scalar(value)
-    # Unknown top-level keys are preserved rather than dropped.
-    for key, value in fields.items():
-        if key not in EVENT_FIELDS:
-            context[str(key)] = _coerce_scalar(value)
+    context = {str(key): _coerce_scalar(value) for key, value in raw_context.items()} if raw_context else {}
+    if not fields.keys() <= _EVENT_FIELD_SET:  # unknown top-level keys are preserved rather than dropped
+        for key, value in fields.items():
+            if key not in _EVENT_FIELD_SET:
+                context[str(key)] = _coerce_scalar(value)
 
-    text_repr = str(fields.get("text_repr") or "")
     if not text_repr:
         text_repr = build_text_repr(product, event_type, asset_id, msg, tech, attack, risk_tag)
-    explicit_id = str(fields.get("event_id") or "")
     if "\n" in explicit_id:
         raise RecordParseError(f"event_id {explicit_id!r} holds a newline, which ends an id in a TMV2 file")
     try:
@@ -387,9 +401,23 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, str]]:
                 yield line_no, line
 
 
+# json.loads without its Python wrapper: the C scanner, and the checks json.loads
+# makes around it, raising the same JSONDecodeError messages.
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+_skip_json_space = json.decoder.WHITESPACE.match
+
+
 def _json_object(line: str) -> dict:
+    """The object a stripped JSONL line holds, parsed as ``json.loads(line)`` parses it."""
     try:
-        obj = json.loads(line)
+        if line.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        try:
+            obj, end = _scan_json(line, 0)
+        except StopIteration as err:
+            raise json.JSONDecodeError("Expecting value", line, err.value) from None
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, _skip_json_space(line, end).end())
     except json.JSONDecodeError as exc:
         raise RecordParseError(f"bad JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -408,6 +436,23 @@ def _iter_csv(path: Path, mapping: dict[str, str]) -> Iterator[tuple[int, dict]]
             yield line_no, fields
 
 
+@contextmanager
+def _cyclic_gc_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection, then restore the caller's setting on every exit.
+
+    Building a store allocates tens of thousands of acyclic row tuples, so a
+    cyclic collection meanwhile would only rescan them.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_cyclic_gc_paused()
 def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -> EventStore:
     """Parse, normalize, order, and deduplicate raw JSONL/CSV files.
 
@@ -416,11 +461,14 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
     inputs require a column mapping.
     """
     parsed: list[tuple] = []
+    # Each distinct record, so that equal rows share one tuple. Looked up while a
+    # record is fresh in cache, it spares the store a cold hash of each record.
+    shared: dict[tuple, tuple] = {}
     manifest: list[dict] = []
 
     for raw_path in paths:
         path = Path(raw_path)
-        records = kept = skipped = naive_count = 0
+        records = skipped = naive_count = 0
         if path.suffix.lower() == ".csv":
             if not mapping:
                 raise IngestError(f"CSV input {path.name} requires a column mapping")
@@ -436,15 +484,15 @@ def ingest(paths: Iterable[Path | str], mapping: dict[str, str] | None = None) -
                 skipped += 1
                 logger.warning("%s:%d: skipping record: %s", path.name, line_no, exc)
                 continue
-            parsed.append(row)
-            naive_count += int(was_naive)
-            kept += 1
+            event_id, us, text_repr, record = row
+            parsed.append((event_id, us, text_repr, shared.setdefault(record, record)))
+            naive_count += was_naive
 
         manifest.append(
             {
                 "path": path.name,
                 "records": records,
-                "kept": kept,
+                "kept": records - skipped,
                 "skipped": skipped,
                 "naive_timestamps": naive_count,
             }
@@ -534,7 +582,6 @@ def _json_lines(store: EventStore) -> Iterator[str]:
 # fast as 1 MiB, and the chunk's transient copies stay small beside the store.
 _LOAD_CHUNK_BYTES = 1 << 16
 _STRING_FIELDS = ("event_id", "ts", "product", "event_type", "asset_id", "msg", "text_repr")
-_LIST_FIELDS = ("tech", "attack", "risk_tag")
 _event_field_values = operator.itemgetter(*EVENT_FIELDS)
 _ZERO = timedelta(0)
 
@@ -570,15 +617,6 @@ def _parse_lines(path: Path, first_line_no: int, lines: list[bytes]) -> list:
     return values
 
 
-def _holds_non_str(items) -> bool:
-    """True when any item is not a str (``str.join`` checks each item's type in C)."""
-    try:
-        "".join(items)
-    except TypeError:
-        return True
-    return False
-
-
 def _canonical_event(value) -> tuple[str, int, str, tuple]:
     """(event_id, epoch-µs ts, text_repr, record) of one events.jsonl line.
 
@@ -610,6 +648,7 @@ def _canonical_event(value) -> tuple[str, int, str, tuple]:
     return _row(event_id, instant, product, event_type, asset_id, msg, context, tech, attack, risk_tag, text_repr)
 
 
+@_cyclic_gc_paused()
 def load_events_jsonl(path: Path | str) -> EventStore:
     """Load a canonical events.jsonl written by :func:`write_events_jsonl`, strictly.
 

@@ -508,6 +508,50 @@ class TestPipelineArtifacts:
         assert manifest["duplicates_dropped"] == 0
 
 
+# A manifest parameter's flag, where it is not --<key> with "-" for "_"; gen's
+# "out" is always <workspace>/logs, so no flag sets it.
+_REPLAY_FLAGS = {"inputs": "--input", "out": None}
+GOLDEN_INGEST = Path(__file__).resolve().parent / "golden" / "ingest"
+
+
+class TestManifestReplay:
+    """Each results/run_*.json, replayed in stage order into one fresh workspace from its params alone,
+    remakes every artifact it lists with the digest it records, and the same manifest."""
+
+    @staticmethod
+    def _replay(ws: Path, fresh: Path, monkeypatch) -> list[str]:
+        fresh.mkdir()
+        monkeypatch.chdir(fresh)  # a workspace-relative path names the file in the fresh workspace
+        replayed = []
+        for command in ("gen", "ingest", "embed", "trends", "eval"):
+            recorded = ws / "results" / f"run_{command}.json"
+            if not recorded.exists():
+                continue
+            manifest = json.loads(recorded.read_text(encoding="utf-8"))
+            argv = ["--workspace", ".", command]
+            for key, value in manifest["params"].items():
+                flag = _REPLAY_FLAGS.get(key, "--" + key.replace("_", "-"))
+                if flag is not None and value is not None:  # None is the flag's default
+                    argv += [flag, *map(str, value if isinstance(value, list) else [value])]
+            assert run(*argv) == 0, argv
+            digests = {rel: hashlib.sha256((fresh / rel).read_bytes()).hexdigest() for rel in manifest["artifacts"]}
+            assert digests == manifest["artifacts"], command
+            assert (fresh / "results" / recorded.name).read_bytes() == recorded.read_bytes(), command
+            replayed.append(command)
+        return replayed
+
+    def test_a_seed_7_workspace_replays(self, pipeline_ws, tmp_path, monkeypatch):
+        assert self._replay(pipeline_ws, tmp_path / "replay", monkeypatch) == ["gen", "ingest", "embed", "trends", "eval"]
+
+    def test_a_csv_and_mapping_workspace_replays(self, tmp_path, monkeypatch):
+        ws = tmp_path / "ws"
+        inputs = [str(GOLDEN_INGEST / "raw.jsonl"), str(GOLDEN_INGEST / "raw.csv")]
+        assert run("--workspace", str(ws), "ingest", "--input", *inputs, "--mapping", str(GOLDEN_INGEST / "mapping.cfg")) == 0
+        assert run("--workspace", str(ws), "embed", "--dim", "64") == 0
+        assert run("--workspace", str(ws), "trends", "--k", "2", "--match-threshold", "0.4", "--cluster-seed", "3") == 0
+        assert self._replay(ws, tmp_path / "replay", monkeypatch) == ["ingest", "embed", "trends"]
+
+
 class TestQueryCommand:
     def test_query_emits_json_lines(self, pipeline_ws, capsys):
         code = run(

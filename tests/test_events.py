@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
+import logging
 import random
 import re
 import tempfile
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from temporal_memory import cli
 from temporal_memory.events import (
     EVENT_FIELDS,
     Event,
@@ -302,6 +305,25 @@ class TestIngest:
         assert (len(store), store.manifest()["skipped"]) == (2, 0)
         assert tuple(store) == tuple(plain)
 
+    @pytest.mark.parametrize("field, raw, expected", [
+        ("msg", 0, "0"),
+        ("product", False, "false"),
+        ("product", ["a", "b"], '["a", "b"]'),
+        ("event_type", 1.5, "1.5"),
+        ("asset_id", {"k": 1}, '{"k": 1}'),
+        ("event_id", 0, "0"),
+        ("text_repr", True, "true"),
+        ("msg", None, ""),
+        ("msg", "", ""),
+    ])
+    def test_a_text_field_is_coerced_as_a_context_value_is(self, tmp_path, field, raw, expected):
+        src = tmp_path / "in.jsonl"
+        _write_jsonl(src, [{"ts": "2025-04-01T10:00:00Z", "risk_tag": ["kept"], field: raw, "context": {"k": raw}}])
+        event = ingest([src])[0]
+        assert getattr(event, field) == expected
+        if raw is not None and raw != "":
+            assert event.context["k"] == expected
+
     def test_csv_without_mapping_is_fatal(self, tmp_path):
         csv_path = tmp_path / "in.csv"
         csv_path.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -473,6 +495,36 @@ def _dumps_each_event(store: EventStore) -> list[str]:
     ]
 
 
+GOLDEN_INGEST = Path(__file__).resolve().parent / "golden" / "ingest"
+
+
+class TestGoldenIngestCorpus:
+    """``tmem ingest`` of the raw corpus under tests/golden/ingest, byte for byte.
+
+    raw.jsonl, raw.csv and mapping.cfg hold a record for each branch of a
+    record's normalization: every timestamp form (ISO with "Z", an offset or
+    none; epoch seconds and milliseconds as numbers and strings; numeric
+    strings with and without ":"; inf and nan), every kind of skipped record,
+    ';'-joined lists and lists of non-strings, unknown keys, context as a JSON
+    string, byte-order marks and duplicate ids. events.jsonl, manifest.json and
+    warnings.txt beside them are what ingest wrote for it before its per-record
+    fast paths; any difference is a change to ingest's output.
+    """
+
+    def test_writes_the_recorded_events_manifest_and_warnings(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="temporal_memory.events")
+        inputs = [str(GOLDEN_INGEST / "raw.jsonl"), str(GOLDEN_INGEST / "raw.csv")]
+        code = cli.main(["--workspace", str(tmp_path), "ingest", "--input", *inputs,
+                         "--mapping", str(GOLDEN_INGEST / "mapping.cfg")])
+        assert code == 0
+        for name in ("events.jsonl", "manifest.json"):
+            assert (tmp_path / "data" / name).read_bytes() == (GOLDEN_INGEST / name).read_bytes(), name
+        # The lines tmem ingest prints on stderr, in its log format.
+        warnings = "".join(f"{r.levelname} {r.name}: {r.getMessage()}\n"
+                           for r in caplog.records if r.levelno >= logging.WARNING)
+        assert warnings == (GOLDEN_INGEST / "warnings.txt").read_text(encoding="utf-8")
+
+
 class TestWriteEventsJsonl:
     """The writer encodes each distinct value once; its lines are json.dumps of each event, byte for byte."""
 
@@ -531,20 +583,41 @@ class TestLoadCanonicalStore:
             load_events_jsonl(path)
 
     def test_leaves_the_callers_gc_setting(self, tmp_path):
+        """The loader and ingest pause cyclic GC and restore the caller's setting, on success and on IngestError."""
         path = tmp_path / "events.jsonl"
         write_events_jsonl(self._fixture_store(tmp_path), path)
         broken = tmp_path / "broken.jsonl"
         broken.write_bytes(path.read_bytes()[:-5])
+        unusable = tmp_path / "unusable.jsonl"
+        _write_jsonl(unusable, [{"msg": "no ts"}])
+        calls = [(load_events_jsonl, path), (ingest, [path]), (load_events_jsonl, broken), (ingest, [unusable])]
         try:
             for enabled in (False, True):
-                gc.enable() if enabled else gc.disable()
-                load_events_jsonl(path)
-                assert gc.isenabled() is enabled
-                with pytest.raises(IngestError):
-                    load_events_jsonl(broken)
-                assert gc.isenabled() is enabled
+                for function, arg in calls:
+                    gc.enable() if enabled else gc.disable()
+                    with contextlib.suppress(IngestError):
+                        function(arg)
+                    assert gc.isenabled() is enabled, (function.__name__, arg)
         finally:
             gc.enable()
+
+    def test_ingest_runs_with_cyclic_gc_paused(self, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps(JSONL_FIXTURE[0]) + "\n{not valid json\n", encoding="utf-8")
+        seen = []
+
+        class Probe(logging.Handler):
+            def emit(self, record):
+                seen.append(gc.isenabled())
+
+        probe = Probe()
+        events_logger = logging.getLogger("temporal_memory.events")
+        events_logger.addHandler(probe)
+        try:
+            ingest([src])
+        finally:
+            events_logger.removeHandler(probe)
+        assert seen == [False] and gc.isenabled()
 
     @staticmethod
     def _fixture_store(tmp_path) -> EventStore:
