@@ -1,9 +1,10 @@
-"""Shared fixtures: hand-built events, a deterministic 50-event corpus, one pipeline run, vector-file bytes."""
+"""Shared fixtures: hand-built events, a deterministic 50-event corpus, one pipeline run, vector-file bytes, the golden ingest corpus."""
 
 from __future__ import annotations
 
 import operator
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,9 @@ def build_event(
         text_repr=build_text_repr(product, event_type, asset_id, msg, tech, attack, risk_tag),
     )
 
+
+# A raw JSONL, CSV and mapping corpus, with what ingest writes for it (see test_events.TestGoldenIngestCorpus).
+GOLDEN_INGEST = Path(__file__).resolve().parent / "golden" / "ingest"
 
 # A store's event order.
 ts_order = operator.attrgetter("ts", "event_id")

@@ -34,7 +34,7 @@ from temporal_memory.events import (
 from temporal_memory.retrieval import RetrievalParams, rank
 from temporal_memory.tracking import TrendParams
 
-from conftest import TMV2_DEFECTS, tmv1_bytes
+from conftest import GOLDEN_INGEST, TMV2_DEFECTS, tmv1_bytes
 
 
 def run(*argv: str) -> int:
@@ -511,7 +511,6 @@ class TestPipelineArtifacts:
 # A manifest parameter's flag, where it is not --<key> with "-" for "_"; gen's
 # "out" is always <workspace>/logs, so no flag sets it.
 _REPLAY_FLAGS = {"inputs": "--input", "out": None}
-GOLDEN_INGEST = Path(__file__).resolve().parent / "golden" / "ingest"
 
 
 class TestManifestReplay:

@@ -35,7 +35,7 @@ from temporal_memory.events import (
     write_events_jsonl,
 )
 
-from conftest import build_event, events_jsonl_line, store_of, ts_order
+from conftest import GOLDEN_INGEST, build_event, events_jsonl_line, store_of, ts_order
 
 UTC = timezone.utc
 
@@ -324,6 +324,24 @@ class TestIngest:
         if raw is not None and raw != "":
             assert event.context["k"] == expected
 
+    def test_runs_with_cyclic_gc_paused(self, tmp_path):
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps(JSONL_FIXTURE[0]) + "\n{not valid json\n", encoding="utf-8")
+        seen = []
+
+        class Probe(logging.Handler):
+            def emit(self, record):
+                seen.append(gc.isenabled())
+
+        probe = Probe()
+        events_logger = logging.getLogger("temporal_memory.events")
+        events_logger.addHandler(probe)
+        try:
+            ingest([src])
+        finally:
+            events_logger.removeHandler(probe)
+        assert seen == [False] and gc.isenabled()
+
     def test_csv_without_mapping_is_fatal(self, tmp_path):
         csv_path = tmp_path / "in.csv"
         csv_path.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -495,9 +513,6 @@ def _dumps_each_event(store: EventStore) -> list[str]:
     ]
 
 
-GOLDEN_INGEST = Path(__file__).resolve().parent / "golden" / "ingest"
-
-
 class TestGoldenIngestCorpus:
     """``tmem ingest`` of the raw corpus under tests/golden/ingest, byte for byte.
 
@@ -590,34 +605,17 @@ class TestLoadCanonicalStore:
         broken.write_bytes(path.read_bytes()[:-5])
         unusable = tmp_path / "unusable.jsonl"
         _write_jsonl(unusable, [{"msg": "no ts"}])
-        calls = [(load_events_jsonl, path), (ingest, [path]), (load_events_jsonl, broken), (ingest, [unusable])]
+        calls = [(load_events_jsonl, path, None), (load_events_jsonl, broken, IngestError),
+                 (ingest, [path], None), (ingest, [unusable], IngestError)]
         try:
             for enabled in (False, True):
-                for function, arg in calls:
+                for function, arg, error in calls:
                     gc.enable() if enabled else gc.disable()
-                    with contextlib.suppress(IngestError):
+                    with pytest.raises(error) if error else contextlib.nullcontext():
                         function(arg)
                     assert gc.isenabled() is enabled, (function.__name__, arg)
         finally:
             gc.enable()
-
-    def test_ingest_runs_with_cyclic_gc_paused(self, tmp_path):
-        src = tmp_path / "in.jsonl"
-        src.write_text(json.dumps(JSONL_FIXTURE[0]) + "\n{not valid json\n", encoding="utf-8")
-        seen = []
-
-        class Probe(logging.Handler):
-            def emit(self, record):
-                seen.append(gc.isenabled())
-
-        probe = Probe()
-        events_logger = logging.getLogger("temporal_memory.events")
-        events_logger.addHandler(probe)
-        try:
-            ingest([src])
-        finally:
-            events_logger.removeHandler(probe)
-        assert seen == [False] and gc.isenabled()
 
     @staticmethod
     def _fixture_store(tmp_path) -> EventStore:
