@@ -424,7 +424,7 @@ _SUBCOMMANDS = {
         "--as-of": dict(default=None, help="cutoff date or instant (dates are inclusive)"),
         "--mode": dict(choices=["fused", "cosine"], default="fused"),
         "--k": dict(dest="top_k", type=_positive_int, help=f"hits to return (default {RetrievalParams.top_k})"),
-        "--now": dict(default=None, help="pin the reference instant (ISO-8601)"),
+        "--now": dict(default=None, help="reference instant (ISO-8601; default: the newest event up to --as-of)"),
     }),
     "eval": (_cmd_eval, "run metric suite from eval config", {
         **_RECENCY, **_TREND,

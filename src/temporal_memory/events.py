@@ -96,7 +96,8 @@ def _parse_timestamp(raw) -> tuple[datetime, bool]:
         text = raw.strip()
         if not text:
             raise RecordParseError("empty timestamp")
-        if ":" not in text:  # float() accepts no string holding ":", so an ISO time skips the attempt
+        # float() takes no ISO time (it holds ":"), and 8 ASCII digits are a YYYYMMDD date, not epoch seconds.
+        if ":" not in text and not (len(text) == 8 and text.isascii() and text.isdigit()):
             try:
                 seconds = float(text)
             except ValueError:
@@ -426,14 +427,16 @@ def _json_object(line: str) -> dict:
 
 
 def _iter_csv(path: Path, mapping: dict[str, str]) -> Iterator[tuple[int, dict]]:
+    """(first physical line, mapped non-empty fields) of each record after the header."""
     with path.open(encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for line_no, row in enumerate(reader, start=2):  # header is line 1
-            fields = {}
-            for canonical, column in mapping.items():
-                if column in row and row[column] not in (None, ""):
-                    fields[canonical] = row[column]
-            yield line_no, fields
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        first = reader.line_num + 1
+        for values in reader:
+            line_no, first = first, reader.line_num + 1
+            if values:  # a blank line holds no record
+                row = dict(zip(header, values))
+                yield line_no, {canonical: row[column] for canonical, column in mapping.items() if row.get(column)}
 
 
 @contextmanager

@@ -3,7 +3,9 @@
 Ranking is exact: the top k equal a brute-force score-then-sort of every
 event on or before the cutoff, in the order (score desc, ts desc, event_id
 asc). The as-of cut is a binary search over the store's sorted timestamps.
-Cosines are computed once per distinct vector and gathered per event, so
+Ages are taken at ``RetrievalParams.now`` or, when it is None, at the newest
+event the cut keeps, so a ranking never depends on the wall clock. Cosines
+are computed once per distinct vector and gathered per event, so
 byte-identical vectors score exactly alike and tie-break by (ts, event_id).
 
 Only the events whose vector can reach the top k are scored, the bound of
@@ -22,11 +24,12 @@ hits are bit-identical to it.
 
 A VectorStore holds the distinct float16 rows and each event's index into
 them, as a TMV2 vector file does; their float32 copy and norms are built
-once per store and cached on it, and so are the holders of each row, which a
-snapshot of the whole store reads in place of two passes over its events.
-Ranking reads only the event store's ids and ``ts_us`` columns and builds no
-Event, so ``tmem query`` ranks over ``EventStore.of_timeline`` of the vector
-file's columns: no events.jsonl.
+once per store and cached on it, and so are the holders of each row, in
+ascending position. Any snapshot, the whole store included, is a prefix of
+the store, so the bound reads its newest and reached holders from that one
+layout. Ranking reads only the event store's ids and ``ts_us`` columns and
+builds no Event, so ``tmem query`` ranks over ``EventStore.of_timeline`` of
+the vector file's columns: no events.jsonl.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 
 import numpy as np
 
@@ -49,7 +52,6 @@ MODES = ("fused", "cosine_only")
 # numpy's float64 power is not guaranteed monotone; a few ulps of 1.0 cover
 # that in the row bound, and a larger margin only admits more candidates.
 _POW_TOL = 8 * np.finfo(np.float64).eps
-_NO_TS = np.iinfo(np.int64).min  # below every epoch-µs a datetime can have
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class RetrievalParams:
     alpha: float = 0.7
     half_life_days: float = 14.0
     top_k: int = 10
-    now: datetime | None = None  # None = wall clock at call time
+    now: datetime | None = None  # None = the newest event in the as-of snapshot
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -66,9 +68,6 @@ class RetrievalParams:
             raise ValueError(f"half_life_days must be positive and finite, got {self.half_life_days}")
         if not is_int_at_least(self.top_k, 1):
             raise ValueError(f"top_k must be a positive integer, got {self.top_k!r}")
-
-    def resolved_now(self) -> datetime:
-        return self.now if self.now is not None else datetime.now(timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,6 @@ def fused_score(cos_sim, age, params: RetrievalParams):
     return _blend(cos_sim, recency_weight(age, params.half_life_days), params.alpha)
 
 
-def _as_of_count(store: EventStore, cutoff: datetime | None) -> int:
-    """Length of the store prefix with ts <= cutoff (the store is sorted by ts)."""
-    if cutoff is None:
-        return len(store)
-    return int(np.searchsorted(store.ts_us, epoch_us(cutoff), side="right"))
-
-
-def _floor(best: np.ndarray, k: int) -> float:
-    """The k-th best of ``best``, or -inf when it holds fewer than k scores."""
-    return np.partition(best, len(best) - k)[len(best) - k] if len(best) >= k else -np.inf
-
-
 def rank(
     query_vec: np.ndarray,
     store: EventStore,
@@ -133,7 +120,7 @@ def rank(
     if qnorm == 0.0 or not np.isfinite(qnorm):
         raise ValueError(f"query vector has norm {qnorm}")
 
-    n = _as_of_count(store, as_of)
+    n = len(store) if as_of is None else int(np.searchsorted(store.ts_us, epoch_us(as_of), side="right"))
     if n == 0:
         return []
 
@@ -141,7 +128,7 @@ def rank(
     index = vecs.index[:n]
     rows, norms = vecs.scoring  # VectorStore holds no zero or non-finite row, so no norm is 0 or inf
     row_cos = (rows @ query) / (norms * qnorm)
-    now_us = epoch_us(params.resolved_now())
+    now_us = int(ts_us[-1]) if params.now is None else epoch_us(params.now)
     future = n - int(np.searchsorted(ts_us, now_us, side="right"))
     if future:
         warnings.warn(f"{future} future-dated events clamped to age 0", stacklevel=2)
@@ -165,24 +152,23 @@ def rank(
     k = min(params.top_k, n)
     if 2 * len(rows) > n:
         cand = np.arange(n)
-    elif n == len(vecs):
-        # The whole store: every row is held, and the store is in ts order,
-        # so each row's last holder in the cached layout is its newest.
+    else:
+        # Row r's holders in the prefix are the first held[r] of its range of
+        # ``order``, in ascending position, so the last of them is its newest.
         order, starts = vecs.holders
-        best = score(slice(None), ts_us[order[starts[1:] - 1]])[-1]
-        reach = np.flatnonzero(best >= _floor(best, k) - _POW_TOL)
-        # The holders of the reached rows: each row's range of ``order``, laid end to end.
-        lo, sizes = starts[reach], starts[reach + 1] - starts[reach]
+        if n == len(vecs):  # every row is held, by its whole range
+            live, held = slice(None), starts[1:] - starts[:-1]
+        else:  # a row held by no event of the prefix cannot reach the top k
+            held = np.bincount(index, minlength=len(rows))
+            live = np.flatnonzero(held)
+        lo, sizes = starts[:-1][live], held[live]
+        best = score(live, ts_us[order[lo + sizes - 1]])[-1]
+        if len(best) >= k:
+            reach = best >= np.partition(best, len(best) - k)[len(best) - k] - _POW_TOL
+            lo, sizes = lo[reach], sizes[reach]
+        # The reached rows' holders in the prefix: each row's range of ``order``, laid end to end.
         ends = np.cumsum(sizes)
         cand = order[np.arange(ends[-1]) + np.repeat(lo - ends + sizes, sizes)]
-    else:
-        newest = np.full(len(rows), _NO_TS)
-        np.maximum.at(newest, index, ts_us)
-        held = np.flatnonzero(newest != _NO_TS)
-        best = score(held, newest[held])[-1]
-        reach = np.zeros(len(rows), dtype=bool)
-        reach[held[best >= _floor(best, k) - _POW_TOL]] = True
-        cand = np.flatnonzero(reach[index])
 
     # Only scores at or above the k-th best can make the top k; those go
     # through the exact (score desc, ts desc, position asc) sort, and store

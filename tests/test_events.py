@@ -60,6 +60,20 @@ class TestCoerceTimestamp:
     def test_trailing_z(self):
         assert coerce_timestamp("2025-04-01T10:00:00Z") == datetime(2025, 4, 1, 10, tzinfo=UTC)
 
+    @pytest.mark.parametrize("text", ["20250401", " 20250401\n"])
+    def test_eight_digits_are_an_iso_basic_date(self, text):
+        assert coerce_timestamp(text) == datetime(2025, 4, 1, tzinfo=UTC)  # not 1970-08-23T09:06:41Z
+
+    @pytest.mark.parametrize("text", ["20251301", "20250230", "00000000"])
+    def test_eight_digits_that_are_no_date_are_rejected(self, text):
+        with pytest.raises(RecordParseError):
+            coerce_timestamp(text)
+
+    @pytest.mark.parametrize(("text", "seconds"), [("1736121600000", 1736121600), ("2025040", 2025040),
+                                                   ("202504011", 202504011), ("20250401.0", 20250401)])
+    def test_other_digit_strings_are_epoch_values(self, text, seconds):
+        assert coerce_timestamp(text) == datetime.fromtimestamp(seconds, tz=UTC)
+
     @pytest.mark.parametrize(
         "bad",
         ["not a time", "", "2025-13-45T99:00:00", None, [1, 2], 1e20, -1e20, "inf", float("nan"),
@@ -377,6 +391,17 @@ class TestIngest:
         assert (len(store), store.manifest()["skipped"]) == (1, 5)
         assert [r.getMessage().split(": ")[0] for r in caplog.records] == [f"in.jsonl:{n}" for n in range(2, 7)]
         assert all(": skipping record: " in r.getMessage() for r in caplog.records)
+
+    def test_a_csv_skip_names_the_records_first_physical_line(self, tmp_path, caplog):
+        src, mapping = tmp_path / "a.csv", tmp_path / "map.cfg"
+        # Line 3 is blank and the record on line 5 holds a quoted newline, so it ends on line 6.
+        src.write_text('when,text\nbad-2,a\n\nbad-4,b\nbad-5,"c\nc"\nbad-7,d\n', encoding="utf-8")
+        mapping.write_text("ts=when\nmsg=text\n", encoding="utf-8")
+        with pytest.raises(IngestError):
+            ingest([src], read_mapping(mapping))
+        messages = [r.getMessage() for r in caplog.records if ": skipping record: " in r.getMessage()]
+        assert [m.split(": ")[0] for m in messages] == ["a.csv:2", "a.csv:4", "a.csv:5", "a.csv:7"]
+        assert [m.rsplit(" ", 1)[-1] for m in messages] == ["'bad-2'", "'bad-4'", "'bad-5'", "'bad-7'"]
 
     def test_a_bare_carriage_return_ends_a_jsonl_line(self, tmp_path):
         src = tmp_path / "in.jsonl"

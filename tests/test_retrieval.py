@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from temporal_memory.embedding import HashEmbedder, VectorStore, encode_store, group_rows, read_vector_file
+from temporal_memory.evaluation import latest_set_at_k
 from temporal_memory.events import Event, EventStore, coerce_timestamp, epoch_us, parse_cutoff
 from temporal_memory.retrieval import (
     MODES,
@@ -163,14 +164,15 @@ def brute_force_rank(query_vec, store, vecs, params, mode, as_of=None):
     rows = [[float(x) for x in row] for row in vecs.float32()]
     qlist = [float(x) for x in query_vec]
     qnorm = math.sqrt(sum(x * x for x in qlist))
+    snapshot = [(event, row) for event, row in zip(store, rows) if as_of is None or event.ts <= as_of]
+    # With no now, ages are taken from the newest event in the snapshot.
+    now = params.now if params.now is not None else max((event.ts for event, _ in snapshot), default=None)
     scored = []
-    for event, row in zip(store, rows):
-        if as_of is not None and event.ts > as_of:
-            continue
+    for event, row in snapshot:
         dot = sum(a * b for a, b in zip(qlist, row))
         norm = math.sqrt(sum(x * x for x in row))
         cos = dot / (norm * qnorm)
-        age = max(0.0, (params.resolved_now() - event.ts).total_seconds() / 86400.0)
+        age = max(0.0, (now - event.ts).total_seconds() / 86400.0)
         fused = params.alpha * cos + (1 - params.alpha) * 0.5 ** (age / params.half_life_days)
         scored.append((event.event_id, event.ts, cos, fused))
     picked = []
@@ -479,7 +481,8 @@ def full_rank(query_vec, store, vecs, params, mode="fused", as_of=None):
     ts_us = store.ts_us[:n]
     rows, norms = vecs.scoring
     cos = ((rows @ query) / (norms * qnorm))[vecs.index[:n]]
-    ages = (epoch_us(params.resolved_now()) - ts_us) / 1e6 / SECONDS_PER_DAY
+    now_us = epoch_us(params.now) if params.now is not None else int(ts_us[-1])  # None = the newest event
+    ages = (now_us - ts_us) / 1e6 / SECONDS_PER_DAY
     future = int((ages < 0).sum())
     if future:
         warnings.warn(f"{future} future-dated events clamped to age 0", stacklevel=2)
@@ -563,6 +566,26 @@ def test_rank_equals_full_rank_over_the_eval_suite(pipeline_ws, mode):
                     assert_rank_is_full_rank(q, store, vecs, params, mode, cutoff)
 
 
+def test_no_now_ranks_from_the_newest_event_of_the_snapshot(pipeline_ws):
+    vecs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
+    store = EventStore.of_timeline(vecs.ids, vecs.ts_us)
+    config = json.loads((pipeline_ws / "logs" / "eval.json").read_text(encoding="utf-8"))
+    truth = json.loads((pipeline_ws / "logs" / config["ground_truth"]).read_text(encoding="utf-8"))
+    embedder = HashEmbedder(dim=vecs.dim)
+    freshness = [q for q in config["queries"] if q["type"] == "freshness"]
+    assert len(freshness) == 3
+    for query in freshness:
+        q = embedder.embed(query["text"])
+        hits = rank(q, store, vecs, RetrievalParams())
+        assert hits == rank(q, store, vecs, RetrievalParams(now=store[len(store) - 1].ts))
+        assert latest_set_at_k(hits, truth["topics"][query["topic"]]["event_ids"], store) == 1
+    for query in config["queries"]:
+        if "cutoff" in query:
+            q, cutoff = embedder.embed(query["text"]), parse_cutoff(query["cutoff"])
+            newest = max(e.ts for e in store if e.ts <= cutoff)
+            assert rank(q, store, vecs, as_of=cutoff) == rank(q, store, vecs, RetrievalParams(now=newest), as_of=cutoff)
+
+
 def _grouped_store(groups):
     """A store of (row, minutes before NOW, copies) groups over a fixed pool of four int rows."""
     pool = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 2], [-1, 2, 2, 0]]
@@ -604,13 +627,41 @@ class TestWholeStoreRank:
             hits = rank(query, store, vecs, params, mode=mode, as_of=as_of)
             oracle = brute_force_rank(query, store, vecs, params, mode, as_of)
             assert [h.event_id for h in hits] == [o[0] for o in oracle]
-        assert "holders" in vars(vecs)  # the whole-store branch ran
+        assert "holders" in vars(vecs)  # the row bound ran
 
-    def test_a_cutoff_before_the_newest_event_builds_no_layout(self):
-        store, vecs = _grouped_store(_WHOLE)
-        query, cutoff = np.ones(4, dtype=np.float32), store[len(store) - 2].ts
-        assert_rank_is_full_rank(query, store, vecs, RetrievalParams(now=NOW, top_k=3), "fused", cutoff)
-        assert "holders" not in vars(vecs)
+
+# Rows 0 to 2 are held before the cut at 300 minutes before NOW, and row 3 only
+# after it. Rows 1 and 2 also have holders after that cut, and row 2 after the
+# cut at 100 minutes too, so the newest holders of both lie outside the prefix.
+_PREFIX = [(0, 40 * 24 * 60, 2), (1, 30 * 24 * 60, 2), (2, 900, 2), (0, 600, 1), (1, 500, 2), (2, 400, 1),
+           (0, 300, 1), (3, 200, 2), (1, 100, 1), (2, 50, 1)]
+
+
+class TestPrefixRank:
+    """A snapshot that ends before the newest event ranks from the same holder layout."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(("minutes", "top_k", "held"), [
+        (300, 2, [0, 1, 2]),  # row 3 is held by no event of the prefix
+        (100, 2, [0, 1, 2, 3]),  # row 2's holders fall on both sides of the cut
+        (300, 5, [0, 1, 2]),  # more hits asked for than rows held, so the floor is -inf
+    ], ids=["one-row-unheld", "a-row-split-by-the-cut", "top-k-above-the-rows-held"])
+    def test_equals_full_rank_and_the_oracle(self, mode, minutes, top_k, held):
+        store, vecs = _grouped_store(_PREFIX)
+        cutoff = NOW - timedelta(minutes=minutes)
+        n = sum(e.ts <= cutoff for e in store)
+        assert n < len(store) and 2 * len(vecs.rows) <= n  # a strict prefix, under the row bound
+        assert sorted(set(vecs.index[:n].tolist())) == held
+        for now in (NOW, None):
+            params = RetrievalParams(now=now, top_k=top_k)
+            for query in ([1, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 2], [-1, 2, 2, 0]):
+                query = np.array(query, dtype=np.float32)
+                assert_rank_is_full_rank(query, store, vecs, params, mode, cutoff)
+                hits = rank(query, store, vecs, params, mode=mode, as_of=cutoff)
+                oracle = brute_force_rank(query, store, vecs, params, mode, cutoff)
+                assert [h.event_id for h in hits] == [o[0] for o in oracle]
+                assert len(hits) == top_k
+        assert "holders" in vars(vecs)  # the row bound ran
 
 
 class TestHolderLayout:
