@@ -17,7 +17,7 @@ import logging
 import operator
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -101,15 +101,13 @@ class HashEmbedder:
     """Unit-norm signed-bucket hashes of a text's unigrams and adjacent bigrams.
 
     A feature whose 64-bit hash is h adds +1 to bucket h % dim if h's top bit
-    is set, else -1. ``_buckets`` maps each distinct feature an instance has
-    seen to its (bucket, ±1) for this ``dim`` and lives as long as the
-    instance; it is filled from :func:`_feature_hash`, which every instance
-    shares, so a fresh instance hashes only features no instance has hashed
-    lately.
+    is set, else -1. An embedder holds its ``dim`` and nothing else: each
+    feature's hash comes from :func:`_feature_hash`, which every embedder
+    shares, so a fresh embedder, of any ``dim``, hashes only features no
+    embedder has hashed lately.
     """
 
     dim: int = DEFAULT_DIM
-    _buckets: dict[str, tuple[int, float]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_int_at_least(self.dim, 2):
@@ -121,14 +119,12 @@ class HashEmbedder:
             raise ValueError(f"no tokens in text: {text!r}")
         features = list(tokens)
         features.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-        buckets, dim = self._buckets, self.dim
-        for feature in features:
-            if feature not in buckets:
-                h = _feature_hash(feature)
-                buckets[feature] = (h % dim, 1.0 if h >> 63 else -1.0)
-        vec = np.zeros(dim, dtype=np.float32)
-        for bucket, sign in map(buckets.__getitem__, features):
-            vec[bucket] += sign
+        hashes = np.fromiter(map(_feature_hash, features), dtype=np.uint64, count=len(features))
+        buckets = (hashes % np.uint64(self.dim)).astype(np.intp)  # intp, the index type np.bincount takes
+        signs = np.where(hashes >> np.uint64(63), 1.0, -1.0)
+        # Each bucket sums ±1s, a small integer, which float64 and float32 hold
+        # exactly: the vector is bit for bit the feature-by-feature float32 sum.
+        vec = np.bincount(buckets, weights=signs, minlength=self.dim).astype(np.float32)
         norm = float(np.sqrt(vec.dot(vec)))  # exactly np.linalg.norm of one vector, without its checks
         if norm == 0.0:
             # Possible only if colliding features cancel exactly.

@@ -174,11 +174,17 @@ def derive_event_id(
     """Return the record's explicit id, or a stable content digest.
 
     The digest covers the UTC ISO timestamp plus the identity/text fields,
-    joined with an unprintable separator so field boundaries cannot collide.
+    joined with the unit separator "\\x1f". A field can hold that separator
+    itself, so such a record's fields are hashed as their JSON array instead:
+    JSON escapes U+001F, so that payload holds no raw separator, while a joined
+    payload holds exactly four, and no two distinct records share a payload.
     """
     if explicit_id:
         return explicit_id
-    payload = "\x1f".join((ts.isoformat(), product, event_type, asset_id, msg))
+    parts = (ts.isoformat(), product, event_type, asset_id, msg)
+    payload = "\x1f".join(parts)
+    if payload.count("\x1f") != 4:
+        payload = json.dumps(parts)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

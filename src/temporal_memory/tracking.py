@@ -13,6 +13,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -250,22 +251,22 @@ def select_k(vectors: np.ndarray, seed: int = DEFAULT_SEED) -> int:
     return best_k
 
 
-def top_terms_for(texts: Sequence[str], *, terms_of: dict[str, list[str]] | None = None) -> tuple[str, ...]:
+@lru_cache(maxsize=1 << 16)
+def _counted_terms(text: str) -> tuple[str, ...]:
+    """The text's distinct terms that count toward a top-terms summary, cached for the process."""
+    return tuple(t for t in set(tokenize(text)) if t not in STOPWORDS and not t.isdigit())
+
+
+def top_terms_for(texts: Sequence[str]) -> tuple[str, ...]:
     """The TOP_TERMS terms of highest document frequency within the cluster, ties lexicographic.
 
-    Each distinct text is tokenized once and counts as many documents as it has
-    copies. ``terms_of`` maps a text to its distinct counted terms and is filled
-    as texts are seen; ``track`` passes one dict per call, so a text that recurs
-    across clusters and weeks is tokenized once per call.
+    Each distinct text counts as many documents as it has copies. Its terms
+    come from :func:`_counted_terms`, so a text that recurs across clusters,
+    weeks and ``track`` calls is tokenized once while it stays in that cache.
     """
-    if terms_of is None:
-        terms_of = {}
     df: dict[str, int] = {}
     for text, copies in Counter(texts).items():
-        terms = terms_of.get(text)
-        if terms is None:
-            terms = terms_of[text] = [t for t in set(tokenize(text)) if t not in STOPWORDS and not t.isdigit()]
-        for term in terms:
+        for term in _counted_terms(text):
             df[term] = df.get(term, 0) + copies
     ranked = sorted(df.items(), key=lambda kv: (-kv[1], kv[0]))
     return tuple(term for term, _ in ranked[:TOP_TERMS])
@@ -336,7 +337,6 @@ def track(
     # ISO weeks start on Monday and 1970-01-01 was a Thursday, so this numbers
     # the weeks consecutively; the store is sorted by ts, so each week is one run.
     weeks, starts = np.unique((store.ts_us + 3 * _US_PER_DAY) // _US_PER_WEEK, return_index=True)
-    terms_of: dict[str, list[str]] = {}
     clusters: list[WeekCluster] = []
     trends: list[TrendRecord] = []
     prev_clusters: list[WeekCluster] = []
@@ -346,7 +346,7 @@ def track(
         if week - 1 != prev_week:
             prev_clusters = []  # a silent week severs the chain
         period = period_of(from_epoch_us(int(store.ts_us[indices[0]])))
-        week_clusters = _cluster_period(period, indices, store, vecs, params, seed, terms_of)
+        week_clusters = _cluster_period(period, indices, store, vecs, params, seed)
         matches = match_weeks(prev_clusters, week_clusters, params)
         for cluster in week_clusters:
             prev_id, sim = matches.get(cluster.cluster_id, (None, None))
@@ -379,7 +379,6 @@ def _cluster_period(
     vecs: VectorStore,
     params: TrendParams,
     seed: int,
-    terms_of: dict[str, list[str]],
 ) -> list[WeekCluster]:
     points = vecs.rows[vecs.index[indices]].astype(np.float32)
     n = len(indices)
@@ -397,7 +396,7 @@ def _cluster_period(
                 cluster_id=c,
                 member_ids=tuple(store.event_ids[i] for i in members),
                 centroid=centroids[c],
-                top_terms=top_terms_for([store.texts[t] for t in store.text_index[members]], terms_of=terms_of),
+                top_terms=top_terms_for([store.texts[t] for t in store.text_index[members]]),
             )
         )
     return out
@@ -444,9 +443,5 @@ def write_trends_summary_csv(trends: Sequence[TrendRecord], path: Path | str) ->
 
 
 def per_week_k(clusters: Iterable[WeekCluster]) -> dict[str, int]:
-    """Chosen cluster count per week, as rendered week -> k."""
-    out: dict[str, int] = {}
-    for cluster in clusters:
-        key = str(cluster.week)
-        out[key] = max(out.get(key, 0), cluster.cluster_id + 1)
-    return out
+    """Chosen cluster count per week, as rendered week -> k: ``track`` numbers each week's clusters 0..k-1."""
+    return dict(Counter(str(cluster.week) for cluster in clusters))

@@ -8,6 +8,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from temporal_memory import cli
 from temporal_memory.embedding import VectorStore, group_rows, write_vector_file
 from temporal_memory.evaluation import EvalReport
 from temporal_memory.events import Event, EventStore, WeekKey, load_events_jsonl, write_events_jsonl
@@ -109,6 +110,36 @@ SEED_7_DIGESTS = {
 def test_seed_7_artifact_digests(pipeline_ws):
     digests = {rel: hashlib.sha256((pipeline_ws / rel).read_bytes()).hexdigest() for rel in SEED_7_DIGESTS}
     assert digests == SEED_7_DIGESTS
+
+
+# The same files for seed 11, which gen, ingest and embed alone write.
+SEED_11_DIGESTS = {
+    "logs/eval.json": "a1c5152e02d84d4dad562f7af4139afcfafc1fb4651a0e53c22d18875743e22a",
+    "logs/events-2025-W14.jsonl": "ecae8e33884ccec68bd867ec94b8866c59b68bc2ce72c953772d1f166a769262",
+    "logs/events-2025-W15.jsonl": "0ca2d70c3d49de743c43a2e88248b86b4ea230c316d2f1dc68ec6c80fdce5009",
+    "logs/events-2025-W16.jsonl": "1f3ed46e9952b4d5a03ad4f55af1b120ac9d310fd77f5eb944050706d2f87d00",
+    "logs/events-2025-W17.jsonl": "213763d94463c7feaa5a07407fb1693818952a70d00d44408e6f28b5f76b8f25",
+    "logs/events-2025-W18.jsonl": "d7cc6224d09c95aefad86a1bf3841c77679d10f8a6501e9aab4075c2bd823e8b",
+    "logs/events-2025-W19.jsonl": "49cdd9afe1d1fd34974595f748e3c8719d1b2de842fa602007d92bc3ff71d0ab",
+    "logs/events-2025-W20.jsonl": "e1b604126a856ce67f5b8bea2fdc0b2fd37c63256e876d7e8188f549c6d78836",
+    "logs/events-2025-W21.jsonl": "ae71ad3ac25cfc249dcba78f0c5cf409310907efc86d317543e2bf66a7df020c",
+    "logs/events-2025-W22.jsonl": "7c691b4a696d01b0ad382929ede0b6047f994c625404a2b123ff4e29a3390169",
+    "logs/events-2025-W23.jsonl": "5bb24ec9edbf040153bbb614b9029e6460df029fe9917e894cd80f9d0fc7b51b",
+    "logs/events-2025-W24.jsonl": "4ed969a646a95ca0d2a589393522f2e2b3e8ea8d5e2d6770252e5c6148b842d1",
+    "logs/events-2025-W25.jsonl": "5c45d5e5a298a7a28193bd2ae9ec32a5ff781e3759ac21c1a68bf572264e29d1",
+    "logs/events-2025-W26.jsonl": "1b597b2ebf36c11eb69a862b57729086647ee732abfe0ed77caaf620191d6f4d",
+    "logs/ground_truth.json": "4fb77baa55b6192d3757983d6fb9903b20bdef1cd742b9eee44a3fae4c53b162",
+    "data/events.jsonl": "5d2f3da44eb943d6fe8fc3ae799be8a769b81550e78bdb4e94baaaba4caf478b",
+    "data/manifest.json": "3d74abcbea2e94975f1684f27af11e59f99a9c131eacf334215a1a2b71f034fd",
+    "data/vectors.tmv": "0b74d7becb75a344bab9720aadccf0817676bf0dff5ce0edb94876687cba961e",
+}
+
+
+def test_seed_11_artifact_digests(tmp_path):
+    for argv in (["gen", "--seed", "11"], ["ingest"], ["embed"]):
+        assert cli.main(["--workspace", str(tmp_path), *argv]) == 0
+    digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in SEED_11_DIGESTS}
+    assert digests == SEED_11_DIGESTS
 
 
 def _events_failing_midway(path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import json
 import logging
 import random
@@ -129,6 +130,24 @@ class TestDeriveEventId:
     def test_field_boundaries_cannot_collide(self):
         # "ab"+"c" vs "a"+"bc" must hash differently thanks to the separator
         assert derive_event_id(self.TS, "ab", "c", "", "") != derive_event_id(self.TS, "a", "bc", "", "")
+
+    def test_a_separator_inside_a_field_cannot_collide(self, tmp_path):
+        assert derive_event_id(self.TS, "a\x1fb", "c", "", "m") != derive_event_id(self.TS, "a", "b\x1fc", "", "m")
+        src = tmp_path / "in.jsonl"
+        base = {"ts": "2025-04-01T10:00:00Z", "msg": "m"}
+        _write_jsonl(src, [{**base, "product": "a\x1fb", "event_type": "c"},
+                           {**base, "product": "a", "event_type": "b\x1fc"}])
+        store = ingest([src])
+        assert len(store) == 2 and store.duplicates_dropped == 0
+
+    @given(st.lists(st.text(alphabet="ab\x1f", max_size=4), min_size=4, max_size=4),
+           st.lists(st.text(alphabet="ab\x1f", max_size=4), min_size=4, max_size=4))
+    def test_distinct_fields_get_distinct_ids(self, a, b):
+        assert (derive_event_id(self.TS, *a) == derive_event_id(self.TS, *b)) == (a == b)
+
+    def test_a_record_with_no_separator_hashes_its_joined_fields(self):
+        joined = "2025-04-01T10:00:00+00:00\x1fokta\x1fauth_fail\x1fa\x1fm"
+        assert derive_event_id(self.TS, "okta", "auth_fail", "a", "m") == hashlib.sha256(joined.encode()).hexdigest()
 
 
 class TestBuildTextRepr:

@@ -422,6 +422,12 @@ class TestDrift:
         assert value >= TrendParams().drift_threshold
 
 
+def _fields(tracked):
+    """A ``track`` result's clusters and trends as comparable values, each centroid as its bytes."""
+    clusters, trends = tracked
+    return [(c.week, c.cluster_id, c.member_ids, c.centroid.tobytes(), c.top_terms) for c in clusters], trends
+
+
 def _small_two_week_store(gap: bool):
     """Six auth events in week one; six data events two weeks later when gap=True."""
     events = []
@@ -488,6 +494,16 @@ class TestTrack:
             write_trends_summary_csv(trends, t_path)
             outputs.append((c_path.read_bytes(), t_path.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_a_second_call_reuses_each_texts_terms(self, pipeline_ws):
+        store = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
+        vecs = read_vector_file(pipeline_ws / "data" / "vectors.tmv")
+        tracking._counted_terms.cache_clear()
+        first = track(store, vecs)
+        assert tracking._counted_terms.cache_info().misses == len(store.texts)
+        second = track(store, vecs)
+        assert tracking._counted_terms.cache_info().misses == len(store.texts)
+        assert _fields(first) == _fields(second)
 
     def test_drift_stays_within_match_bound(self, pipeline_ws):
         store = load_events_jsonl(pipeline_ws / "data" / "events.jsonl")
